@@ -43,13 +43,9 @@ def _tfidf_weight(tf: int, idf: float) -> float:
 
 
 def _idf(corpus: Corpus) -> dict[str, float]:
-    n = corpus.n_docs
-    out = {}
-    for term in corpus.collection_counts:
-        df = len(corpus.postings(term)[0])
-        if df:
-            out[term] = math.log(n / df)
-    return out
+    # every vocabulary term occurs in some document, so df >= 1
+    return {t: math.log(corpus.n_docs / len(corpus.postings(t)[0]))
+            for t in corpus.collection_counts}
 
 
 def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,
@@ -78,8 +74,7 @@ def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,
             if wq == 0.0:
                 continue
             ids, counts = corpus.postings(term)
-            if len(ids):
-                scores[ids] += wq * (1.0 + np.log(counts)) * idf[term]
+            scores[ids] += wq * (1.0 + np.log(counts)) * idf[term]
         return scores
 
     initial = ScoredRanking.from_dense(inner_products(q_vec))

@@ -8,15 +8,15 @@ without a second numbering scheme.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, ParseError, canonical_json
+from .corpus import Corpus, ParseError, TermIndex, canonical_json, check_doc_id_rows, read_payload
 from .lm import QUERY_ID, NeighborIndex
+from .storage import atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -34,17 +34,17 @@ class Cluster:
 class ClusterIndex:
     """All clusters plus the doc -> containing-clusters reverse map."""
 
-    def __init__(self, clusters: list[Cluster], corpus_hash: str, mu: float, delta: int):
+    def __init__(self, clusters: list[Cluster], corpus: Corpus, mu: float, delta: int):
         self.clusters = clusters
-        self.corpus_hash = corpus_hash
+        self.corpus_hash = corpus.content_hash
         self.mu = mu
         self.delta = delta
         self.containing: dict[int, set[int]] = {}
         for c in clusters:
             for d in c.members:
                 self.containing.setdefault(d, set()).add(c.cluster_id)
+        self._terms = TermIndex(clusters, corpus.vocabulary)
         self._postings: dict[str, tuple] = {}
-        self._lengths = None
         self._member_scores: dict[int, tuple] = {}
 
     def __len__(self) -> int:
@@ -53,22 +53,14 @@ class ClusterIndex:
     def membership(self, doc_id: int) -> set[int]:
         return self.containing.get(doc_id, set())
 
-    def lengths(self):
-        if self._lengths is None:
-            self._lengths = np.array([c.length for c in self.clusters], dtype=float)
-        return self._lengths
+    def lengths(self) -> np.ndarray:
+        return self._terms.arrays()[3]
 
     def postings(self, term: str):
+        """(cluster ids, counts) of one term: O(df) views into the term index."""
         hit = self._postings.get(term)
         if hit is None:
-            ids, cnts = [], []
-            for c in self.clusters:
-                v = c.term_counts.get(term)
-                if v:
-                    ids.append(c.cluster_id)
-                    cnts.append(v)
-            hit = (np.array(ids, dtype=int), np.array(cnts, dtype=float))
-            self._postings[term] = hit
+            hit = self._postings[term] = self._terms.postings(term)
         return hit
 
     def member_rendition(self, cluster_id: int, corpus: Corpus):
@@ -85,12 +77,10 @@ class ClusterIndex:
             text_counts = np.array([c.term_counts[t] for t in terms], dtype=float)
             coll = np.array([corpus.collection_prob(t) for t in terms])
             counts = np.zeros((len(c.members), len(terms)))
-            lengths = np.empty(len(c.members))
             for i, d in enumerate(c.members):
-                doc = corpus.documents[d]
-                lengths[i] = doc.length
-                for term, cnt in doc.term_counts.items():
-                    counts[i, index[term]] = cnt
+                doc_counts = corpus.documents[d].term_counts
+                counts[i, [index[t] for t in doc_counts]] = list(doc_counts.values())
+            lengths = corpus.lengths()[list(c.members)]
             # elementwise log + pairwise sum keeps results thread-independent;
             # sorting each member's contributions first makes members with
             # permuted-but-equal count profiles come out exactly tied, so the
@@ -116,26 +106,19 @@ class ClusterIndex:
         }
 
     def save(self, path) -> None:
-        from .storage import atomic_write
-
         atomic_write(path, canonical_json(self.to_payload()))
 
     @classmethod
     def load(cls, path, corpus: Corpus) -> "ClusterIndex":
-        with open(path, "rb") as fh:
-            payload = json.loads(fh.read())
-        if not isinstance(payload, dict) or payload.get("format") != CLUSTERS_FORMAT:
-            raise ParseError(f"{path}: not a {CLUSTERS_FORMAT} file")
+        payload = read_payload(path, CLUSTERS_FORMAT)
         try:
             if payload["corpus_hash"] != corpus.content_hash:
                 raise ValueError(f"{path}: clusters were built for a different corpus")
-            clusters = [
-                _make_cluster(cid, members, corpus)
-                for cid, members in enumerate(payload["members"])
-            ]
-            return cls(clusters, payload["corpus_hash"], payload["mu"],
-                       payload["delta"])
-        except (KeyError, TypeError, IndexError) as exc:
+            delta, members = payload["delta"], payload["members"]
+            check_doc_id_rows(path, members, corpus.n_docs, delta, "member list")
+            clusters = [_make_cluster(cid, row, corpus) for cid, row in enumerate(members)]
+            return cls(clusters, corpus, payload["mu"], delta)
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"{path}: malformed cluster payload: {exc}") from exc
 
 
@@ -164,7 +147,7 @@ def build_clusters(corpus: Corpus, delta: int, neighbors: NeighborIndex) -> Clus
         _make_cluster(seed, neighbors.top(seed, delta), corpus)
         for seed in range(corpus.n_docs)
     ]
-    index = ClusterIndex(clusters, corpus.content_hash, neighbors.mu, delta)
+    index = ClusterIndex(clusters, corpus, neighbors.mu, delta)
     self_in = sum(1 for c in clusters if c.cluster_id in c.members)
     if self_in < len(clusters):
         log.info("%d/%d seeds are not members of their own cluster",
@@ -175,7 +158,7 @@ def build_clusters(corpus: Corpus, delta: int, neighbors: NeighborIndex) -> Clus
 def singleton_cluster_index(corpus: Corpus, mu: float) -> ClusterIndex:
     """Degenerate partition: every document is its own one-element cluster."""
     clusters = [_make_cluster(d, [d], corpus) for d in range(corpus.n_docs)]
-    return ClusterIndex(clusters, corpus.content_hash, mu, 1)
+    return ClusterIndex(clusters, corpus, mu, 1)
 
 
 def cluster_membership(cluster_index: ClusterIndex, text_id: int,

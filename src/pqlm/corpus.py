@@ -12,10 +12,15 @@ import hashlib
 import json
 import logging
 import re
+import threading
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from . import porter
+from .storage import atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -91,25 +96,64 @@ class Query:
     terms: list[str]
 
 
+class TermIndex:
+    """Postings of renderers (documents or clusters) in CSR form: vocabulary
+    term t has renderer positions ``ids[indptr[t]:indptr[t + 1]]`` (int32,
+    ascending) and float64 ``counts``.  Built on first use in one O(P) pass
+    over the P postings, under a lock so that concurrent first uses build once.
+    """
+
+    def __init__(self, renderers, vocabulary: dict[str, int]):
+        self._renderers, self._vocabulary = renderers, vocabulary
+        self._arrays = None
+        self._lock = threading.Lock()
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """(indptr, ids, counts, renderer lengths)."""
+        with self._lock:
+            if self._arrays is None:
+                self._arrays = self._build()
+        return self._arrays
+
+    def _build(self):
+        tables = [r.term_counts for r in self._renderers]
+        sizes = np.fromiter(map(len, tables), np.int64, len(tables))
+        terms = np.fromiter(map(self._vocabulary.__getitem__, chain.from_iterable(tables)),
+                            np.int32, sizes.sum())
+        counts = np.fromiter(chain.from_iterable(t.values() for t in tables),
+                             np.float64, len(terms))
+        order = np.argsort(terms, kind="stable")
+        indptr = np.zeros(len(self._vocabulary) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(terms, minlength=len(self._vocabulary)), out=indptr[1:])
+        ids = np.repeat(np.arange(len(tables), dtype=np.int32), sizes)[order]
+        lengths = np.array([r.length for r in self._renderers], dtype=float)
+        return indptr, ids, counts[order], lengths
+
+    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, counts) views of one term's postings; empty when unknown."""
+        indptr, ids, counts, _ = self.arrays()
+        t = self._vocabulary.get(term)
+        span = slice(0, 0) if t is None else slice(indptr[t], indptr[t + 1])
+        return ids[span], counts[span]
+
+
 class Corpus:
     """Indexed document collection with collection-level statistics."""
 
     def __init__(self, documents: list[Document], options: PreprocessOptions):
         self.documents = documents
         self.options = options
-        self.collection_counts: dict[str, int] = Counter()
-        self.collection_length = 0
+        counts: Counter = Counter()
         for doc in documents:
-            self.collection_length += doc.length
-            for term, cnt in doc.term_counts.items():
-                self.collection_counts[term] += cnt
-        self.collection_counts = dict(self.collection_counts)
+            counts.update(doc.term_counts)
+        self.collection_counts: dict[str, int] = dict(counts)
+        self.collection_length = sum(doc.length for doc in documents)
         # lexicographic term ids: deterministic and reload-stable
         self.vocabulary: dict[str, int] = {
             t: i for i, t in enumerate(sorted(self.collection_counts))
         }
+        self._terms = TermIndex(documents, self.vocabulary)
         self._postings: dict[str, tuple] = {}
-        self._lengths = None
         self._hash: str | None = None
 
     def __len__(self) -> int:
@@ -123,27 +167,14 @@ class Corpus:
         """Collection maximum-likelihood probability; 0 for unknown terms."""
         return self.collection_counts.get(term, 0) / self.collection_length
 
-    def doc_lengths(self):
-        import numpy as np
-
-        if self._lengths is None:
-            self._lengths = np.array([d.length for d in self.documents], dtype=float)
-        return self._lengths
+    def lengths(self) -> np.ndarray:
+        return self._terms.arrays()[3]
 
     def postings(self, term: str):
-        """(doc_ids, counts) arrays for one term, built lazily."""
-        import numpy as np
-
+        """(doc_ids, counts) of one term: O(df) views into the term index."""
         hit = self._postings.get(term)
         if hit is None:
-            ids, cnts = [], []
-            for doc in self.documents:
-                c = doc.term_counts.get(term)
-                if c:
-                    ids.append(doc.doc_id)
-                    cnts.append(c)
-            hit = (np.array(ids, dtype=int), np.array(cnts, dtype=float))
-            self._postings[term] = hit
+            hit = self._postings[term] = self._terms.postings(term)
         return hit
 
     def preprocess_query(self, query_id: str, text: str) -> Query:
@@ -171,31 +202,52 @@ class Corpus:
         return self._hash
 
     def save(self, path) -> None:
-        from .storage import atomic_write
-
         atomic_write(path, self.serialize())
 
     @classmethod
     def load(cls, path) -> "Corpus":
-        with open(path, "rb") as fh:
-            payload = json.loads(fh.read())
-        if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
-            raise ParseError(f"{path}: not a {INDEX_FORMAT} file")
+        payload = read_payload(path, INDEX_FORMAT)
         try:
             options = PreprocessOptions.from_dict(payload["options"])
-            documents = []
-            for i, entry in enumerate(payload["documents"]):
-                counts = {t: int(c) for t, c in entry["counts"].items()}
-                documents.append(
-                    Document(i, entry["docno"], counts, sum(counts.values())))
+            entries = [(e["docno"], dict(e["counts"].items())) for e in payload["documents"]]
         except (KeyError, TypeError, AttributeError) as exc:
             raise ParseError(f"{path}: malformed index payload: {exc}") from exc
+        # the term index trusts its input: hold a loaded index to what
+        # ingestion guarantees; a document's length is the sum of its counts
+        documents: list[Document] = []
+        seen = set()
+        for docno, counts in entries:
+            if not isinstance(docno, str) or docno in seen:
+                raise ParseError(f"{path}: docno {docno!r} is duplicated or not a string")
+            seen.add(docno)
+            if not counts or not all(type(c) is int and c > 0 for c in counts.values()):
+                raise ParseError(f"{path}: document {docno!r} needs positive integer counts")
+            documents.append(Document(len(documents), docno, counts, sum(counts.values())))
         return cls(documents, options)
 
 
 def canonical_json(payload) -> bytes:
     """Deterministic byte encoding used for hashing and persistence."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+def read_payload(path, fmt: str) -> dict:
+    """The JSON object in an artifact file, which must declare format `fmt`."""
+    with open(path, "rb") as fh:
+        payload = json.loads(fh.read())
+    if not isinstance(payload, dict) or payload.get("format") != fmt:
+        raise ParseError(f"{path}: not a {fmt} file")
+    return payload
+
+
+def check_doc_id_rows(path, rows, n_docs: int, width: int, what: str) -> None:
+    """One row per document, each `width` distinct doc ids in 0..n_docs-1."""
+    if len(rows) != n_docs:
+        raise ParseError(f"{path}: {len(rows)} {what}s for {n_docs} documents")
+    for i, row in enumerate(rows):
+        if len(row) != width or len(set(row)) != width or not all(
+                type(d) is int and 0 <= d < n_docs for d in row):
+            raise ParseError(f"{path}: {what} {i} is not {width} distinct ids in 0..{n_docs - 1}")
 
 
 def build_corpus(

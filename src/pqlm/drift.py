@@ -48,14 +48,6 @@ class DriftTechnique:
         elif self.N is not None:
             raise ValueError(f"N is meaningless for {self.kind}")
 
-    @property
-    def per_round(self) -> bool:
-        return self.kind.startswith("iterated_")
-
-    @property
-    def final_round(self) -> bool:
-        return self.kind in ("interpolation", "truncated_rerank")
-
 
 def interpolate(method_scores: ScoredRanking, query_scores: ScoredRanking,
                 lambda_: float) -> ScoredRanking:

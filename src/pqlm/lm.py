@@ -15,16 +15,17 @@ omission.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, ParseError, canonical_json
+from .corpus import Corpus, ParseError, canonical_json, check_doc_id_rows, read_payload
+from .storage import atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -109,12 +110,7 @@ def rendition_prob(renderer, seq, mu: float, corpus: Corpus,
     `seq` may be a token sequence or a term-count mapping.
     """
     counts, length = _resolve(renderer, corpus, cluster_index)
-    if isinstance(seq, Mapping):
-        items = sorted(seq.items())
-    else:
-        from collections import Counter
-
-        items = sorted(Counter(seq).items())
+    items = sorted(_as_counts(seq).items())
     n = sum(c for _, c in items)
     if n == 0:
         raise ValueError("empty sequence")
@@ -130,41 +126,46 @@ def rendition_prob(renderer, seq, mu: float, corpus: Corpus,
 
 
 def _as_counts(seq) -> dict:
-    if isinstance(seq, Mapping):
-        return dict(seq)
-    from collections import Counter
-
-    return dict(Counter(seq))
+    return dict(seq) if isinstance(seq, Mapping) else dict(Counter(seq))
 
 
-def log_rendition_docs(corpus: Corpus, x_counts: Mapping[str, int], mu: float) -> np.ndarray:
-    """Log geometric-mean rendition scores of one text against every document.
+def log_rendition(owner, corpus: Corpus, x_counts: Mapping[str, float],
+                  mu: float) -> np.ndarray:
+    """Log geometric-mean rendition scores of one text against every renderer
+    of `owner` (the corpus or a cluster index); requires mu > 0.
 
-    Vectorized over the inverted index: only documents containing a text
-    term deviate from the background contribution log(mu * p_coll).
-    Requires mu > 0.
+    Only renderers holding a text term deviate from the background
+    log(mu * p_coll).  ``bincount`` sums the deviations per renderer in input
+    (sorted term) order from 0.0.  O(|x| + sum of the text terms' df).
     """
     if mu <= 0:
         raise ValueError("vectorized rendition scoring requires mu > 0")
-    n = corpus.n_docs
     xlen = float(sum(x_counts.values()))
     if xlen == 0:
         raise ValueError("empty sequence")
-    out = np.zeros(n)
-    base = 0.0
+    postings, per_term, base = [], [], 0.0
     for term, cnt in sorted(x_counts.items()):
         p_coll = corpus.collection_prob(term)
         if p_coll == 0.0:
             raise ValueError(f"term {term!r} is not in the corpus vocabulary")
         background = math.log(mu * p_coll)
         base += cnt * background
-        ids, counts = corpus.postings(term)
-        if len(ids):
-            out[ids] += cnt * (np.log(counts + mu * p_coll) - background)
-    out += base
-    out -= xlen * np.log(corpus.doc_lengths() + mu)
+        postings.append(owner.postings(term))
+        per_term.append((cnt, mu * p_coll, background))
+    ids, counts = (np.concatenate(arrays) for arrays in zip(*postings))
+    sizes = [len(i) for i, _ in postings]
+    cnts, smooth, backgrounds = np.repeat(np.array(per_term).T, sizes, axis=1)
+    deviation = cnts * (np.log(counts + smooth) - backgrounds)
+    # "+ base" also makes floats of bincount's integer zeros when no posting exists
+    out = np.bincount(ids, weights=deviation, minlength=len(owner)) + base
+    out -= xlen * np.log(owner.lengths() + mu)
     out /= xlen
     return out
+
+
+def log_rendition_docs(corpus: Corpus, x_counts: Mapping[str, float], mu: float) -> np.ndarray:
+    """:func:`log_rendition` against every document."""
+    return log_rendition(corpus, corpus, x_counts, mu)
 
 
 def ranked_order(scores: np.ndarray) -> np.ndarray:
@@ -246,32 +247,30 @@ class NeighborIndex:
         }
 
     def save(self, path) -> None:
-        from .storage import atomic_write
-
         atomic_write(path, canonical_json(self.to_payload()))
 
     @classmethod
     def load(cls, path, corpus: Corpus | None = None, mu: float | None = None) -> "NeighborIndex":
-        with open(path, "rb") as fh:
-            payload = json.loads(fh.read())
-        if not isinstance(payload, dict) or payload.get("format") != NEIGHBORS_FORMAT:
-            raise ParseError(f"{path}: not a {NEIGHBORS_FORMAT} file")
+        payload = read_payload(path, NEIGHBORS_FORMAT)
         try:
             idx = cls(payload["corpus_hash"], payload["mu"], payload["k_max"],
-                      [list(map(int, row)) for row in payload["neighbors"]])
+                      payload["neighbors"])
+            if corpus is not None and idx.corpus_hash != corpus.content_hash:
+                raise ValueError(f"{path}: neighbor lists were built for a different corpus")
+            if mu is not None and idx.mu != mu:
+                raise ValueError(f"{path}: neighbor lists were built with mu={idx.mu}, not {mu}")
+            n_docs = len(idx.neighbors) if corpus is None else corpus.n_docs
+            check_doc_id_rows(path, idx.neighbors, n_docs, idx.k_max, "neighbor list")
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{path}: malformed neighbor payload: {exc}") from exc
-        if corpus is not None and idx.corpus_hash != corpus.content_hash:
-            raise ValueError(f"{path}: neighbor lists were built for a different corpus")
-        if mu is not None and idx.mu != mu:
-            raise ValueError(f"{path}: neighbor lists were built with mu={idx.mu}, not {mu}")
         return idx
 
 
 def precompute_neighbors(corpus: Corpus, k_max: int, mu: float,
                          threads: int = 1) -> NeighborIndex:
-    """Top-k_max renderer list for every document, for O(1) later queries.
+    """Top-k_max renderer list for every document, one scoring pass each.
 
+    Clustering reads these lists; query-time scoring does not use them yet.
     Per-document results are independent, so the computation may fan out
     over threads without affecting the (deterministic) output.
     """

@@ -10,7 +10,6 @@ per-document definitions exactly while touching only active pseudo-queries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .clustering import ClusterIndex, cluster_membership
 from .corpus import Corpus
-from .lm import QUERY_ID, log_rendition_docs, ranked_order
+from .lm import QUERY_ID, log_rendition, log_rendition_docs, ranked_order
 
 
 @dataclass
@@ -175,28 +174,8 @@ def score_mcdoc(pq: PseudoQueryList, params: MethodParams, corpus: Corpus,
 
 def log_rendition_clusters(cluster_index: ClusterIndex, corpus: Corpus,
                            x_counts: Mapping[str, int], mu: float) -> np.ndarray:
-    """Log rendition scores of one text against every cluster model."""
-    if mu <= 0:
-        raise ValueError("vectorized rendition scoring requires mu > 0")
-    n = len(cluster_index)
-    xlen = float(sum(x_counts.values()))
-    if xlen == 0:
-        raise ValueError("empty sequence")
-    out = np.zeros(n)
-    base = 0.0
-    for term, cnt in sorted(x_counts.items()):
-        p_coll = corpus.collection_prob(term)
-        if p_coll == 0.0:
-            raise ValueError(f"term {term!r} is not in the corpus vocabulary")
-        background = math.log(mu * p_coll)
-        base += cnt * background
-        ids, counts = cluster_index.postings(term)
-        if len(ids):
-            out[ids] += cnt * (np.log(counts + mu * p_coll) - background)
-    out += base
-    out -= xlen * np.log(cluster_index.lengths() + mu)
-    out /= xlen
-    return out
+    """:func:`~pqlm.lm.log_rendition` against every cluster model."""
+    return log_rendition(cluster_index, corpus, x_counts, mu)
 
 
 def score_mccluster(pq: PseudoQueryList, params: MethodParams, corpus: Corpus,

@@ -1,3 +1,4 @@
+import json
 import re
 from pathlib import Path
 
@@ -99,6 +100,132 @@ class TestArtifactCommands:
         assert main(["cluster", "--index", str(index), "--neighbors",
                      str(nbrs), "-o", str(tmp_path / "c.json"),
                      "--delta", "2"]) == 2
+
+
+def _artifacts(tmp_path, n_docs=6, k_max=2, delta=2):
+    """Index, neighbour and cluster files for n_docs small documents."""
+    doc = tmp_path / "docs.trec"
+    doc.write_text("".join(
+        f"<DOC><DOCNO>D{i}</DOCNO><TEXT>{'x ' * (i + 1)}y w{i % 3}</TEXT></DOC>"
+        for i in range(n_docs)))
+    paths = {name: tmp_path / f"{name}.json" for name in ("index", "nbrs", "clusters")}
+    assert main(["index", str(doc), "-o", str(paths["index"])]) == 0
+    assert main(["neighbors", "--index", str(paths["index"]), "-o", str(paths["nbrs"]),
+                 "--k-max", str(k_max), "--mu", "5"]) == 0
+    assert main(["cluster", "--index", str(paths["index"]), "--neighbors",
+                 str(paths["nbrs"]), "-o", str(paths["clusters"]),
+                 "--delta", str(delta)]) == 0
+    return paths
+
+
+def _rewrite(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+def _assert_data_error(code, capsys, needle):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("pqlm: ") and err.count("\n") == 1, err
+    assert needle in err and "Traceback" not in err
+
+
+class TestArtifactChecks:
+    """Loaded artifacts are held to what the commands that write them
+    guarantee; a violation is a one-line data error (exit 2)."""
+
+    def _neighbors(self, paths):
+        return main(["neighbors", "--index", str(paths["index"]), "-o",
+                     str(paths["nbrs"]), "--k-max", "2", "--mu", "5"])
+
+    def test_duplicate_docno_in_index(self, tmp_path, capsys):
+        paths = _artifacts(tmp_path)
+        capsys.readouterr()
+
+        def edit(p):
+            p["documents"][3]["docno"] = p["documents"][1]["docno"]
+        _rewrite(paths["index"], edit)
+        _assert_data_error(self._neighbors(paths), capsys, "docno 'D1' is duplicated")
+
+    @pytest.mark.parametrize("count", [-3, 0, 2.5, "3", True])
+    def test_count_not_a_positive_int_in_index(self, tmp_path, capsys, count):
+        paths = _artifacts(tmp_path)
+        capsys.readouterr()
+        _rewrite(paths["index"], lambda p: p["documents"][2]["counts"].update(y=count))
+        _assert_data_error(self._neighbors(paths), capsys, "needs positive integer counts")
+
+    def test_document_without_terms_in_index(self, tmp_path, capsys):
+        paths = _artifacts(tmp_path)
+        capsys.readouterr()
+        _rewrite(paths["index"], lambda p: p["documents"][0].update(counts={}))
+        _assert_data_error(self._neighbors(paths), capsys, "needs positive integer counts")
+
+    def _cluster(self, paths):
+        return main(["cluster", "--index", str(paths["index"]), "--neighbors",
+                     str(paths["nbrs"]), "-o", str(paths["clusters"]), "--delta", "2"])
+
+    @pytest.mark.parametrize("bad_id", [99, 6, -1, 1.0])
+    def test_neighbor_id_out_of_range(self, tmp_path, capsys, bad_id):
+        paths = _artifacts(tmp_path)
+        capsys.readouterr()
+        _rewrite(paths["nbrs"], lambda p: p["neighbors"][4].__setitem__(1, bad_id))
+        _assert_data_error(self._cluster(paths), capsys,
+                           "neighbor list 4 is not 2 distinct ids in 0..5")
+
+    def test_neighbor_row_not_k_max_long(self, tmp_path, capsys):
+        paths = _artifacts(tmp_path)
+        capsys.readouterr()
+        _rewrite(paths["nbrs"], lambda p: p["neighbors"][2].pop())
+        _assert_data_error(self._cluster(paths), capsys, "neighbor list 2")
+
+    def test_neighbor_row_repeats_an_id(self, tmp_path, capsys):
+        paths = _artifacts(tmp_path)
+        capsys.readouterr()
+        _rewrite(paths["nbrs"], lambda p: p["neighbors"][0].__setitem__(1, p["neighbors"][0][0]))
+        _assert_data_error(self._cluster(paths), capsys, "neighbor list 0")
+
+    def test_neighbor_rows_not_one_per_document(self, tmp_path, capsys):
+        paths = _artifacts(tmp_path)
+        capsys.readouterr()
+        _rewrite(paths["nbrs"], lambda p: p["neighbors"].pop())
+        _assert_data_error(self._cluster(paths), capsys, "5 neighbor lists for 6 documents")
+
+    def _run_with_clusters(self, tmp_path, paths):
+        topics = tmp_path / "topics.txt"
+        topics.write_text("<top><num> 1 <title> x w1 </top>")
+        spec = write_spec(tmp_path, f"""\
+index = {paths['index']}
+clusters = {paths['clusters']}
+topics = {topics}
+output = out
+
+[system]
+name = clustered
+method = mccluster
+delta = 2
+mu = 5
+""")
+        return main(["run", str(spec)])
+
+    def test_clusters_load_when_intact(self, tmp_path, capsys):
+        paths = _artifacts(tmp_path)
+        assert self._run_with_clusters(tmp_path, paths) == 0
+
+    @pytest.mark.parametrize("bad_id", [99, -1])
+    def test_cluster_member_out_of_range(self, tmp_path, capsys, bad_id):
+        paths = _artifacts(tmp_path)
+        capsys.readouterr()
+        _rewrite(paths["clusters"], lambda p: p["members"][3].__setitem__(0, bad_id))
+        _assert_data_error(self._run_with_clusters(tmp_path, paths), capsys,
+                           "member list 3 is not 2 distinct ids in 0..5")
+
+    def test_cluster_lists_not_one_per_document(self, tmp_path, capsys):
+        paths = _artifacts(tmp_path)
+        capsys.readouterr()
+        _rewrite(paths["clusters"], lambda p: p["members"].append([0, 1]))
+        _assert_data_error(self._run_with_clusters(tmp_path, paths), capsys,
+                           "7 member lists for 6 documents")
 
 
 class TestRun:
@@ -209,6 +336,36 @@ drift_N = 6
                 for p in sorted((tmp_path / "out").glob("*.run"))
             })
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_mcdoc_and_mccluster_bytes_equal_at_one_and_two_threads(self, tmp_path):
+        spec = baseline_spec(tmp_path, """
+[system]
+name = iter
+method = mcdoc
+alpha = 3
+alpha1 = 5
+m = 6
+T = 2
+mu = 2000
+
+[system]
+name = clustered
+method = mccluster
+alpha1 = 4
+alpha_cluster = 2
+beta = 3
+delta = 3
+T = 2
+mu = 2000
+""")
+        outputs = []
+        for threads in ("1", "2"):
+            assert main(["run", str(spec), "--threads", threads]) == 0
+            outputs.append({
+                p.name: p.read_bytes()
+                for p in sorted((tmp_path / "out").glob("*.run"))
+            })
+        assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
 
 
 class TestEvalCommand:

@@ -1,0 +1,220 @@
+"""The rendition kernel, the postings it reads, and a golden digest of the
+run bytes every system produces on a seeded 200-document corpus.
+
+The digest was recorded before the term index and the shared kernel
+replaced the per-term postings scans; any change to scores, tie-breaking
+or formatting shows up as a different digest.
+"""
+
+import hashlib
+import math
+import random
+import sys
+import time
+
+import numpy as np
+import pytest
+
+from conftest import random_corpus, random_mu
+from pqlm import (
+    Corpus,
+    DriftTechnique,
+    PreprocessOptions,
+    RunConfig,
+    build_clusters,
+    build_corpus,
+    format_run_lines,
+    lm_baseline,
+    precompute_neighbors,
+    relevance_model_rank,
+    rocchio_rank,
+    run_retrieval,
+)
+from pqlm import oracles
+from pqlm.corpus import TermIndex
+from pqlm.lm import log_rendition_docs
+
+GOLDEN_SHA256 = "b1cffddc03ddcd2ab30a1a6cf31bd516f0503030abc6f0168d000db72c9314f0"
+
+
+def literal_log_rendition(corpus, x_counts, mu):
+    """Per-term reference: postings found by scanning every document."""
+    out = np.zeros(corpus.n_docs)
+    xlen = float(sum(x_counts.values()))
+    base = 0.0
+    for term, cnt in sorted(x_counts.items()):
+        p_coll = corpus.collection_prob(term)
+        background = math.log(mu * p_coll)
+        base += cnt * background
+        ids = [d.doc_id for d in corpus.documents if term in d.term_counts]
+        counts = np.array([corpus.documents[d].term_counts[term] for d in ids],
+                          dtype=float)
+        if ids:
+            out[ids] += cnt * (np.log(counts + mu * p_coll) - background)
+    out += base
+    lengths = np.array([d.length for d in corpus.documents], dtype=float)
+    out -= xlen * np.log(lengths + mu)
+    out /= xlen
+    return out
+
+
+class TestKernel:
+    def test_matches_oracle_on_random_corpora(self):
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            corpus = random_corpus(rng)
+            mu = random_mu(rng)
+            terms = [str(t) for t in rng.choice(sorted(corpus.vocabulary), size=5)]
+            text = {t: terms.count(t) for t in set(terms)}
+            scores = np.exp(log_rendition_docs(corpus, text, mu))
+            for d, expected in oracles.lm_baseline_scores(text, corpus, mu):
+                assert scores[d] == pytest.approx(expected, rel=1e-12)
+
+    def test_bit_equal_to_literal_reference_for_repeated_terms(self):
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            corpus = random_corpus(rng, vocab_size=6)
+            mu = random_mu(rng)
+            terms = [str(t) for t in rng.choice(sorted(corpus.vocabulary), size=9)]
+            text = {t: terms.count(t) for t in set(terms)}
+            assert max(text.values()) > 1
+            assert np.array_equal(log_rendition_docs(corpus, text, mu),
+                                  literal_log_rendition(corpus, text, mu))
+
+    def test_bit_equal_to_literal_reference_for_float_counts(self):
+        # the relevance model scores a text of fractional term weights
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            corpus = random_corpus(rng)
+            mu = random_mu(rng)
+            weights = rng.dirichlet(np.ones(len(corpus.vocabulary)))
+            text = {t: float(w) for t, w in zip(sorted(corpus.vocabulary), weights)}
+            assert np.array_equal(log_rendition_docs(corpus, text, mu),
+                                  literal_log_rendition(corpus, text, mu))
+
+    def test_out_of_vocabulary_term(self, tiny_corpus):
+        with pytest.raises(ValueError, match="'zzz' is not in the corpus vocabulary"):
+            log_rendition_docs(tiny_corpus, {"a": 1, "zzz": 1}, 1.0)
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0])
+    def test_non_positive_mu(self, tiny_corpus, mu):
+        with pytest.raises(ValueError, match="requires mu > 0"):
+            log_rendition_docs(tiny_corpus, {"a": 1}, mu)
+
+    @pytest.mark.parametrize("text", [{}, {"a": 0}])
+    def test_empty_text(self, tiny_corpus, text):
+        with pytest.raises(ValueError, match="empty sequence"):
+            log_rendition_docs(tiny_corpus, text, 1.0)
+
+    def test_postings_of_unknown_term_are_empty(self, tiny_corpus):
+        ids, counts = tiny_corpus.postings("zzz")
+        assert len(ids) == len(counts) == 0
+        assert counts.dtype == np.float64
+
+    def test_postings_list_each_holder_once_in_id_order(self, tiny_corpus):
+        ids, counts = tiny_corpus.postings("b")
+        assert ids.tolist() == [0, 1] and counts.tolist() == [1.0, 1.0]
+        ids, counts = tiny_corpus.postings("a")
+        assert ids.tolist() == [0] and counts.tolist() == [2.0]
+
+
+# -- golden run bytes -----------------------------------------------------
+
+MU = 500.0
+DEPTH = 60
+DRIFTS = [
+    DriftTechnique(),
+    DriftTechnique("interpolation", 0.5, None),
+    DriftTechnique("truncated_rerank", None, 25),
+    DriftTechnique("iterated_truncation", None, 25),
+    DriftTechnique("iterated_rerank", None, 25),
+    DriftTechnique("iterated_interpolation", 0.3, None),
+]
+
+
+def golden_corpus():
+    """200 documents: a Zipf background plus one of eight planted topics."""
+    rng = random.Random(2005)
+    background = [f"w{i}" for i in range(400)]
+    zipf = [1.0 / (i + 1) for i in range(len(background))]
+    topics = [[f"t{k}v{j}" for j in range(8)] for k in range(8)]
+    docs = []
+    for d in range(200):
+        words = rng.choices(background, zipf, k=rng.randint(15, 60))
+        if d % 5:
+            words += rng.choices(topics[d % 8], k=rng.randint(2, 10))
+        rng.shuffle(words)
+        docs.append((f"G{d:03d}", " ".join(words)))
+    queries = [
+        (f"q{k}", " ".join(rng.sample(topics[k], 2) + [rng.choice(background[:50])]))
+        for k in (0, 3, 6)
+    ]
+    queries.append(("q9", "t1v0 t1v3 unseenword"))
+    return build_corpus(docs, PreprocessOptions()), queries
+
+
+def golden_run_bytes() -> bytes:
+    corpus, topics = golden_corpus()
+    queries = [corpus.preprocess_query(qid, text) for qid, text in topics]
+    neighbors = precompute_neighbors(corpus, 6, MU)
+    clusters = build_clusters(corpus, 5, neighbors)
+    lines = [" ".join(map(str, row)) for row in neighbors.neighbors]
+    for method in ("vdoc", "mcdoc", "mccluster"):
+        for drift in DRIFTS:
+            config = RunConfig(method=method, alpha=4, alpha1=6, m=8,
+                               alpha_cluster=2, beta=5, delta=5, T=2, mu=MU,
+                               drift=drift, N=DEPTH)
+            tag = f"{method}-{drift.kind}"
+            for q in queries:
+                ranking = run_retrieval(q, config, corpus, clusters)
+                lines += format_run_lines(q.query_id, ranking, corpus, tag)
+    for q in queries:
+        lines += format_run_lines(q.query_id, lm_baseline(q, corpus, MU, DEPTH),
+                                  corpus, "lm")
+        lines += format_run_lines(q.query_id, rocchio_rank(q, corpus, 5, 6, 0.5, DEPTH),
+                                  corpus, "rocchio")
+        for clip_k in (0, 30):
+            ranking = relevance_model_rank(q, corpus, 5, 0.5, clip_k, MU, DEPTH)
+            lines += format_run_lines(q.query_id, ranking, corpus, f"rm{clip_k}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_golden_run_bytes():
+    assert hashlib.sha256(golden_run_bytes()).hexdigest() == GOLDEN_SHA256
+
+
+# -- the term index under threads -----------------------------------------
+
+
+def test_term_index_built_once_under_threads(tmp_path, monkeypatch):
+    corpus, _ = golden_corpus()
+    corpus.save(tmp_path / "index.json")
+    fresh = Corpus.load(tmp_path / "index.json")
+    builds = []
+    build = TermIndex._build
+
+    def slow_build(self):
+        builds.append(self)
+        time.sleep(0.05)  # lets the other workers reach the index meanwhile
+        return build(self)
+
+    monkeypatch.setattr(TermIndex, "_build", slow_build)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = precompute_neighbors(fresh, 8, MU, threads=4).neighbors
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == 1
+    assert threaded == precompute_neighbors(corpus, 8, MU, threads=1).neighbors
+
+
+def test_cluster_postings_match_member_counts():
+    corpus, _ = golden_corpus()
+    clusters = build_clusters(corpus, 5, precompute_neighbors(corpus, 5, MU))
+    for term in ("t2v1", "w0", "w399"):
+        ids, counts = clusters.postings(term)
+        expected = [(c.cluster_id, c.term_counts[term]) for c in clusters.clusters
+                    if term in c.term_counts]
+        assert list(zip(ids.tolist(), counts.tolist())) == expected
+    assert clusters.lengths().tolist() == [c.length for c in clusters.clusters]
