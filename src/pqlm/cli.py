@@ -320,11 +320,17 @@ def _execute_system(system: SystemSpec, point: dict[str, str], corpus,
 
 
 def _queries(corpus, topics):
+    """Preprocessed topics; a topic with no term in the corpus vocabulary
+    has nothing to rank by, so it is skipped with one stderr line."""
     out = []
     for qid, title in topics:
         q = corpus.preprocess_query(qid, title)
         if not q.terms:
             print(f"skipping query {qid}: empty after preprocessing",
+                  file=sys.stderr)
+            continue
+        if not any(t in corpus.collection_counts for t in q.terms):
+            print(f"skipping query {qid}: no term in the corpus vocabulary",
                   file=sys.stderr)
             continue
         out.append(q)

@@ -154,6 +154,9 @@ class Corpus:
         }
         self._terms = TermIndex(documents, self.vocabulary)
         self._postings: dict[str, tuple] = {}
+        # (doc id, mu, k) -> top-k renderers of that document's text, filled
+        # by the scorers; lives as long as the corpus
+        self._rendered: dict[tuple, tuple] = {}
         self._hash: str | None = None
 
     def __len__(self) -> int:

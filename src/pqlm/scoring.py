@@ -6,6 +6,10 @@ current round) and produce a deterministic total order over documents.
 Computation is repertoire-driven: each pseudo-query's top-renderer list is
 computed once and inverted into per-document credits, which matches the
 per-document definitions exactly while touching only active pseudo-queries.
+A document pseudo-query is its own text, so its top renderers do not depend
+on the query that surfaced it: each document pseudo-query is scored once per
+run (per mu and list length), memoised on the corpus or cluster index, and
+reused by every later query.
 """
 
 from __future__ import annotations
@@ -123,6 +127,34 @@ def _pq_counts(item: int, corpus: Corpus, query_counts) -> Mapping[str, int]:
     return corpus.documents[item].term_counts
 
 
+def _top_rendered(item: int, k: int, corpus: Corpus, mu: float,
+                  query_counts) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k rendering documents of one pseudo-query, best first, and their
+    rendition probabilities.
+
+    Memoised on the corpus for document items, keyed by (doc id, mu, k);
+    the query is never stored.  Entries are read-only, own their memory
+    (copies, not views of the N-long ranking) and are identical whichever
+    thread computes them, so concurrent stores need no lock.
+    """
+    key = (item, mu, k)
+    hit = corpus._rendered.get(key) if item != QUERY_ID else None
+    if hit is None:
+        probs = np.exp(log_rendition_docs(corpus, _pq_counts(item, corpus, query_counts), mu))
+        top = ranked_order(probs)[:k].copy()
+        hit = _frozen(top, probs[top])
+        if item != QUERY_ID:
+            corpus._rendered[key] = hit
+    return hit
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays made read-only, as memo entries shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def score_vdoc(pq: PseudoQueryList, alpha: int, corpus: Corpus, mu: float,
                query_counts: Mapping[str, int]) -> ScoredRanking:
     """Emit each pseudo-query's top-alpha renderers in turn, explicit scores.
@@ -142,11 +174,11 @@ def score_vdoc(pq: PseudoQueryList, alpha: int, corpus: Corpus, mu: float,
     rank = 0
     for item, _w in pq.active():
         rank += 1
-        probs = np.exp(log_rendition_docs(corpus, _pq_counts(item, corpus, query_counts), mu))
-        for d in ranked_order(probs)[:alpha]:
+        top, probs = _top_rendered(item, alpha, corpus, mu, query_counts)
+        for d, p in zip(top.tolist(), probs.tolist()):
             if matched_rank[d] == n + 1:
                 matched_rank[d] = rank
-                matched_p[d] = probs[d]
+                matched_p[d] = p
     scores = (matched_p + 2.0 * np.where(matched_rank <= n, n - matched_rank + 1, 0)) \
         / (1.0 + 2.0 * n)
     return ScoredRanking.from_dense(scores)
@@ -164,11 +196,9 @@ def score_mcdoc(pq: PseudoQueryList, params: MethodParams, corpus: Corpus,
     n = corpus.n_docs
     scores = np.zeros(n)
     for item, w in pq.active():
-        probs = np.exp(log_rendition_docs(corpus, _pq_counts(item, corpus, query_counts), mu))
-        order = ranked_order(probs)
-        norm = float(probs[order[: params.m]].sum())
-        top = order[: params.alpha]
-        scores[top] += w * (probs[top] / norm)
+        pool, probs = _top_rendered(item, params.m, corpus, mu, query_counts)
+        norm = float(probs.sum())
+        scores[pool[: params.alpha]] += w * (probs[: params.alpha] / norm)
     return ScoredRanking.from_dense(scores)
 
 
@@ -176,6 +206,34 @@ def log_rendition_clusters(cluster_index: ClusterIndex, corpus: Corpus,
                            x_counts: Mapping[str, int], mu: float) -> np.ndarray:
     """:func:`~pqlm.lm.log_rendition` against every cluster model."""
     return log_rendition(cluster_index, corpus, x_counts, mu)
+
+
+def _cluster_credits(item: int, k: int, corpus: Corpus, cluster_index: ClusterIndex,
+                     mu: float, first_round: bool,
+                     query_counts) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-1 credits of one pseudo-query: its top-k clusters among those
+    containing it, best first, and their rendition probabilities divided by
+    the sum over all containing clusters (both empty if none contains it).
+
+    Memoised on the cluster index for document items, keyed by
+    (doc id, mu, k), like :func:`_top_rendered`.
+    """
+    key = (item, mu, k)
+    hit = cluster_index._credits.get(key) if item != QUERY_ID else None
+    if hit is None:
+        cand = np.array(sorted(cluster_membership(cluster_index, item, first_round)),
+                        dtype=int)
+        hit = _frozen(cand, np.zeros(0))
+        if len(cand):
+            logp = log_rendition_clusters(
+                cluster_index, corpus, _pq_counts(item, corpus, query_counts), mu)
+            probs = np.exp(logp[cand])
+            norm = float(probs.sum())
+            order = np.lexsort((cand, -probs))[:k]
+            hit = _frozen(cand[order], probs[order] / norm)
+        if item != QUERY_ID:
+            cluster_index._credits[key] = hit
+    return hit
 
 
 def score_mccluster(pq: PseudoQueryList, params: MethodParams, corpus: Corpus,
@@ -196,17 +254,9 @@ def score_mccluster(pq: PseudoQueryList, params: MethodParams, corpus: Corpus,
         instrumentation.setdefault("doc_credits", [])
     cscores = np.zeros(len(cluster_index))
     for item, w in pq.active():
-        cand = np.array(sorted(cluster_membership(cluster_index, item, first_round)),
-                        dtype=int)
-        if len(cand) == 0:
-            continue
-        logp = log_rendition_clusters(
-            cluster_index, corpus, _pq_counts(item, corpus, query_counts), mu)
-        probs = np.exp(logp[cand])
-        norm = float(probs.sum())
-        order = np.lexsort((cand, -probs))[: params.alpha_cluster]
-        chosen = cand[order]
-        cscores[chosen] += w * (probs[order] / norm)
+        chosen, credit = _cluster_credits(item, params.alpha_cluster, corpus, cluster_index,
+                                          mu, first_round, query_counts)
+        cscores[chosen] += w * credit
         if instrumentation is not None:
             instrumentation["cluster_credits"].extend((item, int(c)) for c in chosen)
 

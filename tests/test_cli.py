@@ -295,6 +295,34 @@ N = 1000
         assert main(["run", str(spec)]) == 0
         assert (tmp_path / "out" / "clustered.run").exists()
 
+    def test_query_without_vocabulary_terms_is_skipped(self, tmp_path, capsys):
+        topics = tmp_path / "topics.txt"
+        topics.write_text((DATA / "micro_topics.txt").read_text()
+                          + "\n<top>\n<num> Number: 999\n<title> zebra quokka\n</top>\n")
+        spec = write_spec(tmp_path, f"""\
+corpus = {DATA / 'micro.trec'}
+topics = {topics}
+output = out
+
+[system]
+name = baseline
+method = baseline
+
+[system]
+name = iter
+method = mcdoc
+alpha = 2
+alpha1 = 3
+m = 4
+T = 2
+""")
+        assert main(["run", str(spec)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("skipping query 999: no term in the corpus vocabulary") == 1
+        for name in ("baseline.run", "iter.run"):
+            lines = (tmp_path / "out" / name).read_text().splitlines()
+            assert {line.split()[0] for line in lines} == {"901", "902"}
+
     def test_invalid_grid_value_is_data_error(self, tmp_path, capsys):
         spec = baseline_spec(tmp_path, """
 [system]
@@ -357,6 +385,14 @@ beta = 3
 delta = 3
 T = 2
 mu = 2000
+
+[system]
+name = voting
+method = vdoc
+alpha = 2
+alpha1 = 4
+T = 2
+mu = 2000
 """)
         outputs = []
         for threads in ("1", "2"):
@@ -365,7 +401,7 @@ mu = 2000
                 p.name: p.read_bytes()
                 for p in sorted((tmp_path / "out").glob("*.run"))
             })
-        assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
+        assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
 
 
 class TestEvalCommand:

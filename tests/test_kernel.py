@@ -1,16 +1,21 @@
-"""The rendition kernel, the postings it reads, and a golden digest of the
-run bytes every system produces on a seeded 200-document corpus.
+"""The rendition kernel, the postings it reads, a golden digest of the
+run bytes every system produces on a seeded 200-document corpus, and the
+per-run memo of document pseudo-queries.
 
 The digest was recorded before the term index and the shared kernel
 replaced the per-term postings scans; any change to scores, tie-breaking
 or formatting shows up as a different digest.
 """
 
+import dataclasses
 import hashlib
 import math
 import random
 import sys
 import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -19,7 +24,9 @@ from conftest import random_corpus, random_mu
 from pqlm import (
     Corpus,
     DriftTechnique,
+    MethodParams,
     PreprocessOptions,
+    PseudoQueryList,
     RunConfig,
     build_clusters,
     build_corpus,
@@ -29,9 +36,10 @@ from pqlm import (
     relevance_model_rank,
     rocchio_rank,
     run_retrieval,
+    score_mccluster,
 )
-from pqlm import oracles
-from pqlm.corpus import TermIndex
+from pqlm import oracles, scoring
+from pqlm.corpus import Query, TermIndex
 from pqlm.lm import log_rendition_docs
 
 GOLDEN_SHA256 = "b1cffddc03ddcd2ab30a1a6cf31bd516f0503030abc6f0168d000db72c9314f0"
@@ -218,3 +226,129 @@ def test_cluster_postings_match_member_counts():
                     if term in c.term_counts]
         assert list(zip(ids.tolist(), counts.tolist())) == expected
     assert clusters.lengths().tolist() == [c.length for c in clusters.clusters]
+
+
+# -- memoised document pseudo-queries -------------------------------------
+
+METHODS = ("vdoc", "mcdoc", "mccluster")
+KERNELS = {"vdoc": "log_rendition_docs", "mcdoc": "log_rendition_docs",
+           "mccluster": "log_rendition_clusters"}
+MU2 = 1500.0
+
+
+def golden_setup():
+    corpus, topics = golden_corpus()
+    queries = [corpus.preprocess_query(qid, text) for qid, text in topics]
+    clusters = build_clusters(corpus, 5, precompute_neighbors(corpus, 6, MU))
+    return corpus, queries, clusters
+
+
+def golden_config(method, mu=MU, T=2, N=DEPTH):
+    return RunConfig(method=method, alpha=4, alpha1=6, m=8, alpha_cluster=2,
+                     beta=5, delta=5, T=T, mu=mu, N=N)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_document_pseudo_query_scored_once_across_queries(method, monkeypatch):
+    corpus, queries, clusters = golden_setup()
+    # a second query close to the first, so that their round 2 share documents
+    pair = [queries[0], Query("q0b", queries[0].terms + ["w1"])]
+    round2 = []
+    for q in pair:
+        fresh, _, fresh_clusters = golden_setup()
+        first = run_retrieval(q, golden_config(method, T=1, N=fresh.n_docs), fresh,
+                              fresh_clusters)
+        round2.append(set(first.doc_ids[first.scores > 0].tolist()))
+    assert round2[0] & round2[1]
+
+    texts = {id(d.term_counts): d.doc_id for d in corpus.documents}
+    calls = Counter()
+    kernel = getattr(scoring, KERNELS[method])
+
+    def counting(*args):
+        calls[texts.get(id(args[-2]))] += 1  # args[-2] is the scored text
+        return kernel(*args)
+
+    monkeypatch.setattr(scoring, KERNELS[method], counting)
+    for q in pair:
+        run_retrieval(q, golden_config(method), corpus, clusters)
+    del calls[None]  # the queries themselves
+    assert set(calls) == round2[0] | round2[1]
+    assert set(calls.values()) == {1}
+
+
+def test_memo_entries_own_their_memory_and_hold_at_most_k():
+    corpus, queries, clusters = golden_setup()
+    for method in METHODS:
+        for q in queries:
+            run_retrieval(q, golden_config(method), corpus, clusters)
+    assert corpus._rendered and clusters._credits
+    for (doc, mu, k), arrays in chain(corpus._rendered.items(), clusters._credits.items()):
+        assert 0 <= doc < corpus.n_docs and mu == MU
+        for a in arrays:
+            # a view would keep the whole N-long ranking it was cut from alive
+            assert a.base is None and len(a) <= k
+            assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("method", ["vdoc", "mcdoc"])
+def test_second_mu_on_one_corpus_matches_a_fresh_corpus(method):
+    corpus, queries, _ = golden_setup()
+    for q in queries:
+        run_retrieval(q, golden_config(method), corpus)
+    fresh, _ = golden_corpus()
+    for q in queries:
+        assert run_retrieval(q, golden_config(method, MU2), corpus) == \
+            run_retrieval(q, golden_config(method, MU2), fresh)
+    assert {mu for _, mu, _ in corpus._rendered} == {MU, MU2}
+
+
+def test_second_mu_on_one_cluster_index_matches_a_fresh_index():
+    corpus, _, clusters = golden_setup()
+    params = MethodParams(alpha=4, alpha_cluster=2, beta=5, m=8)
+    items = list(range(0, 200, 7))
+    pq = PseudoQueryList(items, [1.0 - i / 400 for i in items])
+    first = score_mccluster(pq, params, corpus, clusters, MU, False)
+    second = score_mccluster(pq, params, corpus, clusters, MU2, False)
+    fresh, _, fresh_clusters = golden_setup()
+    assert second == score_mccluster(pq, params, fresh, fresh_clusters, MU2, False)
+    assert second != first
+    assert {mu for _, mu, _ in clusters._credits} == {MU, MU2}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_query_order_does_not_change_run_lines(method):
+    corpus, queries, clusters = golden_setup()
+    config = dataclasses.replace(golden_config(method), drift=DRIFTS[1])
+    shared = {q.query_id: format_run_lines(q.query_id, run_retrieval(q, config, corpus, clusters),
+                                           corpus, method)
+              for q in reversed(queries)}
+    for q in queries:
+        fresh, _, fresh_clusters = golden_setup()
+        ranking = run_retrieval(q, config, fresh, fresh_clusters)
+        assert shared[q.query_id] == format_run_lines(q.query_id, ranking, fresh, method)
+
+
+def test_memo_shared_by_threads_gives_serial_run_lines():
+    corpus, queries, clusters = golden_setup()
+    fresh, _, fresh_clusters = golden_setup()
+
+    def lines(method, qs, corpus_, clusters_):
+        return {q.query_id: format_run_lines(
+            q.query_id, run_retrieval(q, golden_config(method), corpus_, clusters_),
+            corpus_, method) for q in qs}
+
+    serial = {m: lines(m, queries, fresh, fresh_clusters) for m in METHODS}
+    # workers of every method fill the memo of one corpus and cluster index
+    # at once, each in its own query order
+    jobs = [(m, queries[i:] + queries[:i]) for m in METHODS for i in range(len(queries))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(lines, m, qs, corpus, clusters) for m, qs in jobs]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (method, _), got in zip(jobs, results):
+        assert got == serial[method]
