@@ -5,15 +5,10 @@ the probability-like quantity that says how well a document's language
 model accounts for a piece of text.
 """
 
-from pqlm import (
-    PreprocessOptions,
-    build_corpus,
-    dirichlet_term_prob,
-    mle_prob,
-    rendition_prob,
-    tokenize,
-    top_renderers,
-)
+import math
+
+from pqlm import PreprocessOptions, build_corpus, tokenize
+from pqlm.lm import log_rendition_docs, ranked_order
 
 DOCS = [
     ("sun-1", "solar panels convert sunlight into electric power"),
@@ -34,22 +29,23 @@ print("collection probability of 'power':", corpus.collection_prob("power"))
 
 doc = corpus.documents[0]
 print(f"\nunsmoothed model of {doc.docno}: p('power') =",
-      mle_prob(doc.term_counts, ["power"]))
+      doc.term_counts.get("power", 0) / doc.length)
 
+# One kernel scores a text against every document at once.  A one-term
+# text's rendition is that term's smoothed probability; mu must be > 0.
 print("\nDirichlet smoothing pulls unseen terms up from zero:")
 for mu in (0.0, 10.0, 1000.0):
     try:
-        p = dirichlet_term_prob(0, "turbines", mu, corpus)
+        p = math.exp(log_rendition_docs(corpus, {"turbines": 1}, mu)[0])
     except ValueError as exc:
         p = f"error: {exc}"
     print(f"  mu={mu:>6}: p('turbines' | {doc.docno}) = {p}")
 
+text = {"solar": 1, "power": 1}
+scores = [math.exp(s) for s in log_rendition_docs(corpus, text, 10.0)]
 print("\nrendition scores of the text 'solar power' under each document:")
-for d in range(corpus.n_docs):
-    score = rendition_prob(d, ["solar", "power"], 10.0, corpus)
+for d, score in enumerate(scores):
     print(f"  {corpus.documents[d].docno:7s} {score:.6f}")
 
-top = top_renderers({"solar": 1, "power": 1}, range(corpus.n_docs), 3,
-                    corpus=corpus, mu=10.0)
 print("\ntop-3 renderers of 'solar power':",
-      [corpus.documents[i].docno for i in top.ids()])
+      [corpus.documents[i].docno for i in ranked_order(scores)[:3]])

@@ -12,7 +12,6 @@ from pqlm import (
     build_corpus,
     cluster_membership,
     precompute_neighbors,
-    repertoire,
 )
 from pqlm.lm import QUERY_ID
 
@@ -46,7 +45,6 @@ print("the round-1 query belongs to every cluster:",
       len(cluster_membership(clusters, QUERY_ID, True)), "of",
       len(clusters))
 
-rep = repertoire(0, range(corpus.n_docs), range(corpus.n_docs), 2,
-                 corpus=corpus, mu=MU)
-print(f"\nrepertoire of {name(0)} at k=2:",
-      sorted(name(x) for x in rep.members))
+# the repertoire of r: every text that has r among its top-k renderers
+rep = {x for x in range(corpus.n_docs) if 0 in neighbors.top(x, 2)}
+print(f"\nrepertoire of {name(0)} at k=2:", sorted(name(x) for x in rep))

@@ -31,28 +31,9 @@ from .evaluation import (
     recall_at,
     wilcoxon_two_sided,
 )
-from .lm import (
-    QUERY_ID,
-    NeighborIndex,
-    RendererRef,
-    Repertoire,
-    TopRendererSet,
-    dirichlet_term_prob,
-    mle_prob,
-    precompute_neighbors,
-    rendition_prob,
-    repertoire,
-    top_renderers,
-)
+from .lm import QUERY_ID, NeighborIndex, precompute_neighbors
 from .pipeline import RoundTrace, RunConfig, format_run_lines, run_retrieval
-from .scoring import (
-    MethodParams,
-    PseudoQueryList,
-    ScoredRanking,
-    score_mccluster,
-    score_mcdoc,
-    score_vdoc,
-)
+from .scoring import PseudoQueryList, ScoredRanking, score_mccluster, score_mcdoc, score_vdoc
 
 __version__ = "0.1.0"
 
@@ -64,38 +45,30 @@ __all__ = [
     "Document",
     "DriftTechnique",
     "EvalReport",
-    "MethodParams",
     "NeighborIndex",
     "ParseError",
     "PreprocessOptions",
     "PseudoQueryList",
     "Qrels",
     "Query",
-    "RendererRef",
-    "Repertoire",
     "RoundTrace",
     "RunConfig",
     "ScoredRanking",
-    "TopRendererSet",
     "average_precision",
     "build_clusters",
     "build_corpus",
     "cluster_membership",
-    "dirichlet_term_prob",
     "evaluate_run",
     "format_run_lines",
     "interpolate",
     "iterated_truncation",
     "lm_baseline",
-    "mle_prob",
     "parse_lines",
     "parse_topics",
     "parse_trec",
     "precompute_neighbors",
     "recall_at",
     "relevance_model_rank",
-    "rendition_prob",
-    "repertoire",
     "rocchio_rank",
     "run_retrieval",
     "score_mccluster",
@@ -103,7 +76,6 @@ __all__ = [
     "score_vdoc",
     "singleton_cluster_index",
     "tokenize",
-    "top_renderers",
     "truncated_rerank",
     "wilcoxon_two_sided",
 ]

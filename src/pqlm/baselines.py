@@ -4,34 +4,19 @@ pseudo-feedback Rocchio, and the (optionally clipped) relevance model.
 
 from __future__ import annotations
 
-import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Corpus, Query
-from .lm import log_rendition_docs
+from .lm import log_rendition_docs, ranked_order
 from .scoring import ScoredRanking
-
-log = logging.getLogger(__name__)
-
-
-def _query_counts(query: Query, corpus: Corpus) -> dict[str, int]:
-    terms = [t for t in query.terms if t in corpus.collection_counts]
-    if len(terms) < len(query.terms):
-        log.warning("query %s: %d out-of-vocabulary terms dropped",
-                    query.query_id, len(query.terms) - len(terms))
-    if not terms:
-        raise ValueError(f"query {query.query_id} is empty after preprocessing")
-    return dict(Counter(terms))
 
 
 def lm_baseline(query: Query, corpus: Corpus, mu: float, n: int) -> ScoredRanking:
     """Rank every document by its rendition probability of the query."""
-    counts = _query_counts(query, corpus)
-    scores = np.exp(log_rendition_docs(corpus, counts, mu))
+    scores = np.exp(log_rendition_docs(corpus, corpus.query_counts(query), mu))
     return ScoredRanking.from_dense(scores).truncate(n)
 
 
@@ -62,11 +47,9 @@ def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,
     if t < 0 or gamma < 0:
         raise ValueError("t and gamma must be >= 0")
     k1 = min(k1, corpus.n_docs)
+    q_counts = corpus.query_counts(query)
     idf = _idf(corpus)
-    q_terms = [w for w in query.terms if w in idf]
-    if not q_terms:
-        raise ValueError(f"query {query.query_id} is empty after preprocessing")
-    q_vec = {w: _tfidf_weight(c, idf[w]) for w, c in Counter(q_terms).items()}
+    q_vec = {w: _tfidf_weight(c, idf[w]) for w, c in q_counts.items()}
 
     def inner_products(vec: dict[str, float]) -> np.ndarray:
         scores = np.zeros(corpus.n_docs)
@@ -191,8 +174,10 @@ def relevance_model_rank(query: Query, corpus: Corpus, k1: int, lambda_r: float,
         raise ValueError("lambda_r must lie strictly between 0 and 1")
     if clip_k < 0:
         raise ValueError("clip_k must be >= 0")
-    counts = _query_counts(query, corpus)
-    feedback = lm_baseline(query, corpus, mu, min(k1, corpus.n_docs)).doc_ids.tolist()
+    counts = corpus.query_counts(query)
+    # the lm_baseline order of the feedback documents, without normalising
+    # the query a second time
+    feedback = ranked_order(np.exp(log_rendition_docs(corpus, counts, mu)))[:k1].tolist()
     rel = estimate_relevance_model(counts, corpus, feedback, lambda_r, clip_k)
     # -KL(R || d) = H(R) + sum_w p_R(w) log p_dir(w | d): the cross-entropy
     # term is a rendition score of the fractional-count text p_R.

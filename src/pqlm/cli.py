@@ -24,7 +24,7 @@ from .corpus import (
     parse_topics,
     parse_trec,
 )
-from .drift import DriftTechnique
+from .drift import INTERPOLATING, TRUNCATING, DriftTechnique
 from .evaluation import Qrels, evaluate_run, format_report, parse_run
 from .experiment import SystemSpec, parse_spec
 from .lm import NeighborIndex, precompute_neighbors
@@ -205,9 +205,9 @@ def _make_run_config(method: str, point: dict[str, str]) -> RunConfig:
     params = _typed(raw)
     lambda_ = params.pop("lambda", None)
     drift_n = params.pop("drift_N", None)
-    if drift_kind in ("interpolation", "iterated_interpolation"):
+    if drift_kind in INTERPOLATING:
         drift = DriftTechnique(drift_kind, lambda_, None)
-    elif drift_kind in ("truncated_rerank", "iterated_truncation", "iterated_rerank"):
+    elif drift_kind in TRUNCATING:
         drift = DriftTechnique(drift_kind, None,
                                drift_n if drift_n is not None else params.get("N", 1000))
     else:

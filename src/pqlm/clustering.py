@@ -46,7 +46,7 @@ class ClusterIndex:
         self._terms = TermIndex(clusters, corpus.vocabulary)
         self._postings: dict[str, tuple] = {}
         self._member_scores: dict[int, tuple] = {}
-        # (doc id, mu, alpha_cluster) -> phase-1 cluster credits of that
+        # (doc id, alpha_cluster) -> phase-1 cluster credits of that
         # document's text, filled by score_mccluster
         self._credits: dict[tuple, tuple] = {}
 

@@ -183,6 +183,18 @@ class Corpus:
     def preprocess_query(self, query_id: str, text: str) -> Query:
         return Query(query_id, tokenize(text, self.options))
 
+    def query_counts(self, query: Query) -> dict[str, int]:
+        """Term counts of the query's vocabulary terms.  Out-of-vocabulary
+        terms are dropped with one warning; a query left without terms is a
+        ValueError."""
+        terms = [t for t in query.terms if t in self.collection_counts]
+        if len(terms) < len(query.terms):
+            log.warning("query %s: %d out-of-vocabulary terms dropped",
+                        query.query_id, len(query.terms) - len(terms))
+        if not terms:
+            raise ValueError(f"query {query.query_id} is empty after preprocessing")
+        return dict(Counter(terms))
+
     # -- persistence ----------------------------------------------------
 
     def to_payload(self) -> dict:

@@ -1,8 +1,9 @@
-"""Query-drift prevention: pure transformations over scored rankings.
+"""Query-drift prevention: pure transformations over scored rankings and
+the schedule that says when each technique applies them.
 
 Two techniques touch only the final round (interpolation, truncated
 re-rank); the iterated variants reuse the same transforms at the end of
-every round.  The pipeline owns the scheduling; this module owns the math.
+every round.
 """
 
 from __future__ import annotations
@@ -16,14 +17,17 @@ from .scoring import ScoredRanking
 
 log = logging.getLogger(__name__)
 
-KINDS = (
-    "none",
-    "interpolation",
-    "truncated_rerank",
-    "iterated_truncation",
-    "iterated_rerank",
-    "iterated_interpolation",
-)
+# kind -> (acts after every round rather than once after the last,
+# transform(ranking, query_scores, technique)); the lambdas look the
+# transforms up by name at call time, so a rebound module attribute is used
+SCHEDULE = {
+    "none": (False, None),
+    "interpolation": (False, lambda r, q, t: interpolate(r, q, t.lambda_)),
+    "truncated_rerank": (False, lambda r, q, t: truncated_rerank(r, q, t.N)),
+    "iterated_truncation": (True, lambda r, q, t: iterated_truncation(r, t.N)),
+    "iterated_rerank": (True, lambda r, q, t: truncated_rerank(r, q, t.N)),
+    "iterated_interpolation": (True, lambda r, q, t: interpolate(r, q, t.lambda_)),
+}
 INTERPOLATING = ("interpolation", "iterated_interpolation")
 TRUNCATING = ("truncated_rerank", "iterated_truncation", "iterated_rerank")
 
@@ -35,7 +39,7 @@ class DriftTechnique:
     N: int | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in SCHEDULE:
             raise ValueError(f"unknown drift technique {self.kind!r}")
         if self.kind in INTERPOLATING:
             if self.lambda_ is None or not 0.0 <= self.lambda_ <= 1.0:
@@ -47,6 +51,16 @@ class DriftTechnique:
                 raise ValueError("truncating techniques need N >= 1")
         elif self.N is not None:
             raise ValueError(f"N is meaningless for {self.kind}")
+
+    def apply(self, ranking: ScoredRanking, query_scores: ScoredRanking,
+              final: bool) -> ScoredRanking:
+        """The ranking after this technique's step: called on every round's
+        ranking with final=False and once more after the last round with
+        final=True."""
+        per_round, transform = SCHEDULE[self.kind]
+        if transform is None or per_round == final:
+            return ranking
+        return transform(ranking, query_scores, self)
 
 
 def interpolate(method_scores: ScoredRanking, query_scores: ScoredRanking,

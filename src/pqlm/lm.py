@@ -1,5 +1,5 @@
-"""Unigram language models: MLE, Dirichlet smoothing, rendition probabilities,
-top-renderer sets, repertoires, and offline neighbor precomputation.
+"""Unigram language models: the Dirichlet-smoothed rendition kernel, the
+ranking order it induces, and offline neighbor precomputation.
 
 A *renderer* is a document or cluster whose smoothed language model assigns a
 rendition probability to a text.  The rendition probability used throughout is
@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -35,100 +33,6 @@ QUERY_ID = -1
 NEIGHBORS_FORMAT = "pqlm-neighbors-v1"
 
 
-@dataclass(frozen=True)
-class RendererRef:
-    kind: str  # "document" | "cluster" | "query"
-    id: int
-
-
-@dataclass
-class TopRendererSet:
-    """The k candidates scoring a text highest, ties broken to lower ids."""
-
-    target: object
-    renderers: list[tuple[RendererRef, float]]
-    k: int
-
-    def ids(self) -> list[int]:
-        return [ref.id for ref, _ in self.renderers]
-
-
-@dataclass
-class Repertoire:
-    renderer: RendererRef
-    members: set
-
-
-def mle_prob(counts: Mapping[str, int], seq: Sequence[str]) -> float:
-    """Maximum-likelihood probability of a token sequence under a count table."""
-    if not seq:
-        raise ValueError("empty sequence")
-    total = sum(counts.values())
-    if total == 0:
-        raise ValueError("empty count table")
-    prob = 1.0
-    for term in seq:
-        prob *= counts.get(term, 0) / total
-    return prob
-
-
-def _resolve(renderer, corpus: Corpus, cluster_index=None):
-    """Renderer ref or bare doc id -> (term counts, length)."""
-    if isinstance(renderer, RendererRef):
-        if renderer.kind == "document":
-            doc = corpus.documents[renderer.id]
-            return doc.term_counts, doc.length
-        if renderer.kind == "cluster":
-            if cluster_index is None:
-                raise ValueError("cluster renderer given without a cluster index")
-            c = cluster_index.clusters[renderer.id]
-            return c.term_counts, c.length
-        raise ValueError(f"renderer kind {renderer.kind!r} has no count table here")
-    doc = corpus.documents[renderer]
-    return doc.term_counts, doc.length
-
-
-def dirichlet_term_prob(renderer, term: str, mu: float, corpus: Corpus,
-                        cluster_index=None) -> float:
-    """Dirichlet-smoothed probability of one term under a renderer's model.
-
-    (count(term | r) + mu * p_ml(term | collection)) / (length_r + mu).
-    Terms outside the vocabulary use collection probability 0 and are
-    reported; they carry no ranking signal.
-    """
-    counts, length = _resolve(renderer, corpus, cluster_index)
-    p_coll = corpus.collection_prob(term)
-    if p_coll == 0.0 and term not in counts:
-        log.warning("term %r is outside the vocabulary; collection probability 0", term)
-    return (counts.get(term, 0) + mu * p_coll) / (length + mu)
-
-
-def rendition_prob(renderer, seq, mu: float, corpus: Corpus,
-                   cluster_index=None) -> float:
-    """Geometric mean of smoothed per-term probabilities, via log space.
-
-    `seq` may be a token sequence or a term-count mapping.
-    """
-    counts, length = _resolve(renderer, corpus, cluster_index)
-    items = sorted(_as_counts(seq).items())
-    n = sum(c for _, c in items)
-    if n == 0:
-        raise ValueError("empty sequence")
-    acc = 0.0
-    for term, cnt in items:
-        p = (counts.get(term, 0) + mu * corpus.collection_prob(term)) / (length + mu)
-        if p == 0.0:
-            if mu == 0.0:
-                raise ValueError(f"zero probability for {term!r} with mu=0")
-            raise ValueError(f"term {term!r} has zero smoothed probability")
-        acc += cnt * math.log(p)
-    return math.exp(acc / n)
-
-
-def _as_counts(seq) -> dict:
-    return dict(seq) if isinstance(seq, Mapping) else dict(Counter(seq))
-
-
 def log_rendition(owner, corpus: Corpus, x_counts: Mapping[str, float],
                   mu: float) -> np.ndarray:
     """Log geometric-mean rendition scores of one text against every renderer
@@ -139,7 +43,7 @@ def log_rendition(owner, corpus: Corpus, x_counts: Mapping[str, float],
     (sorted term) order from 0.0.  O(|x| + sum of the text terms' df).
     """
     if mu <= 0:
-        raise ValueError("vectorized rendition scoring requires mu > 0")
+        raise ValueError("rendition scoring requires mu > 0")
     xlen = float(sum(x_counts.values()))
     if xlen == 0:
         raise ValueError("empty sequence")
@@ -172,48 +76,6 @@ def ranked_order(scores: np.ndarray) -> np.ndarray:
     """Indices sorted by descending score, ties toward lower index."""
     ids = np.arange(len(scores))
     return np.lexsort((ids, -np.asarray(scores, dtype=float)))
-
-
-def top_renderers(x, candidates, k: int, *, corpus: Corpus, mu: float,
-                  kind: str = "document", cluster_index=None) -> TopRendererSet:
-    """The k candidates assigning x the highest rendition probability.
-
-    `x` is a doc id or a token-sequence/count mapping; `candidates` is a
-    collection of renderer ids of one kind.  Result order is deterministic
-    under any permutation of the candidate enumeration.
-    """
-    cand = sorted(set(candidates))
-    if not cand:
-        raise ValueError("empty candidate set")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    x_counts = _as_counts(corpus.documents[x].term_counts if isinstance(x, int) else x)
-    scores = [
-        rendition_prob(RendererRef(kind, cid), x_counts, mu, corpus, cluster_index)
-        for cid in cand
-    ]
-    order = sorted(range(len(cand)), key=lambda i: (-scores[i], cand[i]))
-    chosen = order[: min(k, len(cand))]
-    return TopRendererSet(
-        target=x,
-        renderers=[(RendererRef(kind, cand[i]), scores[i]) for i in chosen],
-        k=k,
-    )
-
-
-def repertoire(r, X, candidates, k: int, *, corpus: Corpus, mu: float,
-               kind: str = "document", cluster_index=None) -> Repertoire:
-    """Texts in X for which renderer r ranks among the top-k candidates."""
-    ref = r if isinstance(r, RendererRef) else RendererRef(kind, r)
-    if ref.id not in set(candidates):
-        raise ValueError(f"renderer {ref.id} outside the candidate set")
-    members = {
-        x
-        for x in X
-        if ref.id in top_renderers(x, candidates, k, corpus=corpus, mu=mu,
-                                   kind=ref.kind, cluster_index=cluster_index).ids()
-    }
-    return Repertoire(ref, members)
 
 
 class NeighborIndex:

@@ -1,28 +1,19 @@
 """The iterative retrieval driver: rounds, pseudo-query construction,
-round-1 privileged spread, drift scheduling, and TREC run emission.
+round-1 privileged spread, and TREC run emission.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import drift as drift_mod
 from .clustering import ClusterIndex
 from .corpus import Corpus, Query
 from .drift import DriftTechnique
 from .lm import log_rendition_docs
-from .scoring import (
-    MethodParams,
-    PseudoQueryList,
-    ScoredRanking,
-    score_mccluster,
-    score_mcdoc,
-    score_vdoc,
-)
+from .scoring import PseudoQueryList, ScoredRanking, score_mccluster, score_mcdoc, score_vdoc
 
 log = logging.getLogger(__name__)
 
@@ -98,14 +89,7 @@ def run_retrieval(query: Query, config: RunConfig, corpus: Corpus,
                   cluster_index: ClusterIndex | None = None,
                   trace: list[RoundTrace] | None = None) -> ScoredRanking:
     """Execute T rounds of pseudo-query processing for one query."""
-    terms = [t for t in query.terms if t in corpus.collection_counts]
-    dropped = len(query.terms) - len(terms)
-    if dropped:
-        log.warning("query %s: %d out-of-vocabulary terms dropped",
-                    query.query_id, dropped)
-    if not terms:
-        raise ValueError(f"query {query.query_id} is empty after preprocessing")
-    query_counts = dict(Counter(terms))
+    query_counts = corpus.query_counts(query)
 
     if config.method == "mccluster":
         if cluster_index is None:
@@ -126,45 +110,28 @@ def run_retrieval(query: Query, config: RunConfig, corpus: Corpus,
 
     pq = PseudoQueryList.initial()
     ranking = query_scores
-    technique = config.drift
     for t in range(1, config.T + 1):
         first = t == 1
+        spread = config.alpha1 if first else config.alpha
         if config.method == "vdoc":
-            spread = config.alpha1 if first else config.alpha
             ranking = score_vdoc(pq, spread, corpus, config.mu, query_counts)
         elif config.method == "mcdoc":
             # The pool must exceed the round's spread.  Raising m in round 1
             # (single pseudo-query) rescales every score by one constant, so
             # the ranking and the next round's normalized weights are
             # unchanged.
-            spread = config.alpha1 if first else config.alpha
-            params = MethodParams(alpha=spread, m=max(config.m, spread + 1))
-            ranking = score_mcdoc(pq, params, corpus, config.mu, query_counts)
+            ranking = score_mcdoc(pq, spread, max(config.m, spread + 1), corpus,
+                                  config.mu, query_counts)
         else:
-            params = MethodParams(
-                alpha=config.alpha,
-                alpha_cluster=config.alpha1 if first else config.alpha_cluster,
-                beta=config.beta,
-                m=config.m,
-            )
-            ranking = score_mccluster(pq, params, corpus, cluster_index,
-                                      config.mu, first, query_counts)
-        if technique.kind == "iterated_truncation":
-            ranking = drift_mod.iterated_truncation(ranking, technique.N)
-        elif technique.kind == "iterated_rerank":
-            ranking = drift_mod.truncated_rerank(ranking, query_scores, technique.N)
-        elif technique.kind == "iterated_interpolation":
-            ranking = drift_mod.interpolate(ranking, query_scores, technique.lambda_)
+            alpha_cluster = config.alpha1 if first else config.alpha_cluster
+            ranking = score_mccluster(pq, alpha_cluster, config.beta, corpus,
+                                      cluster_index, first, query_counts)
+        ranking = config.drift.apply(ranking, query_scores, final=False)
         if trace is not None:
             trace.append(RoundTrace(t, len(pq.items), ranking.truncate(10).entries))
         if t < config.T:
             pq = _next_pseudo_queries(ranking)
-
-    if technique.kind == "interpolation":
-        ranking = drift_mod.interpolate(ranking, query_scores, technique.lambda_)
-    elif technique.kind == "truncated_rerank":
-        ranking = drift_mod.truncated_rerank(ranking, query_scores, technique.N)
-    return ranking.truncate(config.N)
+    return config.drift.apply(ranking, query_scores, final=True).truncate(config.N)
 
 
 def format_run_lines(query_id: str, ranking: ScoredRanking, corpus: Corpus,

@@ -101,23 +101,6 @@ class ScoredRanking:
         )
 
 
-@dataclass(frozen=True)
-class MethodParams:
-    alpha: int = 10
-    alpha_cluster: int = 2
-    beta: int = 20
-    m: int | None = None  # re-scaling pool; defaults to 2 * alpha
-
-    def __post_init__(self):
-        if self.m is None:
-            object.__setattr__(self, "m", 2 * self.alpha)
-        for name in ("alpha", "alpha_cluster", "beta", "m"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.m <= self.alpha:
-            raise ValueError(f"m={self.m} must exceed alpha={self.alpha}")
-
-
 def _pq_counts(item: int, corpus: Corpus, query_counts) -> Mapping[str, int]:
     if item == QUERY_ID:
         if query_counts is None:
@@ -184,7 +167,7 @@ def score_vdoc(pq: PseudoQueryList, alpha: int, corpus: Corpus, mu: float,
     return ScoredRanking.from_dense(scores)
 
 
-def score_mcdoc(pq: PseudoQueryList, params: MethodParams, corpus: Corpus,
+def score_mcdoc(pq: PseudoQueryList, alpha: int, m: int, corpus: Corpus,
                 mu: float, query_counts=None) -> ScoredRanking:
     """Credit each document for every pseudo-query it is a top renderer of.
 
@@ -193,12 +176,13 @@ def score_mcdoc(pq: PseudoQueryList, params: MethodParams, corpus: Corpus,
     q's top-m renderers.  Accumulation follows pseudo-query rank order so
     results are bit-stable.
     """
-    n = corpus.n_docs
-    scores = np.zeros(n)
+    if not 1 <= alpha < m:
+        raise ValueError(f"need 1 <= alpha < m, got alpha={alpha}, m={m}")
+    scores = np.zeros(corpus.n_docs)
     for item, w in pq.active():
-        pool, probs = _top_rendered(item, params.m, corpus, mu, query_counts)
+        pool, probs = _top_rendered(item, m, corpus, mu, query_counts)
         norm = float(probs.sum())
-        scores[pool[: params.alpha]] += w * (probs[: params.alpha] / norm)
+        scores[pool[:alpha]] += w * (probs[:alpha] / norm)
     return ScoredRanking.from_dense(scores)
 
 
@@ -209,16 +193,15 @@ def log_rendition_clusters(cluster_index: ClusterIndex, corpus: Corpus,
 
 
 def _cluster_credits(item: int, k: int, corpus: Corpus, cluster_index: ClusterIndex,
-                     mu: float, first_round: bool,
-                     query_counts) -> tuple[np.ndarray, np.ndarray]:
+                     first_round: bool, query_counts) -> tuple[np.ndarray, np.ndarray]:
     """Phase-1 credits of one pseudo-query: its top-k clusters among those
     containing it, best first, and their rendition probabilities divided by
     the sum over all containing clusters (both empty if none contains it).
 
-    Memoised on the cluster index for document items, keyed by
-    (doc id, mu, k), like :func:`_top_rendered`.
+    Memoised on the cluster index for document items, keyed by (doc id, k),
+    like :func:`_top_rendered`; the index's own mu smooths every cluster.
     """
-    key = (item, mu, k)
+    key = (item, k)
     hit = cluster_index._credits.get(key) if item != QUERY_ID else None
     if hit is None:
         cand = np.array(sorted(cluster_membership(cluster_index, item, first_round)),
@@ -226,7 +209,8 @@ def _cluster_credits(item: int, k: int, corpus: Corpus, cluster_index: ClusterIn
         hit = _frozen(cand, np.zeros(0))
         if len(cand):
             logp = log_rendition_clusters(
-                cluster_index, corpus, _pq_counts(item, corpus, query_counts), mu)
+                cluster_index, corpus, _pq_counts(item, corpus, query_counts),
+                cluster_index.mu)
             probs = np.exp(logp[cand])
             norm = float(probs.sum())
             order = np.lexsort((cand, -probs))[:k]
@@ -236,10 +220,10 @@ def _cluster_credits(item: int, k: int, corpus: Corpus, cluster_index: ClusterIn
     return hit
 
 
-def score_mccluster(pq: PseudoQueryList, params: MethodParams, corpus: Corpus,
-                    cluster_index: ClusterIndex, mu: float, first_round: bool,
+def score_mccluster(pq: PseudoQueryList, alpha_cluster: int, beta: int, corpus: Corpus,
+                    cluster_index: ClusterIndex, first_round: bool,
                     query_counts=None, instrumentation: dict | None = None) -> ScoredRanking:
-    """Two-phase cluster scoring.
+    """Two-phase cluster scoring, both phases smoothed with the index's mu.
 
     Phase 1 credits each cluster for every pseudo-query it is a top
     renderer of, where a cluster may only render its constituent documents
@@ -254,8 +238,8 @@ def score_mccluster(pq: PseudoQueryList, params: MethodParams, corpus: Corpus,
         instrumentation.setdefault("doc_credits", [])
     cscores = np.zeros(len(cluster_index))
     for item, w in pq.active():
-        chosen, credit = _cluster_credits(item, params.alpha_cluster, corpus, cluster_index,
-                                          mu, first_round, query_counts)
+        chosen, credit = _cluster_credits(item, alpha_cluster, corpus, cluster_index,
+                                          first_round, query_counts)
         cscores[chosen] += w * credit
         if instrumentation is not None:
             instrumentation["cluster_credits"].extend((item, int(c)) for c in chosen)
@@ -263,8 +247,8 @@ def score_mccluster(pq: PseudoQueryList, params: MethodParams, corpus: Corpus,
     dscores = np.zeros(corpus.n_docs)
     for cid in np.nonzero(cscores)[0]:
         members, probs, norm = cluster_index.member_rendition(int(cid), corpus)
-        top = members[: params.beta]
-        dscores[top] += cscores[cid] * (probs[: params.beta] / norm)
+        top = members[:beta]
+        dscores[top] += cscores[cid] * (probs[:beta] / norm)
         if instrumentation is not None:
             instrumentation["doc_credits"].extend((int(cid), int(d)) for d in top)
     return ScoredRanking.from_dense(dscores)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pqlm import PreprocessOptions, build_corpus
+from pqlm.lm import log_rendition_docs
 
 VOCAB = list("abcdefgh")
 
@@ -19,6 +20,11 @@ def random_corpus(rng, n_docs=None, vocab_size=8, max_len=12):
 
 def random_mu(rng) -> float:
     return float(rng.uniform(0.5, 50.0))
+
+
+def term_probs(corpus, term, mu):
+    """Dirichlet-smoothed p(term | d) of every document d, via the kernel."""
+    return np.exp(log_rendition_docs(corpus, {term: 1}, mu))
 
 
 @pytest.fixture

@@ -10,22 +10,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_corpus
+from conftest import random_corpus, term_probs
 from pqlm import (
     DriftTechnique,
-    MethodParams,
     PreprocessOptions,
     PseudoQueryList,
     RunConfig,
     average_precision,
     build_clusters,
     build_corpus,
-    dirichlet_term_prob,
     interpolate,
     lm_baseline,
     precompute_neighbors,
     relevance_model_rank,
-    rendition_prob,
     rocchio_rank,
     run_retrieval,
     score_mccluster,
@@ -39,7 +36,8 @@ from pqlm import oracles
 from pqlm.cli import main as cli_main
 from pqlm.corpus import Query, parse_topics, parse_trec
 from pqlm.evaluation import Qrels, evaluate_run, parse_run, _exact_p, _midranks, _normal_p
-from pqlm.lm import QUERY_ID
+from pqlm.lm import QUERY_ID, log_rendition_docs
+from pqlm.scoring import log_rendition_clusters
 
 DATA = Path(__file__).parent / "data"
 
@@ -52,7 +50,7 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _random_query_counts(corpus, rng, max_terms=3):
+def _random_text_counts(corpus, rng, max_terms=3):
     vocab = sorted(corpus.vocabulary)
     k = int(rng.integers(1, max_terms + 1))
     counts = {}
@@ -99,7 +97,7 @@ def test_criterion_1_degenerate_equivalence():
         corpus = random_corpus(rng, n_docs=int(rng.integers(10, 51)))
         n = corpus.n_docs
         mu = float(rng.uniform(100, 4000))
-        q_counts = _random_query_counts(corpus, rng)
+        q_counts = _random_text_counts(corpus, rng)
         terms = [t for t, c in sorted(q_counts.items()) for _ in range(c)]
         query = Query(f"q{trial}", terms)
         base = lm_baseline(query, corpus, mu, n)
@@ -166,7 +164,7 @@ def test_criterion_2_oracle_equivalence():
         corpus = random_corpus(rng, n_docs=int(rng.integers(3, 13)))
         n = corpus.n_docs
         mu = float(rng.uniform(0.5, 100.0))
-        q_counts = _random_query_counts(corpus, rng)
+        q_counts = _random_text_counts(corpus, rng)
         terms = [t for t, c in sorted(q_counts.items()) for _ in range(c)]
         query = Query(f"q{i}", terms)
         ok = True
@@ -183,9 +181,8 @@ def test_criterion_2_oracle_equivalence():
             items, weights = _random_pq(rng, n)
             alpha = int(rng.integers(1, n))
             m = int(rng.integers(alpha + 1, n + 2))
-            got = score_mcdoc(PseudoQueryList(items, weights),
-                              MethodParams(alpha=alpha, m=m), corpus, mu,
-                              q_counts)
+            got = score_mcdoc(PseudoQueryList(items, weights), alpha, m,
+                              corpus, mu, q_counts)
             want = oracles.mcdoc_scores(items, weights, alpha, m, corpus, mu,
                                         q_counts)
             ok = _pairs_match(got, want)
@@ -201,10 +198,8 @@ def test_criterion_2_oracle_equivalence():
                 items, weights = _random_pq(rng, n)
             ac = int(rng.integers(1, n + 1))
             beta = int(rng.integers(1, delta + 1))
-            got = score_mccluster(
-                PseudoQueryList(items, weights),
-                MethodParams(alpha=1, alpha_cluster=ac, beta=beta, m=2),
-                corpus, clusters, mu, first, q_counts)
+            got = score_mccluster(PseudoQueryList(items, weights), ac, beta,
+                                  corpus, clusters, first, q_counts)
             want = oracles.mccluster_scores(items, weights, ac, beta, members,
                                             corpus, mu, first, q_counts)
             ok = _pairs_match(got, want)
@@ -279,13 +274,11 @@ def test_criterion_3_lm_invariants():
             mu = float(rng.uniform(0.1, 5000.0))
             if rng.integers(0, 2):
                 renderer = int(rng.integers(0, corpus.n_docs))
-                total = sum(dirichlet_term_prob(renderer, w, mu, corpus)
+                total = sum(term_probs(corpus, w, mu)[renderer]
                             for w in corpus.vocabulary)
             else:
-                from pqlm.lm import RendererRef
-
-                ref = RendererRef("cluster", int(rng.integers(0, len(clusters))))
-                total = sum(dirichlet_term_prob(ref, w, mu, corpus, clusters)
+                cid = int(rng.integers(0, len(clusters)))
+                total = sum(math.exp(log_rendition_clusters(clusters, corpus, {w: 1}, mu)[cid])
                             for w in corpus.vocabulary)
             pairs_checked += 1
             if abs(total - 1.0) > 1e-9:
@@ -301,7 +294,7 @@ def test_criterion_3_lm_invariants():
             corpus = random_corpus(rng)
             d = int(rng.integers(0, corpus.n_docs))
             term = str(rng.choice(sorted(corpus.vocabulary)))
-            limit = dirichlet_term_prob(d, term, 1e9, corpus)
+            limit = term_probs(corpus, term, 1e9)[d]
             if abs(limit - corpus.collection_prob(term)) > 1e-6:
                 ok = False
                 detail.append("mu->infinity limit broken")
@@ -319,12 +312,13 @@ def test_criterion_3_lm_invariants():
                 rng.choice(corpus.n_docs,
                            size=int(rng.integers(2, corpus.n_docs + 1)),
                            replace=False).tolist())
+            probs = np.exp(log_rendition_docs(corpus, x, mu))
+            p = {t: term_probs(corpus, t, mu) for t in x}
             gm, kl = [], []
             for d in cand:
-                gm.append(rendition_prob(d, x, mu, corpus))
-                div = sum((c / xlen) * math.log(
-                    (c / xlen) / dirichlet_term_prob(d, t, mu, corpus))
-                    for t, c in x.items())
+                gm.append(probs[d])
+                div = sum((c / xlen) * math.log((c / xlen) / p[t][d])
+                          for t, c in x.items())
                 kl.append(math.exp(-div))
             order_gm = sorted(range(len(cand)), key=lambda i: (-gm[i], cand[i]))
             order_kl = sorted(range(len(cand)), key=lambda i: (-kl[i], cand[i]))
@@ -344,14 +338,13 @@ def test_criterion_4_drift_contracts():
         corpus = random_corpus(rng)
         n = corpus.n_docs
         mu = float(rng.uniform(0.5, 100.0))
-        q_counts = _random_query_counts(corpus, rng)
+        q_counts = _random_text_counts(corpus, rng)
         terms = [t for t, c in sorted(q_counts.items()) for _ in range(c)]
         query = Query(f"q{trial}", terms)
         base = lm_baseline(query, corpus, mu, n)
         items, weights = _random_pq(rng, n)
-        method = score_mcdoc(PseudoQueryList(items, weights),
-                             MethodParams(alpha=max(1, n // 2), m=n + 1),
-                             corpus, mu, q_counts)
+        method = score_mcdoc(PseudoQueryList(items, weights), max(1, n // 2),
+                             n + 1, corpus, mu, q_counts)
         at_one = interpolate(method, base, 1.0)
         at_zero = interpolate(method, base, 0.0)
         if at_one.doc_ids.tolist() != method.doc_ids.tolist():

@@ -9,13 +9,12 @@ from pqlm import (
     build_corpus,
     lm_baseline,
     relevance_model_rank,
-    rendition_prob,
     rocchio_rank,
-    top_renderers,
 )
 from pqlm import oracles
 from pqlm.baselines import RelevanceDistribution, estimate_relevance_model
 from pqlm.corpus import Query
+from pqlm.lm import log_rendition_docs, ranked_order
 
 
 def query_for(corpus, rng, n_terms=2):
@@ -31,8 +30,8 @@ class TestLmBaseline:
         q = query_for(corpus, rng)
         base = lm_baseline(q, corpus, mu, 5)
         counts = {t: q.terms.count(t) for t in set(q.terms)}
-        top = top_renderers(counts, range(7), 5, corpus=corpus, mu=mu)
-        assert base.doc_ids.tolist() == top.ids()
+        top = ranked_order(np.exp(log_rendition_docs(corpus, counts, mu)))[:5]
+        assert base.doc_ids.tolist() == top.tolist()
 
     def test_identical_documents_adjacent_lower_id_first(self):
         corpus = build_corpus(

@@ -12,9 +12,9 @@ from pqlm import (
     build_corpus,
     cluster_membership,
     precompute_neighbors,
-    rendition_prob,
     singleton_cluster_index,
 )
+from pqlm.lm import log_rendition_docs
 
 
 def neighbors_for(corpus, k, mu):
@@ -30,8 +30,8 @@ class TestBuild:
             index = build_clusters(corpus, 1, neighbors_for(corpus, 3, mu))
             for seed in range(9):
                 x = corpus.documents[seed].term_counts
-                scores = {r: rendition_prob(r, x, mu, corpus) for r in range(9)}
-                best = min(scores, key=lambda r: (-scores[r], r))
+                scores = np.exp(log_rendition_docs(corpus, x, mu))
+                best = min(range(9), key=lambda r: (-scores[r], r))
                 assert index.clusters[seed].members == (best,)
 
     def test_identical_documents_symmetric_clusters(self):

@@ -6,10 +6,16 @@ from pqlm import (
     Corpus,
     ParseError,
     PreprocessOptions,
+    Query,
+    RunConfig,
     build_corpus,
+    lm_baseline,
     parse_lines,
     parse_topics,
     parse_trec,
+    relevance_model_rank,
+    rocchio_rank,
+    run_retrieval,
     tokenize,
 )
 
@@ -158,3 +164,21 @@ something else
     def test_topic_without_num(self):
         with pytest.raises(ParseError, match="without <num>"):
             parse_topics("<top><title> x </top>")
+
+
+class TestQueryCounts:
+    ENTRY_POINTS = {
+        "run_retrieval": lambda q, c: run_retrieval(
+            q, RunConfig(method="mcdoc", alpha=1, m=2, mu=1.0), c),
+        "lm_baseline": lambda q, c: lm_baseline(q, c, 1.0, 2),
+        "rocchio_rank": lambda q, c: rocchio_rank(q, c, 1, 1, 0.5, 2),
+        "relevance_model_rank": lambda q, c: relevance_model_rank(q, c, 1, 0.5, 0, 1.0, 2),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_one_oov_warning_per_call(self, entry, tiny_corpus, caplog):
+        with caplog.at_level("WARNING", logger="pqlm"):
+            self.ENTRY_POINTS[entry](Query("q", ["a", "zzz"]), tiny_corpus)
+        dropped = [r.getMessage() for r in caplog.records
+                   if "out-of-vocabulary terms dropped" in r.getMessage()]
+        assert dropped == ["query q: 1 out-of-vocabulary terms dropped"]

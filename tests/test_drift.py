@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import random_corpus, random_mu
-from pqlm import DriftTechnique, ScoredRanking, interpolate, iterated_truncation, truncated_rerank
-from pqlm import oracles
+from pqlm import (
+    DriftTechnique,
+    Query,
+    RunConfig,
+    ScoredRanking,
+    interpolate,
+    iterated_truncation,
+    run_retrieval,
+    truncated_rerank,
+)
+from pqlm import drift, oracles
 
 
 def ranking(pairs):
@@ -161,3 +170,22 @@ class TestIteratedTruncation:
             assert (out.scores[cut:] == 0).all()
             want = oracles.iterated_truncation(r.entries, cut)
             assert out.entries == want
+
+
+class TestSchedule:
+    # two rounds: a final-round technique acts once, an iterated one per round
+    @pytest.mark.parametrize("kind,calls", [("interpolation", 1),
+                                            ("iterated_interpolation", 2)])
+    def test_pipeline_reaches_a_rebound_transform(self, kind, calls, tiny_corpus,
+                                                  monkeypatch):
+        seen = []
+
+        def counting(*args):
+            seen.append(args)
+            return interpolate(*args)
+
+        monkeypatch.setattr(drift, "interpolate", counting)
+        config = RunConfig(method="mcdoc", alpha=1, m=2, T=2, mu=1.0,
+                           drift=DriftTechnique(kind, lambda_=0.5))
+        run_retrieval(Query("q", ["a"]), config, tiny_corpus)
+        assert len(seen) == calls

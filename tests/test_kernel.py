@@ -24,9 +24,7 @@ from conftest import random_corpus, random_mu
 from pqlm import (
     Corpus,
     DriftTechnique,
-    MethodParams,
     PreprocessOptions,
-    PseudoQueryList,
     RunConfig,
     build_clusters,
     build_corpus,
@@ -36,7 +34,6 @@ from pqlm import (
     relevance_model_rank,
     rocchio_rank,
     run_retrieval,
-    score_mccluster,
 )
 from pqlm import oracles, scoring
 from pqlm.corpus import Query, TermIndex
@@ -283,8 +280,11 @@ def test_memo_entries_own_their_memory_and_hold_at_most_k():
         for q in queries:
             run_retrieval(q, golden_config(method), corpus, clusters)
     assert corpus._rendered and clusters._credits
-    for (doc, mu, k), arrays in chain(corpus._rendered.items(), clusters._credits.items()):
-        assert 0 <= doc < corpus.n_docs and mu == MU
+    assert {mu for _, mu, _ in corpus._rendered} == {MU}
+    entries = chain((((doc, k), arrays) for (doc, _, k), arrays in corpus._rendered.items()),
+                    clusters._credits.items())
+    for (doc, k), arrays in entries:
+        assert 0 <= doc < corpus.n_docs
         for a in arrays:
             # a view would keep the whole N-long ranking it was cut from alive
             assert a.base is None and len(a) <= k
@@ -301,19 +301,6 @@ def test_second_mu_on_one_corpus_matches_a_fresh_corpus(method):
         assert run_retrieval(q, golden_config(method, MU2), corpus) == \
             run_retrieval(q, golden_config(method, MU2), fresh)
     assert {mu for _, mu, _ in corpus._rendered} == {MU, MU2}
-
-
-def test_second_mu_on_one_cluster_index_matches_a_fresh_index():
-    corpus, _, clusters = golden_setup()
-    params = MethodParams(alpha=4, alpha_cluster=2, beta=5, m=8)
-    items = list(range(0, 200, 7))
-    pq = PseudoQueryList(items, [1.0 - i / 400 for i in items])
-    first = score_mccluster(pq, params, corpus, clusters, MU, False)
-    second = score_mccluster(pq, params, corpus, clusters, MU2, False)
-    fresh, _, fresh_clusters = golden_setup()
-    assert second == score_mccluster(pq, params, fresh, fresh_clusters, MU2, False)
-    assert second != first
-    assert {mu for _, mu, _ in clusters._credits} == {MU, MU2}
 
 
 @pytest.mark.parametrize("method", METHODS)

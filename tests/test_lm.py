@@ -1,57 +1,39 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import random_corpus, random_mu
+from conftest import random_corpus, random_mu, term_probs
 from pqlm import (
-    QUERY_ID,
     NeighborIndex,
     PreprocessOptions,
     build_corpus,
-    dirichlet_term_prob,
-    mle_prob,
     precompute_neighbors,
-    rendition_prob,
-    repertoire,
-    top_renderers,
 )
-from pqlm.lm import RendererRef, log_rendition_docs, ranked_order
+from pqlm.lm import log_rendition_docs, ranked_order
 from pqlm import oracles
 
 
-class TestMle:
-    def test_single_term(self):
-        assert mle_prob({"a": 2, "b": 1}, ["a"]) == pytest.approx(2 / 3)
+def renditions(corpus, text, mu):
+    """Rendition probability of a text (a count mapping) under every document."""
+    return np.exp(log_rendition_docs(corpus, text, mu))
 
-    def test_product(self):
-        assert mle_prob({"a": 2, "b": 1}, ["a", "b"]) == pytest.approx(2 / 9)
 
-    def test_unseen_term(self):
-        assert mle_prob({"a": 2, "b": 1}, ["c"]) == 0.0
-
-    def test_empty_sequence(self):
-        with pytest.raises(ValueError, match="empty sequence"):
-            mle_prob({"a": 1}, [])
+def oracle_term_prob(corpus, d, term, mu):
+    doc = corpus.documents[d]
+    return oracles.dirichlet_prob(term, doc.term_counts, doc.length, mu,
+                                  corpus.collection_counts, corpus.collection_length)
 
 
 class TestDirichlet:
     def test_hand_example(self, tiny_corpus):
         # (2 + 1 * 0.4) / (3 + 1)
-        assert dirichlet_term_prob(0, "a", 1.0, tiny_corpus) == pytest.approx(0.6)
-
-    def test_mu_zero_is_mle(self, tiny_corpus):
-        assert dirichlet_term_prob(0, "a", 0.0, tiny_corpus) == pytest.approx(2 / 3)
+        assert term_probs(tiny_corpus, "a", 1.0)[0] == pytest.approx(0.6)
 
     def test_mu_infinity_limit(self, tiny_corpus):
-        val = dirichlet_term_prob(0, "a", 1e9, tiny_corpus)
+        val = term_probs(tiny_corpus, "a", 1e9)[0]
         assert val == pytest.approx(0.4, abs=1e-6)
-
-    def test_oov_term_uses_zero_collection_prob(self, tiny_corpus, caplog):
-        with caplog.at_level("WARNING"):
-            val = dirichlet_term_prob(0, "zzz", 10.0, tiny_corpus)
-        assert val == 0.0
-        assert "outside the vocabulary" in caplog.text
 
     def test_normalizes_over_vocabulary(self):
         rng = np.random.default_rng(11)
@@ -59,40 +41,28 @@ class TestDirichlet:
             corpus = random_corpus(rng)
             mu = random_mu(rng)
             d = int(rng.integers(0, corpus.n_docs))
-            total = sum(
-                dirichlet_term_prob(d, w, mu, corpus) for w in corpus.vocabulary
-            )
+            total = sum(term_probs(corpus, w, mu)[d] for w in corpus.vocabulary)
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
 class TestRendition:
     def test_single_term_identity(self, tiny_corpus):
-        assert rendition_prob(0, ["a"], 1.0, tiny_corpus) == pytest.approx(
-            dirichlet_term_prob(0, "a", 1.0, tiny_corpus)
-        )
+        assert renditions(tiny_corpus, {"a": 1}, 1.0)[0] == pytest.approx(
+            oracle_term_prob(tiny_corpus, 0, "a", 1.0))
 
     def test_repeated_term_identity(self, tiny_corpus):
-        assert rendition_prob(0, ["a", "a"], 1.0, tiny_corpus) == pytest.approx(
-            dirichlet_term_prob(0, "a", 1.0, tiny_corpus)
-        )
+        assert renditions(tiny_corpus, {"a": 2}, 1.0)[0] == pytest.approx(
+            oracle_term_prob(tiny_corpus, 0, "a", 1.0))
 
     def test_hand_example(self, tiny_corpus):
         # sqrt(0.6 * 0.35)
-        assert rendition_prob(0, ["a", "b"], 1.0, tiny_corpus) \
+        assert renditions(tiny_corpus, {"a": 1, "b": 1}, 1.0)[0] \
             == pytest.approx(0.45825756949558394, abs=1e-9)
 
-    def test_empty_sequence(self, tiny_corpus):
-        with pytest.raises(ValueError, match="empty"):
-            rendition_prob(0, [], 1.0, tiny_corpus)
-
-    def test_mu_zero_unseen_term_errors(self, tiny_corpus):
-        with pytest.raises(ValueError, match="zero probability"):
-            rendition_prob(1, ["a"], 0.0, tiny_corpus)
-
     def test_permutation_invariance(self, tiny_corpus):
-        fwd = rendition_prob(0, ["a", "b", "a", "c"], 2.0, tiny_corpus)
-        rev = rendition_prob(0, ["c", "a", "b", "a"], 2.0, tiny_corpus)
-        assert fwd == rev
+        fwd = renditions(tiny_corpus, Counter(["a", "b", "a", "c"]), 2.0)
+        rev = renditions(tiny_corpus, Counter(["c", "a", "b", "a"]), 2.0)
+        assert np.array_equal(fwd, rev)
 
     def test_log_space_matches_direct_product(self):
         rng = np.random.default_rng(3)
@@ -104,22 +74,10 @@ class TestRendition:
             seq = [str(t) for t in rng.choice(sorted(corpus.vocabulary), size=length)]
             direct = 1.0
             for term in seq:
-                direct *= dirichlet_term_prob(d, term, mu, corpus)
+                direct *= oracle_term_prob(corpus, d, term, mu)
             direct **= 1.0 / length
-            val = rendition_prob(d, seq, mu, corpus)
+            val = renditions(corpus, Counter(seq), mu)[d]
             assert val == pytest.approx(direct, rel=1e-12)
-
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            corpus = random_corpus(rng)
-            mu = random_mu(rng)
-            seq = [str(t) for t in rng.choice(sorted(corpus.vocabulary), size=4)]
-            table = np.exp(log_rendition_docs(
-                corpus, {t: seq.count(t) for t in set(seq)}, mu))
-            for d in range(corpus.n_docs):
-                assert table[d] == pytest.approx(
-                    rendition_prob(d, seq, mu, corpus), rel=1e-12)
 
     def test_geometric_mean_ranks_like_exp_neg_kl(self):
         # exp(-KL(mle_x || dir_r)) = exp(H(x)) * geometric mean: the entropy
@@ -130,16 +88,13 @@ class TestRendition:
             mu = random_mu(rng)
             x = corpus.documents[int(rng.integers(0, corpus.n_docs))].term_counts
             xlen = sum(x.values())
-            gm, kl = [], []
-            for d in range(corpus.n_docs):
-                gm.append(rendition_prob(d, x, mu, corpus))
-                div = 0.0
-                for term, cnt in x.items():
-                    p_x = cnt / xlen
-                    div += p_x * math.log(p_x / dirichlet_term_prob(d, term, mu, corpus))
-                kl.append(math.exp(-div))
+            gm = renditions(corpus, x, mu)
+            p = {term: term_probs(corpus, term, mu) for term in x}
+            kl = [math.exp(-sum((cnt / xlen) * math.log((cnt / xlen) / p[term][d])
+                                for term, cnt in x.items()))
+                  for d in range(corpus.n_docs)]
             ids = np.arange(corpus.n_docs)
-            order_gm = np.lexsort((ids, -np.array(gm)))
+            order_gm = np.lexsort((ids, -gm))
             order_kl = np.lexsort((ids, -np.array(kl)))
             assert np.array_equal(order_gm, order_kl)
 
@@ -148,13 +103,13 @@ class TestTopRenderers:
     def test_tie_breaks_to_lower_id(self):
         corpus = build_corpus(
             [("A", "x y"), ("B", "x y"), ("C", "y y")], PreprocessOptions())
-        top = top_renderers({"x": 1}, [0, 1, 2], 1, corpus=corpus, mu=1.0)
-        assert top.ids() == [0]
+        assert ranked_order(renditions(corpus, {"x": 1}, 1.0))[:1].tolist() == [0]
 
     def test_k_equals_candidates_returns_all_sorted(self, tiny_corpus):
-        top = top_renderers({"a": 1}, [0, 1], 2, corpus=tiny_corpus, mu=1.0)
-        assert top.ids() == [0, 1]
-        scores = [s for _, s in top.renderers]
+        probs = renditions(tiny_corpus, {"a": 1}, 1.0)
+        top = ranked_order(probs)[:2]
+        assert top.tolist() == [0, 1]
+        scores = probs[top].tolist()
         assert scores == sorted(scores, reverse=True)
 
     def test_matches_exhaustive_sort(self):
@@ -163,33 +118,26 @@ class TestTopRenderers:
             corpus = random_corpus(rng, n_docs=10)
             mu = random_mu(rng)
             x = corpus.documents[int(rng.integers(0, 10))].term_counts
-            got = top_renderers(x, range(10), 3, corpus=corpus, mu=mu).ids()
-            scores = {d: rendition_prob(d, x, mu, corpus) for d in range(10)}
-            expected = sorted(scores, key=lambda d: (-scores[d], d))[:3]
-            assert got == expected
+            scores = renditions(corpus, x, mu)
+            expected = sorted(range(10), key=lambda d: (-scores[d], d))[:3]
+            assert ranked_order(scores)[:3].tolist() == expected
 
     def test_candidate_order_irrelevant(self, tiny_corpus):
-        a = top_renderers({"b": 1}, [1, 0], 2, corpus=tiny_corpus, mu=1.0)
-        b = top_renderers({"b": 1}, [0, 1], 2, corpus=tiny_corpus, mu=1.0)
-        assert a.ids() == b.ids()
-
-    def test_empty_candidates(self, tiny_corpus):
-        with pytest.raises(ValueError, match="empty candidate"):
-            top_renderers({"a": 1}, [], 1, corpus=tiny_corpus, mu=1.0)
+        # enumerating the documents in reverse gives the same renderers
+        rev = build_corpus([("d1", "b c"), ("d0", "a a b")], PreprocessOptions())
+        a = ranked_order(renditions(tiny_corpus, {"b": 1}, 1.0))[:2]
+        b = ranked_order(renditions(rev, {"b": 1}, 1.0))[:2]
+        assert [tiny_corpus.documents[d].docno for d in a] == \
+            [rev.documents[d].docno for d in b]
 
 
 class TestRepertoire:
+    """A renderer's repertoire is {x : r in top-k(x)}, read off the
+    neighbour lists."""
+
     def test_k_covers_everything(self, tiny_corpus):
-        rep = repertoire(0, [0, 1], [0, 1], 2, corpus=tiny_corpus, mu=1.0)
-        assert rep.members == {0, 1}
-
-    def test_empty_target_set(self, tiny_corpus):
-        rep = repertoire(0, [], [0, 1], 1, corpus=tiny_corpus, mu=1.0)
-        assert rep.members == set()
-
-    def test_renderer_outside_candidates(self, tiny_corpus):
-        with pytest.raises(ValueError, match="outside the candidate set"):
-            repertoire(1, [0], [0], 1, corpus=tiny_corpus, mu=1.0)
+        neighbors = precompute_neighbors(tiny_corpus, 2, 1.0)
+        assert {x for x in range(2) if 0 in neighbors.top(x, 2)} == {0, 1}
 
     def test_duality_with_top_renderers(self):
         rng = np.random.default_rng(29)
@@ -198,12 +146,11 @@ class TestRepertoire:
             mu = random_mu(rng)
             k = int(rng.integers(1, 4))
             docs = list(range(8))
-            reps = {
-                r: repertoire(r, docs, docs, k, corpus=corpus, mu=mu).members
-                for r in docs
-            }
+            neighbors = precompute_neighbors(corpus, k, mu)
+            reps = {r: {x for x in docs if r in neighbors.top(x, k)} for r in docs}
             for x in docs:
-                tops = top_renderers(x, docs, k, corpus=corpus, mu=mu).ids()
+                x_counts = corpus.documents[x].term_counts
+                tops = ranked_order(renditions(corpus, x_counts, mu))[:k].tolist()
                 for r in docs:
                     assert (x in reps[r]) == (r in tops)
 
@@ -217,8 +164,8 @@ class TestNeighbors:
             idx = precompute_neighbors(corpus, 1, mu)
             for d in range(8):
                 x = corpus.documents[d].term_counts
-                scores = {r: rendition_prob(r, x, mu, corpus) for r in range(8)}
-                best = min(scores, key=lambda r: (-scores[r], r))
+                scores = renditions(corpus, x, mu)
+                best = min(range(8), key=lambda r: (-scores[r], r))
                 assert idx.top(d, 1) == [best]
 
     def test_identical_documents_order_by_id(self, opts):

@@ -212,7 +212,7 @@ class TestNextPseudoQueries:
 
 class TestDriftNoneIdentity:
     def test_pipeline_equals_direct_scoring(self):
-        from pqlm.scoring import MethodParams, PseudoQueryList, score_mcdoc
+        from pqlm.scoring import PseudoQueryList, score_mcdoc
 
         rng = np.random.default_rng(223)
         corpus = random_corpus(rng, n_docs=9)
@@ -221,8 +221,7 @@ class TestDriftNoneIdentity:
         cfg = RunConfig(method="mcdoc", alpha=3, alpha1=3, m=7, T=1, mu=4.0,
                         N=9)
         via_pipeline = run_retrieval(q, cfg, corpus)
-        direct = score_mcdoc(PseudoQueryList.initial(),
-                             MethodParams(alpha=3, m=7), corpus, 4.0, counts)
+        direct = score_mcdoc(PseudoQueryList.initial(), 3, 7, corpus, 4.0, counts)
         assert via_pipeline == direct
 
 

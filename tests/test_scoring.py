@@ -4,7 +4,6 @@ import pytest
 from conftest import random_corpus, random_mu
 from pqlm import (
     QUERY_ID,
-    MethodParams,
     PreprocessOptions,
     PseudoQueryList,
     ScoredRanking,
@@ -19,6 +18,7 @@ from pqlm import (
 )
 from pqlm import oracles
 from pqlm.corpus import Query
+from pqlm.lm import log_rendition_docs, ranked_order
 
 
 def assert_rankings_close(ranking: ScoredRanking, oracle_pairs, rel=1e-10):
@@ -56,8 +56,6 @@ class TestVDoc:
     def test_earlier_pseudo_query_dominates(self):
         # documents matched at pseudo-query rank 1 outrank all documents
         # first matched at rank 2, whatever their rendition probabilities
-        from pqlm import top_renderers
-
         rng = np.random.default_rng(73)
         for _ in range(20):
             corpus = random_corpus(rng, n_docs=8)
@@ -65,7 +63,8 @@ class TestVDoc:
             alpha = 3
             ranking = score_vdoc(PseudoQueryList([0, 1], [1.0, 0.5]), alpha,
                                  corpus, mu, {"a": 1})
-            firsts = set(top_renderers(0, range(8), alpha, corpus=corpus, mu=mu).ids())
+            x = corpus.documents[0].term_counts
+            firsts = set(ranked_order(np.exp(log_rendition_docs(corpus, x, mu)))[:alpha].tolist())
             position = {d: i for i, d in enumerate(ranking.doc_ids.tolist())}
             worst_first = max(position[d] for d in firsts)
             best_other = min(position[d] for d in range(8) if d not in firsts)
@@ -105,8 +104,7 @@ class TestMcDoc:
         corpus = random_corpus(rng, n_docs=10)
         mu = 2.0
         q = {"a": 1, "b": 1}
-        params = MethodParams(alpha=3, m=5)
-        ranking = score_mcdoc(PseudoQueryList.initial(), params, corpus, mu, q)
+        ranking = score_mcdoc(PseudoQueryList.initial(), 3, 5, corpus, mu, q)
         nonzero = [d for d, s in ranking.entries if s > 0]
         assert len(nonzero) == 3
         base = lm_baseline(Query("q", ["a", "b"]), corpus, mu, 3)
@@ -116,7 +114,7 @@ class TestMcDoc:
         corpus = build_corpus(
             [("d0", "a a"), ("d1", "a b"), ("d2", "b b")], PreprocessOptions())
         pq = PseudoQueryList([0, 1], [0.6, 0.4])
-        got = score_mcdoc(pq, MethodParams(alpha=2, m=3), corpus, 1.0)
+        got = score_mcdoc(pq, 2, 3, corpus, 1.0)
         want = oracles.mcdoc_scores([0, 1], [0.6, 0.4], 2, 3, corpus, 1.0, None)
         assert_rankings_close(got, want)
 
@@ -124,21 +122,24 @@ class TestMcDoc:
         rng = np.random.default_rng(89)
         corpus = random_corpus(rng, n_docs=9)
         mu = random_mu(rng)
-        params = MethodParams(alpha=2, m=4)
-        base = score_mcdoc(PseudoQueryList([0, 3], [0.8, 0.6]), params, corpus, mu)
+        base = score_mcdoc(PseudoQueryList([0, 3], [0.8, 0.6]), 2, 4, corpus, mu)
         padded = score_mcdoc(
-            PseudoQueryList([0, 3, 5, 7], [0.8, 0.6, 0.0, 0.0]), params, corpus, mu)
+            PseudoQueryList([0, 3, 5, 7], [0.8, 0.6, 0.0, 0.0]), 2, 4, corpus, mu)
         assert base == padded
 
     def test_weight_scale_equivariance(self):
         rng = np.random.default_rng(97)
         corpus = random_corpus(rng, n_docs=8)
         mu = random_mu(rng)
-        params = MethodParams(alpha=3, m=4)
-        one = score_mcdoc(PseudoQueryList([1, 4], [1.0, 0.5]), params, corpus, mu)
-        half = score_mcdoc(PseudoQueryList([1, 4], [0.5, 0.25]), params, corpus, mu)
+        one = score_mcdoc(PseudoQueryList([1, 4], [1.0, 0.5]), 3, 4, corpus, mu)
+        half = score_mcdoc(PseudoQueryList([1, 4], [0.5, 0.25]), 3, 4, corpus, mu)
         assert one.doc_ids.tolist() == half.doc_ids.tolist()
         np.testing.assert_allclose(half.scores, one.scores * 0.5, rtol=1e-12)
+
+    @pytest.mark.parametrize("alpha,m", [(0, 2), (3, 3), (4, 3)])
+    def test_alpha_must_lie_below_m(self, alpha, m, tiny_corpus):
+        with pytest.raises(ValueError, match="alpha < m"):
+            score_mcdoc(PseudoQueryList([0], [1.0]), alpha, m, tiny_corpus, 1.0)
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(101)
@@ -151,8 +152,7 @@ class TestMcDoc:
             weights = sorted(rng.uniform(0.05, 1.0, size=k).tolist(), reverse=True)
             alpha = int(rng.integers(1, n))
             m = int(rng.integers(alpha + 1, n + 2))
-            got = score_mcdoc(PseudoQueryList(items, weights),
-                              MethodParams(alpha=alpha, m=m), corpus, mu)
+            got = score_mcdoc(PseudoQueryList(items, weights), alpha, m, corpus, mu)
             want = oracles.mcdoc_scores(items, weights, alpha, m, corpus, mu, None)
             assert_rankings_close(got, want)
 
@@ -170,9 +170,8 @@ class TestMcCluster:
             corpus = random_corpus(rng)
             mu = random_mu(rng)
             index = singleton_cluster_index(corpus, mu)
-            params = MethodParams(alpha=1, alpha_cluster=corpus.n_docs, beta=3, m=2)
-            ranking = score_mccluster(PseudoQueryList.initial(), params, corpus,
-                                      index, mu, True, {"a": 1, "b": 2})
+            ranking = score_mccluster(PseudoQueryList.initial(), corpus.n_docs, 3,
+                                      corpus, index, True, {"a": 1, "b": 2})
             base = lm_baseline(Query("q", ["a", "b", "b"]), corpus, mu, corpus.n_docs)
             assert ranking.doc_ids.tolist() == base.doc_ids.tolist()
             # proportionality: scores differ from rendition probs by one factor
@@ -186,9 +185,8 @@ class TestMcCluster:
         corpus = build_corpus(
             [("A", "x x"), ("B", "x y"), ("C", "z z")], PreprocessOptions())
         index = singleton_cluster_index(corpus, 1.0)
-        params = MethodParams(alpha=1, alpha_cluster=1, beta=1, m=2)
-        ranking = score_mccluster(PseudoQueryList([0], [1.0]), params, corpus,
-                                  index, 1.0, False)
+        ranking = score_mccluster(PseudoQueryList([0], [1.0]), 1, 1, corpus,
+                                  index, False)
         scores = dict(ranking.entries)
         assert sum(1 for s in scores.values() if s > 0) == 1
 
@@ -198,10 +196,9 @@ class TestMcCluster:
             corpus, index = two_doc_cluster_setup(rng, n_docs=4, delta=2,
                                                   mu=1.0)
             members = [list(c.members) for c in index.clusters]
-            params = MethodParams(alpha=1, alpha_cluster=1, beta=2, m=2)
             q = {"a": 1, "b": 1}
-            r1 = score_mccluster(PseudoQueryList.initial(), params, corpus,
-                                 index, 1.0, True, q)
+            r1 = score_mccluster(PseudoQueryList.initial(), 1, 2, corpus,
+                                 index, True, q)
             want1 = oracles.mccluster_scores([QUERY_ID], [1.0], 1, 2, members,
                                              corpus, 1.0, True, q)
             assert_rankings_close(r1, want1)
@@ -210,8 +207,8 @@ class TestMcCluster:
                 continue
             items = r1.doc_ids[positive].tolist()
             weights = (r1.scores[positive] / r1.scores[0]).tolist()
-            r2 = score_mccluster(PseudoQueryList(items, weights), params,
-                                 corpus, index, 1.0, False, q)
+            r2 = score_mccluster(PseudoQueryList(items, weights), 1, 2,
+                                 corpus, index, False, q)
             want2 = oracles.mccluster_scores(items, weights, 1, 2, members,
                                              corpus, 1.0, False, q)
             assert_rankings_close(r2, want2)
@@ -220,10 +217,9 @@ class TestMcCluster:
         rng = np.random.default_rng(109)
         for _ in range(10):
             corpus, index = two_doc_cluster_setup(rng, n_docs=6, delta=3, mu=2.0)
-            params = MethodParams(alpha=1, alpha_cluster=2, beta=2, m=2)
             counters: dict = {}
             pq = PseudoQueryList([0, 4], [1.0, 0.7])
-            score_mccluster(pq, params, corpus, index, 2.0, False,
+            score_mccluster(pq, 2, 2, corpus, index, False,
                             instrumentation=counters)
             for item, cid in counters["cluster_credits"]:
                 assert item in index.clusters[cid].members
@@ -233,20 +229,18 @@ class TestMcCluster:
     def test_weight_zero_neutral(self):
         rng = np.random.default_rng(113)
         corpus, index = two_doc_cluster_setup(rng, n_docs=5, delta=2, mu=1.5)
-        params = MethodParams(alpha=1, alpha_cluster=1, beta=2, m=2)
-        a = score_mccluster(PseudoQueryList([0, 2], [0.9, 0.3]), params,
-                            corpus, index, 1.5, False)
-        b = score_mccluster(PseudoQueryList([0, 2, 3], [0.9, 0.3, 0.0]), params,
-                            corpus, index, 1.5, False)
+        a = score_mccluster(PseudoQueryList([0, 2], [0.9, 0.3]), 1, 2,
+                            corpus, index, False)
+        b = score_mccluster(PseudoQueryList([0, 2, 3], [0.9, 0.3, 0.0]), 1, 2,
+                            corpus, index, False)
         assert a == b
 
     def test_weight_scale_equivariance(self):
         rng = np.random.default_rng(127)
         corpus, index = two_doc_cluster_setup(rng, n_docs=6, delta=2, mu=2.0)
-        params = MethodParams(alpha=1, alpha_cluster=2, beta=2, m=2)
-        one = score_mccluster(PseudoQueryList([0, 3], [1.0, 0.6]), params,
-                              corpus, index, 2.0, False)
-        half = score_mccluster(PseudoQueryList([0, 3], [0.5, 0.3]), params,
-                               corpus, index, 2.0, False)
+        one = score_mccluster(PseudoQueryList([0, 3], [1.0, 0.6]), 2, 2,
+                              corpus, index, False)
+        half = score_mccluster(PseudoQueryList([0, 3], [0.5, 0.3]), 2, 2,
+                               corpus, index, False)
         assert one.doc_ids.tolist() == half.doc_ids.tolist()
         np.testing.assert_allclose(half.scores, one.scores * 0.5, rtol=1e-12)
