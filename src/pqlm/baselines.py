@@ -1,5 +1,12 @@
 """Reference retrieval systems: the plain language-model ranking,
 pseudo-feedback Rocchio, and the (optionally clipped) relevance model.
+
+Per-query cost, for N documents and a V-term vocabulary: the LM ranking is
+one rendition pass, O(|q| + sum of the query terms' df + N log N); Rocchio
+is two tf.idf inner-product passes, with idf for the query and feedback
+terms only; the relevance model is an LM ranking for its feedback, O(k1 * V)
+vector operations and O(V) list work to estimate the model, and one
+rendition pass over the model's support.
 """
 
 from __future__ import annotations
@@ -15,7 +22,10 @@ from .scoring import ScoredRanking
 
 
 def lm_baseline(query: Query, corpus: Corpus, mu: float, n: int) -> ScoredRanking:
-    """Rank every document by its rendition probability of the query."""
+    """Rank every document by its rendition probability of the query.
+
+    O(|q| + sum of the query terms' df + N log N) per query.
+    """
     scores = np.exp(log_rendition_docs(corpus, corpus.query_counts(query), mu))
     return ScoredRanking.from_dense(scores).truncate(n)
 
@@ -27,10 +37,9 @@ def _tfidf_weight(tf: int, idf: float) -> float:
     return (1.0 + math.log(tf)) * idf if tf > 0 else 0.0
 
 
-def _idf(corpus: Corpus) -> dict[str, float]:
+def _idf(corpus: Corpus, terms) -> dict[str, float]:
     # every vocabulary term occurs in some document, so df >= 1
-    return {t: math.log(corpus.n_docs / len(corpus.postings(t)[0]))
-            for t in corpus.collection_counts}
+    return {t: math.log(corpus.n_docs / len(corpus.postings(t)[0])) for t in terms}
 
 
 def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,
@@ -41,6 +50,11 @@ def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,
     product.  The query is augmented with the top-t centroid terms (of the
     top-k1 feedback documents) that it does not already contain, scaled by
     gamma; only positive feedback is used.
+
+    idf is computed only for the query and feedback-document terms, so a
+    query costs O(|q| + feedback terms) postings lookups, two inner-product
+    passes over the postings of the query and expansion terms, and two
+    O(N log N) rankings.
     """
     if k1 < 1:
         raise ValueError("k1 must be >= 1")
@@ -48,7 +62,7 @@ def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,
         raise ValueError("t and gamma must be >= 0")
     k1 = min(k1, corpus.n_docs)
     q_counts = corpus.query_counts(query)
-    idf = _idf(corpus)
+    idf = _idf(corpus, q_counts)
     q_vec = {w: _tfidf_weight(c, idf[w]) for w, c in q_counts.items()}
 
     def inner_products(vec: dict[str, float]) -> np.ndarray:
@@ -72,8 +86,8 @@ def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,
     term_tfs: dict[str, list[int]] = {}
     for d in feedback:
         for term, tf in corpus.documents[d].term_counts.items():
-            if term in idf:
-                term_tfs.setdefault(term, []).append(tf)
+            term_tfs.setdefault(term, []).append(tf)
+    idf.update(_idf(corpus, term_tfs.keys() - idf.keys()))
     centroid = {
         term: sum(_tfidf_weight(tf, idf[term]) for tf in sorted(tfs)) / k1
         for term, tfs in term_tfs.items()
@@ -120,44 +134,61 @@ def estimate_relevance_model(query_counts: dict[str, int], corpus: Corpus,
     p(w | d) = (1 - lambda_r) * mle(w | d) + lambda_r * mle(w | collection),
     and the mixture weights are the (uniform-prior) posteriors of the
     feedback documents given the query under the same smoothed models.
-    When clip_k > 0 only the clip_k most probable terms survive (ties to
-    the lower term id) and the distribution is renormalized.
+    The support is the whole vocabulary when lambda_r > 0 and exactly the
+    union of the feedback documents' terms when lambda_r == 0.  When
+    clip_k > 0 only the clip_k most probable terms survive (ties to the
+    lower term id) and the distribution is renormalized.
+
+    O(k1 * |q|) scalar work for the posteriors, O(k1 * V) vector operations
+    for the mixture, and O(V) list work (O(V log V) to clip) to normalize.
+    Each term's value is the same chain of float operations, in the same
+    (feedback, then term-id) order, as a per-term loop.
     """
-    def smoothed(doc, term):
-        return ((1.0 - lambda_r) * doc.term_counts.get(term, 0) / doc.length
-                + lambda_r * corpus.collection_prob(term))
+    def smoothed(tf, length, coll_prob):
+        # scalars or term-id vectors alike
+        return (1.0 - lambda_r) * tf / length + lambda_r * coll_prob
 
     likelihood = []
     for d in feedback:
         doc = corpus.documents[d]
         val = 1.0
         for term, cnt in sorted(query_counts.items()):
-            val *= smoothed(doc, term) ** cnt
+            val *= smoothed(doc.term_counts.get(term, 0), doc.length,
+                            corpus.collection_prob(term)) ** cnt
         likelihood.append(val)
     total = sum(likelihood)
     if total <= 0.0:
         raise ValueError("query is unrenderable by every feedback document")
     posterior = [v / total for v in likelihood]
 
-    # sorted term iteration keeps results identical between a freshly
-    # built corpus and a reloaded one (dict orders differ)
-    probs: dict[str, float] = {}
+    # term ids are lexicographic, so every sum below runs in sorted-term
+    # order, which a freshly built and a reloaded corpus share
+    vocab = corpus.vocabulary
+    coll_prob = np.fromiter(map(corpus.collection_counts.__getitem__, vocab), float,
+                            len(vocab)) / corpus.collection_length
+    mixture = np.zeros(len(vocab))
+    in_feedback = np.zeros(len(vocab), dtype=bool)
     for pi, d in zip(posterior, feedback):
         doc = corpus.documents[d]
-        support = doc.term_counts if lambda_r == 0.0 else corpus.collection_counts
-        for term in sorted(support):
-            probs[term] = probs.get(term, 0.0) + pi * smoothed(doc, term)
-    probs = dict(sorted(probs.items()))
-    # one renormalization guards against accumulated rounding
-    total = sum(probs.values())
-    probs = {w: p / total for w, p in probs.items()}
+        ids = np.fromiter(map(vocab.__getitem__, doc.term_counts), np.intp,
+                          len(doc.term_counts))
+        tf = np.zeros(len(vocab))
+        tf[ids] = np.fromiter(doc.term_counts.values(), float, len(ids))
+        mixture += pi * smoothed(tf, doc.length, coll_prob)
+        in_feedback[ids] = True
+    ids = np.arange(len(vocab)) if lambda_r != 0.0 else np.flatnonzero(in_feedback)
+    # one renormalization guards against accumulated rounding; Python's
+    # sum keeps the sequential order
+    probs = mixture[ids]
+    probs = probs / sum(probs.tolist())
 
-    if clip_k > 0 and clip_k < len(probs):
-        ranked = sorted(probs.items(), key=lambda e: (-e[1], corpus.vocabulary[e[0]]))
-        kept = dict(ranked[:clip_k])
-        total = sum(kept.values())
-        probs = {w: p / total for w, p in kept.items()}
-    return RelevanceDistribution(probs)
+    if 0 < clip_k < len(ids):
+        kept = np.lexsort((ids, -probs))[:clip_k]
+        ids, probs = ids[kept], probs[kept]
+        probs = probs / sum(probs.tolist())
+    terms = list(vocab)
+    return RelevanceDistribution(dict(zip(map(terms.__getitem__, ids.tolist()),
+                                          probs.tolist())))
 
 
 def relevance_model_rank(query: Query, corpus: Corpus, k1: int, lambda_r: float,

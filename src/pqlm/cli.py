@@ -11,6 +11,7 @@ import hashlib
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 from . import baselines
@@ -41,7 +42,7 @@ system section keys (RunConfig fields) and defaults:
   alpha_cluster  cluster spread for mccluster (default 2)
   beta           documents credited per cluster (default 20)
   delta          cluster size (default 40 above 1000 docs, else 10)
-  m              re-scaling pool, must exceed alpha (default 2*alpha)
+  m              re-scaling pool (mcdoc only), must exceed alpha (default 2*alpha)
   T              rounds (default 1)
   mu             Dirichlet smoothing parameter (default 2000)
   drift          none | interpolation | truncated_rerank | iterated_truncation |
@@ -199,6 +200,10 @@ _BASELINE_KEYS = {
 }
 
 
+# the drift keys build the DriftTechnique; the rest are RunConfig fields
+_ITERATIVE_KEYS = {f.name for f in fields(RunConfig)} - {"method"} | {"lambda", "drift_N"}
+
+
 def _make_run_config(method: str, point: dict[str, str]) -> RunConfig:
     raw = dict(point)
     drift_kind = raw.pop("drift", "none")
@@ -279,12 +284,12 @@ def _execute_system(system: SystemSpec, point: dict[str, str], corpus,
     """Run every query for one parameter point; returns TREC run lines."""
     method = system.method
     tag = _system_tag(system.name, point)
+    unknown = set(point) - _BASELINE_KEYS.get(method, _ITERATIVE_KEYS)
+    if unknown:
+        raise ParseError(f"system {system.name!r}: invalid parameters "
+                         f"for {method}: {', '.join(sorted(unknown))}")
 
-    if method in ("baseline", "rocchio", "relevance_model"):
-        unknown = set(point) - _BASELINE_KEYS[method]
-        if unknown:
-            raise ParseError(f"system {system.name!r}: invalid parameters "
-                             f"for {method}: {', '.join(sorted(unknown))}")
+    if method in _BASELINE_KEYS:
         params = _typed(dict(point))
         n = params.pop("N", 1000)
 

@@ -235,8 +235,10 @@ class Corpus:
             if not isinstance(docno, str) or docno in seen:
                 raise ParseError(f"{path}: docno {docno!r} is duplicated or not a string")
             seen.add(docno)
-            if not counts or not all(type(c) is int and c > 0 for c in counts.values()):
-                raise ParseError(f"{path}: document {docno!r} needs positive integer counts")
+            # counts enter float64 arrays, which hold integers below 2**53 exactly
+            if not counts or not all(type(c) is int and 0 < c < 2**53 for c in counts.values()):
+                raise ParseError(
+                    f"{path}: document {docno!r} needs positive integer counts below 2**53")
             documents.append(Document(len(documents), docno, counts, sum(counts.values())))
         return cls(documents, options)
 
@@ -257,6 +259,8 @@ def read_payload(path, fmt: str) -> dict:
 
 def check_doc_id_rows(path, rows, n_docs: int, width: int, what: str) -> None:
     """One row per document, each `width` distinct doc ids in 0..n_docs-1."""
+    if type(width) is not int or width < 1:
+        raise ParseError(f"{path}: {what} length is not a positive integer")
     if len(rows) != n_docs:
         raise ParseError(f"{path}: {len(rows)} {what}s for {n_docs} documents")
     for i, row in enumerate(rows):

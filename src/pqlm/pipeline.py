@@ -30,7 +30,7 @@ class RunConfig:
     alpha_cluster: int = 2
     beta: int = 20
     delta: int | None = None        # cluster size; 40 large corpora, 10 small
-    m: int | None = None            # re-scaling pool; defaults to 2 * alpha
+    m: int | None = None            # mcdoc re-scaling pool; defaults to 2 * alpha
     T: int = 1
     mu: float = 2000.0
     drift: DriftTechnique = field(default_factory=DriftTechnique)
@@ -46,7 +46,7 @@ class RunConfig:
         for name in ("alpha", "alpha1", "alpha_cluster", "beta", "T", "N"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.m <= self.alpha:
+        if self.method == "mcdoc" and self.m <= self.alpha:
             raise ValueError(f"m={self.m} must exceed alpha={self.alpha}")
         if self.delta is not None and self.delta < 1:
             raise ValueError("delta must be >= 1")

@@ -13,13 +13,44 @@ from pqlm import (
 )
 from pqlm import oracles
 from pqlm.baselines import RelevanceDistribution, estimate_relevance_model
-from pqlm.corpus import Query
+from pqlm.corpus import Corpus, Query
 from pqlm.lm import log_rendition_docs, ranked_order
 
 
 def query_for(corpus, rng, n_terms=2):
     vocab = sorted(corpus.vocabulary)
     return Query("q", [str(t) for t in rng.choice(vocab, size=n_terms)])
+
+
+def reference_relevance_model(query_counts, corpus, feedback, lambda_r, clip_k):
+    """The per-term dict loop that estimate_relevance_model vectorises."""
+    def smoothed(doc, term):
+        return ((1.0 - lambda_r) * doc.term_counts.get(term, 0) / doc.length
+                + lambda_r * corpus.collection_prob(term))
+
+    likelihood = []
+    for d in feedback:
+        doc = corpus.documents[d]
+        val = 1.0
+        for term, cnt in sorted(query_counts.items()):
+            val *= smoothed(doc, term) ** cnt
+        likelihood.append(val)
+    posterior = [v / sum(likelihood) for v in likelihood]
+    probs = {}
+    for pi, d in zip(posterior, feedback):
+        doc = corpus.documents[d]
+        support = doc.term_counts if lambda_r == 0.0 else corpus.collection_counts
+        for term in sorted(support):
+            probs[term] = probs.get(term, 0.0) + pi * smoothed(doc, term)
+    probs = dict(sorted(probs.items()))
+    total = sum(probs.values())
+    probs = {w: p / total for w, p in probs.items()}
+    if clip_k > 0 and clip_k < len(probs):
+        ranked = sorted(probs.items(), key=lambda e: (-e[1], corpus.vocabulary[e[0]]))
+        kept = dict(ranked[:clip_k])
+        total = sum(kept.values())
+        probs = {w: p / total for w, p in kept.items()}
+    return probs
 
 
 class TestLmBaseline:
@@ -106,6 +137,18 @@ class TestRocchio:
             np.testing.assert_allclose(got.scores, [s for _, s in want],
                                        rtol=1e-10, atol=1e-12)
 
+    def test_idf_only_for_query_and_feedback_terms(self, monkeypatch):
+        corpus = build_corpus(
+            [("A", "q w w"), ("B", "q z"), ("C", "x y"), ("D", "u v s")],
+            PreprocessOptions())
+        looked_up = []
+        postings = Corpus.postings
+        monkeypatch.setattr(Corpus, "postings",
+                            lambda self, term: looked_up.append(term) or postings(self, term))
+        # k1=1: the feedback document is A, the lower id of a tie with B
+        rocchio_rank(Query("q", ["q"]), corpus, k1=1, t=1, gamma=0.5, n=4)
+        assert looked_up and set(looked_up) <= {"q", "w"}
+
     def test_k1_clamped(self, tiny_corpus):
         out = rocchio_rank(Query("q", ["a"]), tiny_corpus, k1=99, t=1,
                            gamma=0.5, n=2)
@@ -120,6 +163,38 @@ class TestRelevanceModel:
             expected = (0.7 * doc.term_counts.get(term, 0) / doc.length
                         + 0.3 * tiny_corpus.collection_prob(term))
             assert rel.probs[term] == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("lambda_r", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("clip_k", [0, 1, 3, 20, 10_000])
+    def test_bit_equal_to_literal_reference(self, lambda_r, clip_k):
+        rng = np.random.default_rng(257)
+        vocab = [f"w{i:02d}" for i in range(40)]
+        for _ in range(15):
+            corpus = build_corpus(
+                [(f"D{i}", " ".join(rng.choice(vocab, size=int(rng.integers(5, 30)))))
+                 for i in range(int(rng.integers(3, 9)))],
+                PreprocessOptions())
+            term = str(rng.choice(sorted(corpus.vocabulary)))
+            # at lambda_r = 0 every feedback document must hold the query
+            # term, or its terms get probability 0
+            holders = corpus.postings(term)[0].tolist()
+            feedback = holders[:3] if lambda_r == 0.0 else [2, 0, 1]
+            counts = {term: int(rng.integers(1, 3))}
+            got = estimate_relevance_model(counts, corpus, feedback, lambda_r, clip_k)
+            assert got.probs == reference_relevance_model(
+                counts, corpus, feedback, lambda_r, clip_k)
+            if lambda_r == 0.0 and clip_k == 0:
+                assert set(got.probs) == set().union(
+                    *(corpus.documents[d].term_counts for d in feedback))
+
+    @pytest.mark.parametrize("lambda_r", [0.0, 0.5])
+    def test_clip_tie_keeps_the_lower_term_id(self, lambda_r):
+        # b and a tie exactly: equal counts in the feedback document and in
+        # the collection
+        corpus = build_corpus([("A", "c b a c"), ("B", "d")], PreprocessOptions())
+        rel = estimate_relevance_model({"c": 1}, corpus, [0], lambda_r, 2)
+        assert set(rel.probs) == {"a", "c"}
+        assert rel.probs == reference_relevance_model({"c": 1}, corpus, [0], lambda_r, 2)
 
     def test_distribution_normalized_before_and_after_clipping(self):
         rng = np.random.default_rng(229)

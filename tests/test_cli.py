@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import re
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqlm.cli import main
 from pqlm.evaluation import Qrels, evaluate_run, parse_run
@@ -148,7 +154,8 @@ class TestArtifactChecks:
         _rewrite(paths["index"], edit)
         _assert_data_error(self._neighbors(paths), capsys, "docno 'D1' is duplicated")
 
-    @pytest.mark.parametrize("count", [-3, 0, 2.5, "3", True])
+    @pytest.mark.parametrize("count", [-3, 0, 2.5, "3", True, pytest.param(2**53, id="2**53"),
+                                       pytest.param(10**400, id="10**400")])
     def test_count_not_a_positive_int_in_index(self, tmp_path, capsys, count):
         paths = _artifacts(tmp_path)
         capsys.readouterr()
@@ -220,12 +227,166 @@ mu = 5
         _assert_data_error(self._run_with_clusters(tmp_path, paths), capsys,
                            "member list 3 is not 2 distinct ids in 0..5")
 
+    def test_cluster_size_not_a_positive_int(self, tmp_path, capsys):
+        paths = _artifacts(tmp_path)
+        capsys.readouterr()
+        _rewrite(paths["clusters"], lambda p: p.update(delta="2\n"))
+        _assert_data_error(self._run_with_clusters(tmp_path, paths), capsys,
+                           "member list length is not a positive integer")
+
     def test_cluster_lists_not_one_per_document(self, tmp_path, capsys):
         paths = _artifacts(tmp_path)
         capsys.readouterr()
         _rewrite(paths["clusters"], lambda p: p["members"].append([0, 1]))
         _assert_data_error(self._run_with_clusters(tmp_path, paths), capsys,
                            "7 member lists for 6 documents")
+
+
+_FUZZ_SPEC = """\
+index = index.json
+clusters = clusters.json
+topics = topics.txt
+qrels = qrels.txt
+output = out
+
+[system]
+name = base
+method = baseline
+mu = 5
+
+[system]
+name = roc
+method = rocchio
+k1 = 2
+t = 2
+
+[system]
+name = rm
+method = relevance_model
+k1 = 2
+clip_k = 3
+mu = 5
+
+[system]
+name = mc
+method = mccluster
+alpha1 = 3
+alpha_cluster = 1
+beta = 2
+delta = 2
+T = 2
+mu = 5
+drift = interpolation
+lambda = 0.5
+"""
+
+# commands that read each fuzzed file
+_FUZZ_COMMANDS = {
+    "index": (["neighbors", "--index", "index.json", "-o", "n2.json", "--k-max", "2",
+               "--mu", "5"], ["run", "exp.cfg"]),
+    "nbrs": (["cluster", "--index", "index.json", "--neighbors", "nbrs.json",
+              "-o", "c2.json", "--delta", "2"],),
+    "clusters": (["run", "exp.cfg"],),
+    "spec": (["run", "exp.cfg"],),
+}
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**53, 10**400])
+    | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=4)
+
+# spec values: small numbers only, since a huge T is a long run, not an error
+_SPEC_VALUES = st.sampled_from([
+    "", "0", "-1", "1", "2", "3", "2.5", "1e3", "nan", "inf", "-inf", "x", "1 2",
+    "none", "vdoc", "mcdoc", "mccluster", "baseline", "rocchio", "relevance_model",
+    "interpolation", "truncated_rerank", "iterated_truncation", "missing.json",
+    "index.json", "exp.cfg", "out", "[system]", "=", "k1 = 2"])
+
+
+def _mutate_json(data, payload):
+    """Replace, drop or add one node of a JSON tree, chosen by `data`."""
+    node = payload
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = data.draw(st.sampled_from(keys)) if keys else None
+        child = None if key is None else node[key]
+        if isinstance(child, (dict, list)) and data.draw(st.booleans()):
+            node = child
+            continue
+        op = data.draw(st.sampled_from(["replace", "drop", "add"] if keys else ["add"]))
+        if op == "replace":
+            node[key] = data.draw(_JSON_VALUES)
+        elif op == "drop":
+            del node[key]
+        elif isinstance(node, dict):
+            node[data.draw(st.text(max_size=3))] = data.draw(_JSON_VALUES)
+        else:
+            node.insert(data.draw(st.integers(0, len(node))), data.draw(_JSON_VALUES))
+        return
+
+
+def _mutate_spec(data, text):
+    """Drop, repeat, insert or rewrite one spec line."""
+    lines = text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    op = data.draw(st.sampled_from(["drop", "repeat", "insert", "value"]))
+    if op == "drop":
+        del lines[i]
+    elif op == "repeat":
+        lines.insert(i, lines[i])
+    elif op == "insert":
+        key = data.draw(st.sampled_from(["name", "method", "alpha", "m", "N", "k1",
+                                         "clip_k", "lambda_r", "gamma", "delta", "drift_N",
+                                         "neighbors", "index", "corpus", "bogus"]))
+        lines.insert(i, f"{key} = {data.draw(_SPEC_VALUES)}")
+    else:
+        lines[i] = f"{lines[i].partition('=')[0]}= {data.draw(_SPEC_VALUES)}"
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzz:
+    """Mutated index, neighbour, cluster and spec files end in exit 0 or a
+    data error (exit 2), never in a traceback."""
+
+    def test_mutated_inputs(self, tmp_path):
+        intact = _artifacts(tmp_path)
+        (tmp_path / "topics.txt").write_text(
+            "<top><num> 1 <title> x w1 </top><top><num> 2 <title> y w2 </top>")
+        (tmp_path / "qrels.txt").write_text("1 0 D1 1\n2 0 D2 1\n")
+        (tmp_path / "exp.cfg").write_text(_FUZZ_SPEC)
+        files = [p.name for p in intact.values()] + ["topics.txt", "qrels.txt", "exp.cfg"]
+
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @given(st.sampled_from(sorted(_FUZZ_COMMANDS)), st.data())
+        def check(target, data):
+            with tempfile.TemporaryDirectory() as work:
+                work = Path(work)
+                for name in files:
+                    shutil.copy(tmp_path / name, work / name)
+                path = work / ("exp.cfg" if target == "spec" else intact[target].name)
+                raw = path.read_text()
+                if target == "spec":
+                    raw = _mutate_spec(data, raw)
+                elif data.draw(st.booleans()):
+                    payload = json.loads(raw)
+                    _mutate_json(data, payload)
+                    raw = json.dumps(payload)
+                else:
+                    raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+                path.write_text(raw)
+                for argv in _FUZZ_COMMANDS[target]:
+                    argv = [str(work / a) if a.endswith((".json", ".cfg")) else a
+                            for a in argv]
+                    err = io.StringIO()
+                    with contextlib.redirect_stderr(err), \
+                            contextlib.redirect_stdout(io.StringIO()):
+                        code = main(argv)
+                    assert code in (0, 2) and "Traceback" not in err.getvalue()
+                    assert code == 0 or err.getvalue().split("\n")[-2].startswith("pqlm: ")
+
+        check()
 
 
 class TestRun:
@@ -331,6 +492,16 @@ method = mcdoc
 alpha = 0
 """)
         assert main(["run", str(spec)]) == 2
+
+    @pytest.mark.parametrize("method", ["vdoc", "relevance_mode"])
+    def test_parameter_of_another_method_is_data_error(self, tmp_path, capsys, method):
+        spec = baseline_spec(tmp_path, f"""
+[system]
+name = bad
+method = {method}
+k1 = 3
+""")
+        _assert_data_error(main(["run", str(spec)]), capsys, f"invalid parameters for {method}: k1")
 
     def test_unknown_parameter_is_data_error(self, tmp_path):
         spec = baseline_spec(tmp_path, """

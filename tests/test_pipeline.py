@@ -33,6 +33,10 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError, match="must exceed alpha"):
             RunConfig(method="mcdoc", alpha=10, m=10)
 
+    @pytest.mark.parametrize("method", ["vdoc", "mccluster"])
+    def test_m_checked_for_mcdoc_only(self, method):
+        assert RunConfig(method=method, alpha=10, m=5).m == 5
+
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             RunConfig(method="bm25")
