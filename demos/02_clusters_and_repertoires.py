@@ -35,9 +35,8 @@ for d in range(corpus.n_docs):
 
 clusters = build_clusters(corpus, delta=2, neighbors=neighbors)
 print("\none overlapping cluster per seed (delta=2):")
-for c in clusters.clusters:
-    print(f"  seed {name(c.cluster_id):7s} members "
-          f"{[name(m) for m in c.members]}  length={c.length}")
+for seed, (row, length) in enumerate(zip(clusters.members, clusters.lengths())):
+    print(f"  seed {name(seed):7s} members {[name(m) for m in row]}  length={length:g}")
 
 print("\nwhich clusters contain wind-1?",
       sorted(name(c) for c in cluster_membership(clusters, 3, False)))

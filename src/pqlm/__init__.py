@@ -4,7 +4,6 @@ unigram language models, with baselines and a TREC-style evaluation harness.
 
 from .baselines import lm_baseline, relevance_model_rank, rocchio_rank
 from .clustering import (
-    Cluster,
     ClusterIndex,
     build_clusters,
     cluster_membership,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QUERY_ID",
-    "Cluster",
     "ClusterIndex",
     "Corpus",
     "Document",

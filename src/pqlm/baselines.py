@@ -26,6 +26,8 @@ def lm_baseline(query: Query, corpus: Corpus, mu: float, n: int) -> ScoredRankin
 
     O(|q| + sum of the query terms' df + N log N) per query.
     """
+    if n < 1:
+        raise ValueError("N must be >= 1")
     scores = np.exp(log_rendition_docs(corpus, corpus.query_counts(query), mu))
     return ScoredRanking.from_dense(scores).truncate(n)
 
@@ -56,6 +58,8 @@ def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,
     passes over the postings of the query and expansion terms, and two
     O(N log N) rankings.
     """
+    if n < 1:
+        raise ValueError("N must be >= 1")
     if k1 < 1:
         raise ValueError("k1 must be >= 1")
     if t < 0 or gamma < 0:
@@ -199,6 +203,8 @@ def relevance_model_rank(query: Query, corpus: Corpus, k1: int, lambda_r: float,
     Scores are emitted as negative KL(R || Dirichlet(d)) so that higher is
     better, matching every other system here.
     """
+    if n < 1:
+        raise ValueError("N must be >= 1")
     if k1 < 1:
         raise ValueError("k1 must be >= 1")
     if not 0.0 < lambda_r < 1.0:

@@ -93,7 +93,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--threads", type=int, default=_default_threads())
 
     p = sub.add_parser("cluster",
-                       help="materialize the overlapping cluster index")
+                       help="build the overlapping clusters (member lists)")
     p.add_argument("--index", required=True)
     p.add_argument("--neighbors", required=True)
     p.add_argument("-o", "--output", required=True)

@@ -3,18 +3,18 @@
 A cluster is literally its seed's top-delta renderer set; the seed is a
 member only if it ranks among its own top delta (checked, never assumed).
 Cluster ids reuse seed doc ids, so the lower-id tie rule carries over
-without a second numbering scheme.
+without a second numbering scheme.  A cluster is stored as its member list;
+its term counts and length, sums over its members' text, are derived from
+the document postings and are integers below 2**53, exact in float64.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, ParseError, TermIndex, canonical_json, check_doc_id_rows, read_payload
+from .corpus import Corpus, ParseError, canonical_json, check_doc_id_rows, check_mu, read_payload
 from .lm import QUERY_ID, NeighborIndex
 from .storage import atomic_write
 
@@ -23,27 +23,24 @@ log = logging.getLogger(__name__)
 CLUSTERS_FORMAT = "pqlm-clusters-v1"
 
 
-@dataclass
-class Cluster:
-    cluster_id: int  # = seed doc_id
-    members: tuple[int, ...]  # sorted doc ids
-    term_counts: dict[str, int]
-    length: int
-
-
 class ClusterIndex:
-    """All clusters plus the doc -> containing-clusters reverse map."""
+    """Row i of `members` is cluster i, doc ids ascending; document d is in
+    the clusters ``_holders[_holder_ptr[d]:_holder_ptr[d + 1]]``, ascending."""
 
-    def __init__(self, clusters: list[Cluster], corpus: Corpus, mu: float, delta: int):
-        self.clusters = clusters
+    def __init__(self, members, corpus: Corpus, mu: float, delta: int):
+        self.members: list[tuple[int, ...]] = [tuple(sorted(row)) for row in members]
+        self._corpus = corpus
         self.corpus_hash = corpus.content_hash
         self.mu = mu
         self.delta = delta
-        self.containing: dict[int, set[int]] = {}
-        for c in clusters:
-            for d in c.members:
-                self.containing.setdefault(d, set()).add(c.cluster_id)
-        self._terms = TermIndex(clusters, corpus.vocabulary)
+        sizes = np.fromiter(map(len, self.members), np.int64, len(self.members))
+        docs = np.fromiter((d for row in self.members for d in row), np.int64, sizes.sum())
+        owners = np.repeat(np.arange(len(self.members)), sizes)
+        self._holders = owners[np.argsort(docs, kind="stable")]
+        self._holder_ptr = np.zeros(corpus.n_docs + 1, dtype=np.int64)
+        np.cumsum(np.bincount(docs, minlength=corpus.n_docs), out=self._holder_ptr[1:])
+        doc_lengths = np.fromiter((d.length for d in corpus.documents), float, corpus.n_docs)
+        self._lengths = np.bincount(owners, doc_lengths[docs], minlength=len(self.members))
         self._postings: dict[str, tuple] = {}
         self._member_scores: dict[int, tuple] = {}
         # (doc id, alpha_cluster) -> phase-1 cluster credits of that
@@ -51,19 +48,27 @@ class ClusterIndex:
         self._credits: dict[tuple, tuple] = {}
 
     def __len__(self) -> int:
-        return len(self.clusters)
-
-    def membership(self, doc_id: int) -> set[int]:
-        return self.containing.get(doc_id, set())
+        return len(self.members)
 
     def lengths(self) -> np.ndarray:
-        return self._terms.arrays()[3]
+        """Cluster lengths: the sums of their members' lengths."""
+        return self._lengths
 
     def postings(self, term: str):
-        """(cluster ids, counts) of one term: O(df) views into the term index."""
+        """(cluster ids ascending, counts) of one term: its document postings
+        summed per holding cluster, O(df * clusters per doc + clusters)."""
         hit = self._postings.get(term)
         if hit is None:
-            hit = self._postings[term] = self._terms.postings(term)
+            doc_ids, counts = self._corpus.postings(term)
+            starts = self._holder_ptr[doc_ids]
+            sizes = self._holder_ptr[doc_ids + 1] - starts
+            offsets = np.cumsum(sizes) - sizes
+            rows = np.arange(sizes.sum()) + np.repeat(starts - offsets, sizes)
+            sums = np.bincount(self._holders[rows], weights=np.repeat(counts, sizes),
+                               minlength=len(self))
+            ids = np.flatnonzero(sums)
+            # bincount makes integer zeros when no cluster holds the term
+            hit = self._postings[term] = (ids, sums[ids].astype(float, copy=False))
         return hit
 
     def member_rendition(self, cluster_id: int, corpus: Corpus):
@@ -74,26 +79,29 @@ class ClusterIndex:
         """
         hit = self._member_scores.get(cluster_id)
         if hit is None:
-            c = self.clusters[cluster_id]
-            terms = sorted(c.term_counts)
-            index = {t: i for i, t in enumerate(terms)}
-            text_counts = np.array([c.term_counts[t] for t in terms], dtype=float)
-            coll = np.array([corpus.collection_prob(t) for t in terms])
-            counts = np.zeros((len(c.members), len(terms)))
-            for i, d in enumerate(c.members):
-                doc_counts = corpus.documents[d].term_counts
-                counts[i, [index[t] for t in doc_counts]] = list(doc_counts.values())
-            lengths = corpus.lengths()[list(c.members)]
+            members = self.members[cluster_id]
+            tables = [corpus.documents[d].term_counts for d in members]
+            column: dict[str, int] = {}
+            columns = [[column.setdefault(t, len(column)) for t in table] for table in tables]
+            counts = np.zeros((len(members), len(column)))
+            for row, cols, table in zip(counts, columns, tables):
+                row[cols] = list(table.values())
+            text_counts = counts.sum(axis=0)  # integer sums, exact
+            coll = np.fromiter(map(corpus.collection_counts.__getitem__, column), float,
+                               len(column)) / corpus.collection_length
+            lengths = corpus.lengths()[list(members)]
             # elementwise log + pairwise sum keeps results thread-independent;
-            # sorting each member's contributions first makes members with
+            # sorting each member's contributions first makes the sum
+            # independent of column order, and makes members with
             # permuted-but-equal count profiles come out exactly tied, so the
             # lower-id rule decides instead of summation rounding
             logs = np.log((counts + self.mu * coll) / (lengths[:, None] + self.mu))
-            probs = np.exp(np.sort(logs * text_counts, axis=1).sum(axis=1) / c.length)
-            order = np.lexsort((np.array(c.members), -probs))
-            members = np.array(c.members, dtype=int)[order]
+            probs = np.exp(np.sort(logs * text_counts, axis=1).sum(axis=1)
+                           / self._lengths[cluster_id])
+            order = np.lexsort((np.array(members), -probs))
+            ranked = np.array(members, dtype=int)[order]
             scores = probs[order]
-            hit = (members, scores, float(scores[np.argsort(members)].sum()))
+            hit = (ranked, scores, float(scores[np.argsort(ranked)].sum()))
             self._member_scores[cluster_id] = hit
         return hit
 
@@ -105,7 +113,7 @@ class ClusterIndex:
             "corpus_hash": self.corpus_hash,
             "mu": self.mu,
             "delta": self.delta,
-            "members": [list(c.members) for c in self.clusters],
+            "members": [list(row) for row in self.members],
         }
 
     def save(self, path) -> None:
@@ -117,22 +125,12 @@ class ClusterIndex:
         try:
             if payload["corpus_hash"] != corpus.content_hash:
                 raise ValueError(f"{path}: clusters were built for a different corpus")
-            delta, members = payload["delta"], payload["members"]
+            delta, members, mu = payload["delta"], payload["members"], payload["mu"]
             check_doc_id_rows(path, members, corpus.n_docs, delta, "member list")
-            clusters = [_make_cluster(cid, row, corpus) for cid, row in enumerate(members)]
-            return cls(clusters, corpus, payload["mu"], delta)
+            check_mu(path, mu)
+            return cls(members, corpus, mu, delta)
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{path}: malformed cluster payload: {exc}") from exc
-
-
-def _make_cluster(cluster_id: int, members, corpus: Corpus) -> Cluster:
-    counts: Counter = Counter()
-    length = 0
-    for d in members:
-        doc = corpus.documents[d]
-        counts.update(doc.term_counts)
-        length += doc.length
-    return Cluster(cluster_id, tuple(sorted(members)), dict(counts), length)
 
 
 def build_clusters(corpus: Corpus, delta: int, neighbors: NeighborIndex) -> ClusterIndex:
@@ -146,31 +144,27 @@ def build_clusters(corpus: Corpus, delta: int, neighbors: NeighborIndex) -> Clus
         )
     if neighbors.corpus_hash != corpus.content_hash:
         raise ValueError("neighbor lists were built for a different corpus")
-    clusters = [
-        _make_cluster(seed, neighbors.top(seed, delta), corpus)
-        for seed in range(corpus.n_docs)
-    ]
-    index = ClusterIndex(clusters, corpus, neighbors.mu, delta)
-    self_in = sum(1 for c in clusters if c.cluster_id in c.members)
-    if self_in < len(clusters):
-        log.info("%d/%d seeds are not members of their own cluster",
-                 len(clusters) - self_in, len(clusters))
+    index = ClusterIndex([neighbors.top(seed, delta) for seed in range(corpus.n_docs)],
+                         corpus, neighbors.mu, delta)
+    self_out = sum(1 for seed, row in enumerate(index.members) if seed not in row)
+    if self_out:
+        log.info("%d/%d seeds are not members of their own cluster", self_out, len(index))
     return index
 
 
 def singleton_cluster_index(corpus: Corpus, mu: float) -> ClusterIndex:
     """Degenerate partition: every document is its own one-element cluster."""
-    clusters = [_make_cluster(d, [d], corpus) for d in range(corpus.n_docs)]
-    return ClusterIndex(clusters, corpus, mu, 1)
+    return ClusterIndex([(d,) for d in range(corpus.n_docs)], corpus, mu, 1)
 
 
 def cluster_membership(cluster_index: ClusterIndex, text_id: int,
-                       first_round: bool) -> set[int]:
-    """Clusters a text belongs to; the round-1 query belongs to all of them."""
+                       first_round: bool) -> np.ndarray:
+    """Clusters a text belongs to, ids ascending; the round-1 query is in all."""
     if text_id == QUERY_ID:
         if not first_round:
             raise ValueError("the query is not a round-2+ pseudo-query")
-        return {c.cluster_id for c in cluster_index.clusters}
-    if not 0 <= text_id < len(cluster_index.clusters):
+        return np.arange(len(cluster_index))
+    if not 0 <= text_id < len(cluster_index):
         raise ValueError(f"text id {text_id} outside the corpus")
-    return cluster_index.membership(text_id)
+    ptr = cluster_index._holder_ptr
+    return cluster_index._holders[ptr[text_id]:ptr[text_id + 1]]

@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import re
+import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -97,26 +98,26 @@ class Query:
 
 
 class TermIndex:
-    """Postings of renderers (documents or clusters) in CSR form: vocabulary
-    term t has renderer positions ``ids[indptr[t]:indptr[t + 1]]`` (int32,
+    """Document postings in CSR form (cluster postings are sums of these):
+    vocabulary term t has doc ids ``ids[indptr[t]:indptr[t + 1]]`` (int32,
     ascending) and float64 ``counts``.  Built on first use in one O(P) pass
     over the P postings, under a lock so that concurrent first uses build once.
     """
 
-    def __init__(self, renderers, vocabulary: dict[str, int]):
-        self._renderers, self._vocabulary = renderers, vocabulary
+    def __init__(self, documents, vocabulary: dict[str, int]):
+        self._documents, self._vocabulary = documents, vocabulary
         self._arrays = None
         self._lock = threading.Lock()
 
     def arrays(self) -> tuple[np.ndarray, ...]:
-        """(indptr, ids, counts, renderer lengths)."""
+        """(indptr, ids, counts, document lengths)."""
         with self._lock:
             if self._arrays is None:
                 self._arrays = self._build()
         return self._arrays
 
     def _build(self):
-        tables = [r.term_counts for r in self._renderers]
+        tables = [d.term_counts for d in self._documents]
         sizes = np.fromiter(map(len, tables), np.int64, len(tables))
         terms = np.fromiter(map(self._vocabulary.__getitem__, chain.from_iterable(tables)),
                             np.int32, sizes.sum())
@@ -126,7 +127,7 @@ class TermIndex:
         indptr = np.zeros(len(self._vocabulary) + 1, dtype=np.int64)
         np.cumsum(np.bincount(terms, minlength=len(self._vocabulary)), out=indptr[1:])
         ids = np.repeat(np.arange(len(tables), dtype=np.int32), sizes)[order]
-        lengths = np.array([r.length for r in self._renderers], dtype=float)
+        lengths = np.array([d.length for d in self._documents], dtype=float)
         return indptr, ids, counts[order], lengths
 
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
@@ -231,15 +232,21 @@ class Corpus:
         # ingestion guarantees; a document's length is the sum of its counts
         documents: list[Document] = []
         seen = set()
+        collection_length = 0
         for docno, counts in entries:
             if not isinstance(docno, str) or docno in seen:
                 raise ParseError(f"{path}: docno {docno!r} is duplicated or not a string")
             seen.add(docno)
-            # counts enter float64 arrays, which hold integers below 2**53 exactly
-            if not counts or not all(type(c) is int and 0 < c < 2**53 for c in counts.values()):
-                raise ParseError(
-                    f"{path}: document {docno!r} needs positive integer counts below 2**53")
-            documents.append(Document(len(documents), docno, counts, sum(counts.values())))
+            valid = bool(counts) and all(type(c) is int and c > 0 for c in counts.values())
+            length = sum(counts.values()) if valid else 0
+            collection_length += length
+            # counts enter float64 arrays, which hold integers below 2**53
+            # exactly; every count and every sum of counts (a document's or a
+            # cluster's) is at most the collection length
+            if not valid or collection_length >= 2**53:
+                raise ParseError(f"{path}: document {docno!r} needs positive integer counts "
+                                 "that keep the collection length below 2**53")
+            documents.append(Document(len(documents), docno, counts, length))
         return cls(documents, options)
 
 
@@ -255,6 +262,12 @@ def read_payload(path, fmt: str) -> dict:
     if not isinstance(payload, dict) or payload.get("format") != fmt:
         raise ParseError(f"{path}: not a {fmt} file")
     return payload
+
+
+def check_mu(path, mu) -> None:
+    """A smoothing parameter read from an artifact: a positive finite number."""
+    if type(mu) not in (int, float) or not 0 < mu <= sys.float_info.max:
+        raise ParseError(f"{path}: mu is not a positive finite number")
 
 
 def check_doc_id_rows(path, rows, n_docs: int, width: int, what: str) -> None:

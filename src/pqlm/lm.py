@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import Corpus, ParseError, canonical_json, check_doc_id_rows, read_payload
+from .corpus import Corpus, ParseError, canonical_json, check_doc_id_rows, check_mu, read_payload
 from .storage import atomic_write
 
 log = logging.getLogger(__name__)
@@ -117,6 +117,7 @@ class NeighborIndex:
         try:
             idx = cls(payload["corpus_hash"], payload["mu"], payload["k_max"],
                       payload["neighbors"])
+            check_mu(path, idx.mu)
             if corpus is not None and idx.corpus_hash != corpus.content_hash:
                 raise ValueError(f"{path}: neighbor lists were built for a different corpus")
             if mu is not None and idx.mu != mu:

@@ -204,9 +204,8 @@ def _cluster_credits(item: int, k: int, corpus: Corpus, cluster_index: ClusterIn
     key = (item, k)
     hit = cluster_index._credits.get(key) if item != QUERY_ID else None
     if hit is None:
-        cand = np.array(sorted(cluster_membership(cluster_index, item, first_round)),
-                        dtype=int)
-        hit = _frozen(cand, np.zeros(0))
+        cand = cluster_membership(cluster_index, item, first_round)
+        hit = _frozen(np.zeros(0, dtype=int), np.zeros(0))
         if len(cand):
             logp = log_rendition_clusters(
                 cluster_index, corpus, _pq_counts(item, corpus, query_counts),

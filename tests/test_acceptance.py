@@ -190,7 +190,7 @@ def test_criterion_2_oracle_equivalence():
             delta = int(rng.integers(1, min(4, n) + 1))
             clusters = build_clusters(
                 corpus, delta, precompute_neighbors(corpus, delta, mu))
-            members = [list(c.members) for c in clusters.clusters]
+            members = [list(row) for row in clusters.members]
             first = bool(rng.integers(0, 2))
             if first:
                 items, weights = [QUERY_ID], [1.0]

@@ -162,6 +162,16 @@ class TestArtifactChecks:
         _rewrite(paths["index"], lambda p: p["documents"][2]["counts"].update(y=count))
         _assert_data_error(self._neighbors(paths), capsys, "needs positive integer counts")
 
+    def test_collection_length_must_stay_below_2_53(self, tmp_path, capsys):
+        paths = _artifacts(tmp_path)
+        capsys.readouterr()
+        for last, code in ((2**52 - 1, 0), (2**52, 2)):
+            _rewrite(paths["index"], lambda p: p.update(documents=[
+                {"docno": "A", "counts": {"x": 2**52}},
+                {"docno": "B", "counts": {"x": last}}]))
+            assert self._neighbors(paths) == code
+        _assert_data_error(code, capsys, "keep the collection length below 2**53")
+
     def test_document_without_terms_in_index(self, tmp_path, capsys):
         paths = _artifacts(tmp_path)
         capsys.readouterr()
@@ -197,6 +207,16 @@ class TestArtifactChecks:
         capsys.readouterr()
         _rewrite(paths["nbrs"], lambda p: p["neighbors"].pop())
         _assert_data_error(self._cluster(paths), capsys, "5 neighbor lists for 6 documents")
+
+    @pytest.mark.parametrize("mu", ["abc", 0, -1, True, float("inf")])
+    def test_mu_not_a_positive_finite_number(self, tmp_path, capsys, mu):
+        paths = _artifacts(tmp_path)
+        capsys.readouterr()
+        _rewrite(paths["clusters"], lambda p: p.update(mu=mu))
+        _assert_data_error(self._run_with_clusters(tmp_path, paths), capsys,
+                           "mu is not a positive finite number")
+        _rewrite(paths["nbrs"], lambda p: p.update(mu=mu))
+        _assert_data_error(self._cluster(paths), capsys, "mu is not a positive finite number")
 
     def _run_with_clusters(self, tmp_path, paths):
         topics = tmp_path / "topics.txt"
@@ -502,6 +522,21 @@ method = {method}
 k1 = 3
 """)
         _assert_data_error(main(["run", str(spec)]), capsys, f"invalid parameters for {method}: k1")
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    @pytest.mark.parametrize("method", ["baseline", "rocchio", "relevance_model"])
+    def test_feedback_depth_below_one_is_data_error(self, tmp_path, capsys, method, depth):
+        spec = write_spec(tmp_path, f"""\
+corpus = {DATA / 'micro.trec'}
+topics = {DATA / 'micro_topics.txt'}
+output = out
+
+[system]
+name = shallow
+method = {method}
+N = {depth}
+""")
+        _assert_data_error(main(["run", str(spec)]), capsys, "N must be >= 1")
 
     def test_unknown_parameter_is_data_error(self, tmp_path):
         spec = baseline_spec(tmp_path, """

@@ -8,10 +8,12 @@ from pqlm import (
     QUERY_ID,
     ClusterIndex,
     PreprocessOptions,
+    PseudoQueryList,
     build_clusters,
     build_corpus,
     cluster_membership,
     precompute_neighbors,
+    score_mccluster,
     singleton_cluster_index,
 )
 from pqlm.lm import log_rendition_docs
@@ -32,45 +34,62 @@ class TestBuild:
                 x = corpus.documents[seed].term_counts
                 scores = np.exp(log_rendition_docs(corpus, x, mu))
                 best = min(range(9), key=lambda r: (-scores[r], r))
-                assert index.clusters[seed].members == (best,)
+                assert index.members[seed] == (best,)
 
     def test_identical_documents_symmetric_clusters(self):
         corpus = build_corpus(
             [("A", "p q"), ("B", "p q"), ("C", "q q q")], PreprocessOptions())
         index = build_clusters(corpus, 2, neighbors_for(corpus, 2, 1.0))
-        assert index.clusters[0].members == (0, 1)
-        assert index.clusters[1].members == (0, 1)
+        assert index.members[0] == (0, 1)
+        assert index.members[1] == (0, 1)
+
+    def test_document_in_no_cluster(self):
+        # B ties A everywhere, so every top-1 list picks the lower id A
+        corpus = build_corpus(
+            [("A", "x y"), ("B", "x y"), ("C", "z w")], PreprocessOptions())
+        index = build_clusters(corpus, 1, neighbors_for(corpus, 1, 1.0))
+        assert index.members == [(0,), (0,), (2,)]
+        assert cluster_membership(index, 1, False).tolist() == []
+        for term in ("x", "y"):
+            ids, counts = index.postings(term)
+            assert ids.tolist() == [0, 1] and counts.tolist() == [1.0, 1.0]
+        counters: dict = {}
+        ranking = score_mccluster(PseudoQueryList([1], [1.0]), 1, 1, corpus, index,
+                                  False, instrumentation=counters)
+        assert counters["cluster_credits"] == [] and not ranking.scores.any()
+        for credits in index._credits[(1, 1)]:
+            assert len(credits) == 0 and credits.base is None
 
     def test_containment_inverts_membership(self):
         rng = np.random.default_rng(43)
         corpus = random_corpus(rng, n_docs=10)
         index = build_clusters(corpus, 3, neighbors_for(corpus, 4, 2.0))
-        for c in index.clusters:
-            for d in c.members:
-                assert c.cluster_id in index.containing[d]
-        for d, cids in index.containing.items():
-            for cid in cids:
-                assert d in index.clusters[cid].members
+        for d in range(corpus.n_docs):
+            holders = cluster_membership(index, d, False)
+            assert holders.tolist() == [cid for cid, row in enumerate(index.members)
+                                        if d in row]
 
     def test_cluster_counts_match_recomputation(self):
         rng = np.random.default_rng(47)
         corpus = random_corpus(rng, n_docs=8)
         index = build_clusters(corpus, 3, neighbors_for(corpus, 3, 1.0))
-        for c in index.clusters:
-            fresh = Counter()
-            length = 0
-            for d in c.members:
+        merged = [Counter() for _ in index.members]
+        for fresh, row in zip(merged, index.members):
+            for d in row:
                 fresh.update(corpus.documents[d].term_counts)
-                length += corpus.documents[d].length
-            assert c.term_counts == dict(fresh)
-            assert c.length == length
+        assert index.lengths().tolist() == [
+            sum(corpus.documents[d].length for d in row) for row in index.members]
+        for term in corpus.vocabulary:
+            ids, counts = index.postings(term)
+            assert dict(zip(ids.tolist(), counts.tolist())) == {
+                cid: m[term] for cid, m in enumerate(merged) if term in m}
 
     def test_one_cluster_per_document_and_overlap(self):
         rng = np.random.default_rng(53)
         corpus = random_corpus(rng, n_docs=10)
         index = build_clusters(corpus, 3, neighbors_for(corpus, 3, 2.0))
         assert len(index) == corpus.n_docs
-        assert sum(len(c.members) for c in index.clusters) >= corpus.n_docs
+        assert sum(map(len, index.members)) >= corpus.n_docs
 
     def test_delta_above_k_max_instructs_recomputation(self, tiny_corpus):
         nbrs = neighbors_for(tiny_corpus, 1, 1.0)
@@ -82,7 +101,7 @@ class TestBuild:
         corpus = random_corpus(rng, n_docs=9)
         a = build_clusters(corpus, 2, precompute_neighbors(corpus, 2, 1.0, threads=1))
         b = build_clusters(corpus, 2, precompute_neighbors(corpus, 2, 1.0, threads=4))
-        assert [c.members for c in a.clusters] == [c.members for c in b.clusters]
+        assert a.members == b.members
 
     def test_report_seed_self_inclusion_rate(self):
         # seeds are not force-included; report how often they make their own
@@ -95,18 +114,29 @@ class TestBuild:
             delta = int(rng.integers(1, 4))
             index = build_clusters(corpus, delta,
                                    neighbors_for(corpus, delta, mu))
-            for c in index.clusters:
+            for seed, row in enumerate(index.members):
                 total += 1
-                included += c.cluster_id in c.members
+                included += seed in row
         print(f"seed self-inclusion: {included}/{total} "
               f"({100 * included / total:.0f}%)")
         assert total > 0
 
 
+class TestMemberRendition:
+    def test_permuted_count_profiles_tie_exactly(self):
+        # A and B hold the same counts on permuted terms of equal collection
+        # probability; at mu=3 their unsorted per-term sums differ in the last bit
+        corpus = build_corpus(
+            [("A", "x y y z z z"), ("B", "x x x y y z")], PreprocessOptions())
+        index = build_clusters(corpus, 2, neighbors_for(corpus, 2, 3.0))
+        members, probs, _ = index.member_rendition(0, corpus)
+        assert members.tolist() == [0, 1] and probs[0] == probs[1]
+
+
 class TestMembership:
     def test_query_round_one_belongs_to_all(self, tiny_corpus):
         index = singleton_cluster_index(tiny_corpus, 1.0)
-        assert cluster_membership(index, QUERY_ID, True) == {0, 1}
+        assert cluster_membership(index, QUERY_ID, True).tolist() == [0, 1]
 
     def test_query_round_two_is_an_error(self, tiny_corpus):
         index = singleton_cluster_index(tiny_corpus, 1.0)
@@ -115,7 +145,7 @@ class TestMembership:
 
     def test_doc_in_own_cluster_only(self, tiny_corpus):
         index = singleton_cluster_index(tiny_corpus, 1.0)
-        assert cluster_membership(index, 0, False) == {0}
+        assert cluster_membership(index, 0, False).tolist() == [0]
 
     def test_out_of_range(self, tiny_corpus):
         index = singleton_cluster_index(tiny_corpus, 1.0)
@@ -131,7 +161,7 @@ class TestPersistence:
         path = tmp_path / "clusters.json"
         index.save(path)
         loaded = ClusterIndex.load(path, corpus)
-        assert [c.members for c in loaded.clusters] == [c.members for c in index.clusters]
+        assert loaded.members == index.members
         assert loaded.mu == index.mu and loaded.delta == index.delta
         index.save(path)
         first = path.read_bytes()

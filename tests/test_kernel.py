@@ -34,6 +34,7 @@ from pqlm import (
     relevance_model_rank,
     rocchio_rank,
     run_retrieval,
+    singleton_cluster_index,
 )
 from pqlm import oracles, scoring
 from pqlm.corpus import Query, TermIndex
@@ -112,9 +113,10 @@ class TestKernel:
             log_rendition_docs(tiny_corpus, text, 1.0)
 
     def test_postings_of_unknown_term_are_empty(self, tiny_corpus):
-        ids, counts = tiny_corpus.postings("zzz")
-        assert len(ids) == len(counts) == 0
-        assert counts.dtype == np.float64
+        for owner in (tiny_corpus, singleton_cluster_index(tiny_corpus, 1.0)):
+            ids, counts = owner.postings("zzz")
+            assert len(ids) == len(counts) == 0
+            assert counts.dtype == np.float64
 
     def test_postings_list_each_holder_once_in_id_order(self, tiny_corpus):
         ids, counts = tiny_corpus.postings("b")
@@ -217,12 +219,16 @@ def test_term_index_built_once_under_threads(tmp_path, monkeypatch):
 def test_cluster_postings_match_member_counts():
     corpus, _ = golden_corpus()
     clusters = build_clusters(corpus, 5, precompute_neighbors(corpus, 5, MU))
+    merged = [Counter() for _ in clusters.members]
+    for counts, row in zip(merged, clusters.members):
+        for d in row:
+            counts.update(corpus.documents[d].term_counts)
     for term in ("t2v1", "w0", "w399"):
         ids, counts = clusters.postings(term)
-        expected = [(c.cluster_id, c.term_counts[term]) for c in clusters.clusters
-                    if term in c.term_counts]
+        expected = [(cid, m[term]) for cid, m in enumerate(merged) if term in m]
         assert list(zip(ids.tolist(), counts.tolist())) == expected
-    assert clusters.lengths().tolist() == [c.length for c in clusters.clusters]
+    assert clusters.lengths().tolist() == [
+        sum(corpus.documents[d].length for d in row) for row in clusters.members]
 
 
 # -- memoised document pseudo-queries -------------------------------------

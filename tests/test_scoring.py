@@ -195,7 +195,7 @@ class TestMcCluster:
         for _ in range(15):
             corpus, index = two_doc_cluster_setup(rng, n_docs=4, delta=2,
                                                   mu=1.0)
-            members = [list(c.members) for c in index.clusters]
+            members = [list(row) for row in index.members]
             q = {"a": 1, "b": 1}
             r1 = score_mccluster(PseudoQueryList.initial(), 1, 2, corpus,
                                  index, True, q)
@@ -222,9 +222,9 @@ class TestMcCluster:
             score_mccluster(pq, 2, 2, corpus, index, False,
                             instrumentation=counters)
             for item, cid in counters["cluster_credits"]:
-                assert item in index.clusters[cid].members
+                assert item in index.members[cid]
             for cid, d in counters["doc_credits"]:
-                assert d in index.clusters[cid].members
+                assert d in index.members[cid]
 
     def test_weight_zero_neutral(self):
         rng = np.random.default_rng(113)
