@@ -25,7 +25,7 @@ from .corpus import (
     parse_topics,
     parse_trec,
 )
-from .drift import INTERPOLATING, TRUNCATING, DriftTechnique
+from .drift import TRUNCATING, DriftTechnique
 from .evaluation import Qrels, evaluate_run, format_report, parse_run
 from .experiment import SystemSpec, parse_spec
 from .lm import NeighborIndex, precompute_neighbors
@@ -48,7 +48,7 @@ system section keys (RunConfig fields) and defaults:
   drift          none | interpolation | truncated_rerank | iterated_truncation |
                  iterated_rerank | iterated_interpolation (default none)
   lambda         interpolation weight in [0,1]
-  drift_N        drift cutoff (default: N)
+  drift_N        drift cutoff of the truncating techniques (default: N)
   N              retrieval depth (default 1000)
 baseline keys: mu, N.  rocchio keys: k1, t, gamma, N.
 relevance_model keys: k1, lambda_r, clip_k, mu, N.
@@ -210,13 +210,9 @@ def _make_run_config(method: str, point: dict[str, str]) -> RunConfig:
     params = _typed(raw)
     lambda_ = params.pop("lambda", None)
     drift_n = params.pop("drift_N", None)
-    if drift_kind in INTERPOLATING:
-        drift = DriftTechnique(drift_kind, lambda_, None)
-    elif drift_kind in TRUNCATING:
-        drift = DriftTechnique(drift_kind, None,
-                               drift_n if drift_n is not None else params.get("N", 1000))
-    else:
-        drift = DriftTechnique(drift_kind)
+    if drift_n is None and drift_kind in TRUNCATING:
+        drift_n = params.get("N", 1000)
+    drift = DriftTechnique(drift_kind, lambda_, drift_n)
     return RunConfig(method=method, drift=drift, **params)
 
 

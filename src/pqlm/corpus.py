@@ -37,15 +37,13 @@ class ParseError(ValueError):
 @dataclass(frozen=True)
 class PreprocessOptions:
     lowercase: bool = True
-    stemmer: str = "none"  # none | porter  (krovetz reserved, not shipped)
+    stemmer: str = "none"  # none | porter
     stoplist: frozenset[str] = frozenset()
     drop_length_one: bool = False
 
     def __post_init__(self):
-        if self.stemmer not in ("none", "porter", "krovetz"):
+        if self.stemmer not in ("none", "porter"):
             raise ValueError(f"unknown stemmer {self.stemmer!r}")
-        if self.stemmer == "krovetz":
-            raise ValueError("krovetz stemmer is reserved but not shipped; use porter")
         object.__setattr__(self, "stoplist", frozenset(self.stoplist))
 
     def to_dict(self) -> dict:

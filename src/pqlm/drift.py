@@ -1,5 +1,7 @@
-"""Query-drift prevention: pure transformations over scored rankings and
-the schedule that says when each technique applies them.
+"""Query-drift prevention: pure transformations of a round's ranking against
+``query_p``, the query's rendition probability per doc id (scored once per
+run), and the schedule that says when each technique applies them.  Each
+transform is O(N) array work plus one sort.
 
 Two techniques touch only the final round (interpolation, truncated
 re-rank); the iterated variants reuse the same transforms at the end of
@@ -18,7 +20,7 @@ from .scoring import ScoredRanking
 log = logging.getLogger(__name__)
 
 # kind -> (acts after every round rather than once after the last,
-# transform(ranking, query_scores, technique)); the lambdas look the
+# transform(ranking, query_p, technique)); the lambdas look the
 # transforms up by name at call time, so a rebound module attribute is used
 SCHEDULE = {
     "none": (False, None),
@@ -52,7 +54,7 @@ class DriftTechnique:
         elif self.N is not None:
             raise ValueError(f"N is meaningless for {self.kind}")
 
-    def apply(self, ranking: ScoredRanking, query_scores: ScoredRanking,
+    def apply(self, ranking: ScoredRanking, query_p: np.ndarray,
               final: bool) -> ScoredRanking:
         """The ranking after this technique's step: called on every round's
         ranking with final=False and once more after the last round with
@@ -60,30 +62,30 @@ class DriftTechnique:
         per_round, transform = SCHEDULE[self.kind]
         if transform is None or per_round == final:
             return ranking
-        return transform(ranking, query_scores, self)
+        return transform(ranking, query_p, self)
 
 
-def interpolate(method_scores: ScoredRanking, query_scores: ScoredRanking,
+def interpolate(method_scores: ScoredRanking, query_p: np.ndarray,
                 lambda_: float) -> ScoredRanking:
     """Convex combination of max-rescaled method and query-rendition scores."""
-    if set(method_scores.doc_ids.tolist()) != set(query_scores.doc_ids.tolist()):
+    n = len(query_p)
+    ids = method_scores.doc_ids
+    if len(ids) != n or not (np.bincount(ids, minlength=n) == 1).all():
         raise ValueError("interpolation inputs cover different document sets")
-    q_max = float(query_scores.scores.max()) if len(query_scores) else 0.0
+    q_max = float(query_p.max()) if n else 0.0
     if q_max <= 0.0:
         raise ValueError("query scores have no positive maximum")
-    m_max = float(method_scores.scores.max()) if len(method_scores) else 0.0
+    m_max = float(method_scores.scores.max())
     if m_max <= 0.0:
         log.warning("all method scores are zero; falling back to query scores")
-        return ScoredRanking.from_pairs(query_scores.entries)
-    q_of = query_scores.score_of()
-    pairs = [
-        (int(d), lambda_ * (s / m_max) + (1.0 - lambda_) * (q_of[int(d)] / q_max))
-        for d, s in zip(method_scores.doc_ids, method_scores.scores)
-    ]
-    return ScoredRanking.from_pairs(pairs)
+        return ScoredRanking.from_dense(query_p)
+    s = np.empty(n)
+    s[ids] = method_scores.scores
+    return ScoredRanking.from_dense(
+        lambda_ * (s / m_max) + (1.0 - lambda_) * (query_p / q_max))
 
 
-def truncated_rerank(method_scores: ScoredRanking, query_scores: ScoredRanking,
+def truncated_rerank(method_scores: ScoredRanking, query_p: np.ndarray,
                      n: int) -> ScoredRanking:
     """Keep the method's top-N documents, re-scored by query rendition.
 
@@ -91,23 +93,16 @@ def truncated_rerank(method_scores: ScoredRanking, query_scores: ScoredRanking,
     """
     if n < 1:
         raise ValueError("N must be >= 1")
-    q_of = query_scores.score_of()
-    kept = method_scores.doc_ids[:n].tolist()
-    return ScoredRanking.from_pairs([(d, q_of[d]) for d in kept])
+    kept = method_scores.doc_ids[:n]
+    q = query_p[kept]
+    order = np.lexsort((kept, -q))
+    return ScoredRanking(kept[order], q[order])
 
 
 def iterated_truncation(scores: ScoredRanking, n: int) -> ScoredRanking:
     """Zero every score below rank N; the top-N order is untouched."""
     if n < 1:
         raise ValueError("N must be >= 1")
-    new_scores = scores.scores.copy()
-    new_scores[n:] = 0.0
-    top = ScoredRanking(scores.doc_ids[:n], new_scores[:n])
-    if len(scores) <= n:
-        return top
-    tail = ScoredRanking.from_pairs(
-        [(int(d), 0.0) for d in scores.doc_ids[n:]])
-    return ScoredRanking(
-        np.concatenate([top.doc_ids, tail.doc_ids]),
-        np.concatenate([top.scores, tail.scores]),
-    )
+    tail = np.sort(scores.doc_ids[n:])
+    return ScoredRanking(np.concatenate([scores.doc_ids[:n], tail]),
+                         np.concatenate([scores.scores[:n], np.zeros(len(tail))]))

@@ -36,14 +36,14 @@ NEIGHBORS_FORMAT = "pqlm-neighbors-v1"
 def log_rendition(owner, corpus: Corpus, x_counts: Mapping[str, float],
                   mu: float) -> np.ndarray:
     """Log geometric-mean rendition scores of one text against every renderer
-    of `owner` (the corpus or a cluster index); requires mu > 0.
+    of `owner` (the corpus or a cluster index); requires a finite mu > 0.
 
     Only renderers holding a text term deviate from the background
     log(mu * p_coll).  ``bincount`` sums the deviations per renderer in input
     (sorted term) order from 0.0.  O(|x| + sum of the text terms' df).
     """
-    if mu <= 0:
-        raise ValueError("rendition scoring requires mu > 0")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"rendition scoring requires mu > 0 and finite, got mu={mu}")
     xlen = float(sum(x_counts.values()))
     if xlen == 0:
         raise ValueError("empty sequence")

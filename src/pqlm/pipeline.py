@@ -5,6 +5,7 @@ round-1 privileged spread, and TREC run emission.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +51,8 @@ class RunConfig:
             raise ValueError(f"m={self.m} must exceed alpha={self.alpha}")
         if self.delta is not None and self.delta < 1:
             raise ValueError("delta must be >= 1")
-        if self.mu <= 0:
-            raise ValueError("mu must be > 0")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be a positive finite number, got mu={self.mu}")
         if self.T > 10:
             log.warning("T=%d rounds; the iteration count is meant to stay small",
                         self.T)
@@ -88,7 +89,12 @@ def _next_pseudo_queries(ranking: ScoredRanking) -> PseudoQueryList:
 def run_retrieval(query: Query, config: RunConfig, corpus: Corpus,
                   cluster_index: ClusterIndex | None = None,
                   trace: list[RoundTrace] | None = None) -> ScoredRanking:
-    """Execute T rounds of pseudo-query processing for one query."""
+    """Execute T rounds of pseudo-query processing for one query.
+
+    The query is scored once, as ``query_p`` (its rendition probability per
+    doc id): round 1 of vdoc and mcdoc, vdoc's unmatched documents and every
+    drift correction read that one vector.
+    """
     query_counts = corpus.query_counts(query)
 
     if config.method == "mccluster":
@@ -105,33 +111,31 @@ def run_retrieval(query: Query, config: RunConfig, corpus: Corpus,
                 f"cluster index was built with delta={cluster_index.delta}, "
                 f"config expects delta={config.resolved_delta(corpus)}")
 
-    query_scores = ScoredRanking.from_dense(
-        np.exp(log_rendition_docs(corpus, query_counts, config.mu)))
+    query_p = np.exp(log_rendition_docs(corpus, query_counts, config.mu))
 
     pq = PseudoQueryList.initial()
-    ranking = query_scores
     for t in range(1, config.T + 1):
         first = t == 1
         spread = config.alpha1 if first else config.alpha
         if config.method == "vdoc":
-            ranking = score_vdoc(pq, spread, corpus, config.mu, query_counts)
+            ranking = score_vdoc(pq, spread, corpus, config.mu, query_p)
         elif config.method == "mcdoc":
             # The pool must exceed the round's spread.  Raising m in round 1
             # (single pseudo-query) rescales every score by one constant, so
             # the ranking and the next round's normalized weights are
             # unchanged.
             ranking = score_mcdoc(pq, spread, max(config.m, spread + 1), corpus,
-                                  config.mu, query_counts)
+                                  config.mu, query_p)
         else:
             alpha_cluster = config.alpha1 if first else config.alpha_cluster
             ranking = score_mccluster(pq, alpha_cluster, config.beta, corpus,
                                       cluster_index, first, query_counts)
-        ranking = config.drift.apply(ranking, query_scores, final=False)
+        ranking = config.drift.apply(ranking, query_p, final=False)
         if trace is not None:
             trace.append(RoundTrace(t, len(pq.items), ranking.truncate(10).entries))
         if t < config.T:
             pq = _next_pseudo_queries(ranking)
-    return config.drift.apply(ranking, query_scores, final=True).truncate(config.N)
+    return config.drift.apply(ranking, query_p, final=True).truncate(config.N)
 
 
 def format_run_lines(query_id: str, ranking: ScoredRanking, corpus: Corpus,

@@ -75,20 +75,12 @@ class ScoredRanking:
         order = ranked_order(scores)
         return cls(order, np.asarray(scores, dtype=float)[order])
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "ScoredRanking":
-        pairs = sorted(pairs, key=lambda e: (-e[1], e[0]))
-        return cls([d for d, _ in pairs], [s for _, s in pairs])
-
     @property
     def entries(self) -> list[tuple[int, float]]:
         return list(zip(self.doc_ids.tolist(), self.scores.tolist()))
 
     def truncate(self, n: int) -> "ScoredRanking":
         return ScoredRanking(self.doc_ids[:n], self.scores[:n])
-
-    def score_of(self) -> dict[int, float]:
-        return dict(zip(self.doc_ids.tolist(), self.scores.tolist()))
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -111,23 +103,28 @@ def _pq_counts(item: int, corpus: Corpus, query_counts) -> Mapping[str, int]:
 
 
 def _top_rendered(item: int, k: int, corpus: Corpus, mu: float,
-                  query_counts) -> tuple[np.ndarray, np.ndarray]:
+                  query_p: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Top-k rendering documents of one pseudo-query, best first, and their
     rendition probabilities.
 
-    Memoised on the corpus for document items, keyed by (doc id, mu, k);
-    the query is never stored.  Entries are read-only, own their memory
-    (copies, not views of the N-long ranking) and are identical whichever
-    thread computes them, so concurrent stores need no lock.
+    The query is read off ``query_p``, its rendition probability per doc
+    id, and never stored.  Document items are memoised on the corpus, keyed
+    by (doc id, mu, k).  Entries are read-only, own their memory (copies,
+    not views of the N-long ranking) and are identical whichever thread
+    computes them, so concurrent stores need no lock.
     """
+    if item == QUERY_ID:
+        if query_p is None:
+            raise ValueError("pseudo-query list references the query but no "
+                             "query probabilities were provided")
+        top = ranked_order(query_p)[:k]
+        return top, query_p[top]
     key = (item, mu, k)
-    hit = corpus._rendered.get(key) if item != QUERY_ID else None
+    hit = corpus._rendered.get(key)
     if hit is None:
-        probs = np.exp(log_rendition_docs(corpus, _pq_counts(item, corpus, query_counts), mu))
+        probs = np.exp(log_rendition_docs(corpus, corpus.documents[item].term_counts, mu))
         top = ranked_order(probs)[:k].copy()
-        hit = _frozen(top, probs[top])
-        if item != QUERY_ID:
-            corpus._rendered[key] = hit
+        hit = corpus._rendered[key] = _frozen(top, probs[top])
     return hit
 
 
@@ -139,25 +136,25 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def score_vdoc(pq: PseudoQueryList, alpha: int, corpus: Corpus, mu: float,
-               query_counts: Mapping[str, int]) -> ScoredRanking:
+               query_p: np.ndarray) -> ScoredRanking:
     """Emit each pseudo-query's top-alpha renderers in turn, explicit scores.
 
     A document is credited at the highest-ranked pseudo-query whose
     top-alpha set contains it; its score is
     (p + 2 * (|D| - rank + 1)) / (1 + 2 * |D|) with p the rendition
     probability at that pseudo-query.  Documents matched by no pseudo-query
-    use rank |D| + 1 and their rendition probability of the original query,
-    which places them below every matched document.
+    use rank |D| + 1 and ``query_p[d]``, their rendition probability of the
+    original query, which places them below every matched document.
     """
     n = corpus.n_docs
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     matched_rank = np.full(n, n + 1, dtype=int)
-    matched_p = np.exp(log_rendition_docs(corpus, query_counts, mu))
+    matched_p = query_p.copy()
     rank = 0
     for item, _w in pq.active():
         rank += 1
-        top, probs = _top_rendered(item, alpha, corpus, mu, query_counts)
+        top, probs = _top_rendered(item, alpha, corpus, mu, query_p)
         for d, p in zip(top.tolist(), probs.tolist()):
             if matched_rank[d] == n + 1:
                 matched_rank[d] = rank
@@ -168,19 +165,20 @@ def score_vdoc(pq: PseudoQueryList, alpha: int, corpus: Corpus, mu: float,
 
 
 def score_mcdoc(pq: PseudoQueryList, alpha: int, m: int, corpus: Corpus,
-                mu: float, query_counts=None) -> ScoredRanking:
+                mu: float, query_p: np.ndarray | None = None) -> ScoredRanking:
     """Credit each document for every pseudo-query it is a top renderer of.
 
     score(d) = sum over pseudo-queries q in d's repertoire of
     w(q) * p(q | d) / N(q), where N(q) sums the rendition probabilities of
     q's top-m renderers.  Accumulation follows pseudo-query rank order so
-    results are bit-stable.
+    results are bit-stable.  Round 1 reads the query's p(q | d) off
+    ``query_p``.
     """
     if not 1 <= alpha < m:
         raise ValueError(f"need 1 <= alpha < m, got alpha={alpha}, m={m}")
     scores = np.zeros(corpus.n_docs)
     for item, w in pq.active():
-        pool, probs = _top_rendered(item, m, corpus, mu, query_counts)
+        pool, probs = _top_rendered(item, m, corpus, mu, query_p)
         norm = float(probs.sum())
         scores[pool[:alpha]] += w * (probs[:alpha] / norm)
     return ScoredRanking.from_dense(scores)

@@ -22,9 +22,15 @@ def random_mu(rng) -> float:
     return float(rng.uniform(0.5, 50.0))
 
 
+def query_probs(corpus, counts, mu):
+    """Rendition probability of a text per doc id, via the kernel: the
+    query vector that the iterative scorers and drift take."""
+    return np.exp(log_rendition_docs(corpus, counts, mu))
+
+
 def term_probs(corpus, term, mu):
     """Dirichlet-smoothed p(term | d) of every document d, via the kernel."""
-    return np.exp(log_rendition_docs(corpus, {term: 1}, mu))
+    return query_probs(corpus, {term: 1}, mu)
 
 
 @pytest.fixture

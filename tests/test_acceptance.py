@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_corpus, term_probs
+from conftest import query_probs, random_corpus, term_probs
 from pqlm import (
     DriftTechnique,
     PreprocessOptions,
@@ -173,7 +173,7 @@ def test_criterion_2_oracle_equivalence():
             items, weights = _random_pq(rng, n)
             alpha = int(rng.integers(1, n + 1))
             got = score_vdoc(PseudoQueryList(items, weights), alpha, corpus,
-                             mu, q_counts)
+                             mu, query_probs(corpus, q_counts, mu))
             want = oracles.vdoc_scores(items, weights, alpha, corpus, mu,
                                        q_counts)
             ok = _pairs_match(got, want)
@@ -182,7 +182,7 @@ def test_criterion_2_oracle_equivalence():
             alpha = int(rng.integers(1, n))
             m = int(rng.integers(alpha + 1, n + 2))
             got = score_mcdoc(PseudoQueryList(items, weights), alpha, m,
-                              corpus, mu, q_counts)
+                              corpus, mu, query_probs(corpus, q_counts, mu))
             want = oracles.mcdoc_scores(items, weights, alpha, m, corpus, mu,
                                         q_counts)
             ok = _pairs_match(got, want)
@@ -343,10 +343,11 @@ def test_criterion_4_drift_contracts():
         query = Query(f"q{trial}", terms)
         base = lm_baseline(query, corpus, mu, n)
         items, weights = _random_pq(rng, n)
+        q_p = query_probs(corpus, q_counts, mu)
         method = score_mcdoc(PseudoQueryList(items, weights), max(1, n // 2),
-                             n + 1, corpus, mu, q_counts)
-        at_one = interpolate(method, base, 1.0)
-        at_zero = interpolate(method, base, 0.0)
+                             n + 1, corpus, mu, q_p)
+        at_one = interpolate(method, q_p, 1.0)
+        at_zero = interpolate(method, q_p, 0.0)
         if at_one.doc_ids.tolist() != method.doc_ids.tolist():
             ok = False
             detail.append(f"lambda=1 endpoint broken at trial {trial}")
@@ -356,7 +357,7 @@ def test_criterion_4_drift_contracts():
             detail.append(f"lambda=0 endpoint broken at trial {trial}")
             break
         cutoff = int(rng.integers(1, n + 1))
-        reranked = truncated_rerank(method, base, cutoff)
+        reranked = truncated_rerank(method, q_p, cutoff)
         if set(reranked.doc_ids.tolist()) != set(method.doc_ids[:cutoff].tolist()):
             ok = False
             detail.append(f"retrieved set changed at trial {trial}")

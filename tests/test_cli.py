@@ -4,6 +4,7 @@ import json
 import re
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -357,9 +358,10 @@ def _mutate_spec(data, text):
     elif op == "repeat":
         lines.insert(i, lines[i])
     elif op == "insert":
-        key = data.draw(st.sampled_from(["name", "method", "alpha", "m", "N", "k1",
-                                         "clip_k", "lambda_r", "gamma", "delta", "drift_N",
-                                         "neighbors", "index", "corpus", "bogus"]))
+        key = data.draw(st.sampled_from(["name", "method", "alpha", "m", "N", "mu", "k1",
+                                         "clip_k", "lambda", "lambda_r", "gamma", "delta",
+                                         "drift", "drift_N", "neighbors", "index", "corpus",
+                                         "bogus"]))
         lines.insert(i, f"{key} = {data.draw(_SPEC_VALUES)}")
     else:
         lines[i] = f"{lines[i].partition('=')[0]}= {data.draw(_SPEC_VALUES)}"
@@ -537,6 +539,47 @@ method = {method}
 N = {depth}
 """)
         _assert_data_error(main(["run", str(spec)]), capsys, "N must be >= 1")
+
+    @pytest.mark.parametrize("drift,keys,needle", [
+        ("interpolation", "lambda = 0.5\ndrift_N = 3", "N is meaningless for interpolation"),
+        ("none", "lambda = 0.5", "lambda is meaningless for none"),
+        ("truncated_rerank", "lambda = 0.7", "lambda is meaningless for truncated_rerank"),
+    ])
+    def test_drift_key_of_another_technique_is_data_error(self, tmp_path, capsys,
+                                                          drift, keys, needle):
+        spec = write_spec(tmp_path, f"""\
+corpus = {DATA / 'micro.trec'}
+topics = {DATA / 'micro_topics.txt'}
+output = out
+
+[system]
+name = drifting
+method = mcdoc
+alpha = 2
+m = 4
+T = 2
+drift = {drift}
+{keys}
+""")
+        _assert_data_error(main(["run", str(spec)]), capsys, needle)
+
+    @pytest.mark.parametrize("mu", ["nan", "inf"])
+    @pytest.mark.parametrize("method", ["mcdoc", "baseline"])
+    def test_non_finite_mu_is_data_error(self, tmp_path, capsys, method, mu):
+        spec = write_spec(tmp_path, f"""\
+corpus = {DATA / 'micro.trec'}
+topics = {DATA / 'micro_topics.txt'}
+output = out
+
+[system]
+name = smoothed
+method = {method}
+mu = {mu}
+""")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            code = main(["run", str(spec)])
+        _assert_data_error(code, capsys, f"mu={mu}")
 
     def test_unknown_parameter_is_data_error(self, tmp_path):
         spec = baseline_spec(tmp_path, """

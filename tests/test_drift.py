@@ -13,16 +13,30 @@ from pqlm import (
     truncated_rerank,
 )
 from pqlm import drift, oracles
+from pqlm.lm import ranked_order
+
+
+def dense(pairs):
+    """Scores indexed by doc id; the pairs cover doc ids 0..n-1."""
+    out = np.zeros(len(pairs))
+    for d, s in pairs:
+        out[d] = s
+    return out
 
 
 def ranking(pairs):
-    return ScoredRanking.from_pairs(pairs)
+    return ScoredRanking.from_dense(dense(pairs))
+
+
+def entries(query_p):
+    """(doc id, score) pairs of a query vector, as the oracles take them."""
+    return list(enumerate(query_p.tolist()))
 
 
 def random_rankings(rng, n):
-    """Method and query score lists over the same n documents."""
+    """Method ranking and query vector over the same n documents."""
     method = ranking([(d, float(rng.uniform(0, 1))) for d in range(n)])
-    query = ranking([(d, float(rng.uniform(0.01, 1))) for d in range(n)])
+    query = dense([(d, float(rng.uniform(0.01, 1))) for d in range(n)])
     return method, query
 
 
@@ -58,11 +72,11 @@ class TestInterpolate:
         rng = np.random.default_rng(131)
         method, query = random_rankings(rng, 12)
         out = interpolate(method, query, 0.0)
-        assert out.doc_ids.tolist() == query.doc_ids.tolist()
+        assert out.doc_ids.tolist() == ranked_order(query).tolist()
 
     def test_hand_computed_midpoint(self):
         method = ranking([(0, 4.0), (1, 2.0), (2, 1.0)])
-        query = ranking([(0, 0.1), (1, 0.5), (2, 0.4)])
+        query = dense([(0, 0.1), (1, 0.5), (2, 0.4)])
         out = interpolate(method, query, 0.5)
         expected = {
             0: 0.5 * 1.0 + 0.5 * 0.2,
@@ -75,7 +89,7 @@ class TestInterpolate:
 
     def test_all_zero_method_scores_fall_back(self, caplog):
         method = ranking([(0, 0.0), (1, 0.0)])
-        query = ranking([(0, 0.2), (1, 0.9)])
+        query = dense([(0, 0.2), (1, 0.9)])
         with caplog.at_level("WARNING"):
             out = interpolate(method, query, 0.7)
         assert out.doc_ids.tolist() == [1, 0]
@@ -83,7 +97,9 @@ class TestInterpolate:
 
     def test_mismatched_doc_sets(self):
         with pytest.raises(ValueError, match="different document sets"):
-            interpolate(ranking([(0, 1.0)]), ranking([(1, 1.0)]), 0.5)
+            interpolate(ranking([(0, 1.0)]), dense([(0, 0.5), (1, 1.0)]), 0.5)
+        with pytest.raises(ValueError, match="different document sets"):
+            interpolate(ScoredRanking([1], [1.0]), dense([(0, 1.0)]), 0.5)
 
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(137)
@@ -102,7 +118,7 @@ class TestInterpolate:
             method, query = random_rankings(rng, n)
             lam = float(rng.uniform(0, 1))
             got = interpolate(method, query, lam)
-            want = oracles.interpolate(method.entries, query.entries, lam)
+            want = oracles.interpolate(method.entries, entries(query), lam)
             assert got.doc_ids.tolist() == [d for d, _ in want]
             np.testing.assert_allclose(
                 got.scores, [s for _, s in want], rtol=1e-12)
@@ -111,7 +127,7 @@ class TestInterpolate:
 class TestTruncatedRerank:
     def test_n_at_least_length_reorders_everything(self):
         method = ranking([(0, 3.0), (1, 2.0), (2, 1.0)])
-        query = ranking([(0, 0.1), (1, 0.2), (2, 0.3)])
+        query = dense([(0, 0.1), (1, 0.2), (2, 0.3)])
         out = truncated_rerank(method, query, 10)
         assert out.doc_ids.tolist() == [2, 1, 0]
 
@@ -127,7 +143,7 @@ class TestTruncatedRerank:
 
     def test_hand_example(self):
         method = ranking([(0, 9.0), (1, 7.0), (2, 5.0), (3, 3.0)])
-        query = ranking([(0, 0.2), (1, 0.8), (2, 0.5), (3, 0.9)])
+        query = dense([(0, 0.2), (1, 0.8), (2, 0.5), (3, 0.9)])
         out = truncated_rerank(method, query, 2)
         assert out.entries == [(1, 0.8), (0, 0.2)]
 
@@ -138,7 +154,7 @@ class TestTruncatedRerank:
             method, query = random_rankings(rng, n)
             cut = int(rng.integers(1, n + 2))
             got = truncated_rerank(method, query, cut)
-            want = oracles.truncated_rerank(method.entries, query.entries, cut)
+            want = oracles.truncated_rerank(method.entries, entries(query), cut)
             assert got.entries == want
 
 

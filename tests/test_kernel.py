@@ -36,7 +36,7 @@ from pqlm import (
     run_retrieval,
     singleton_cluster_index,
 )
-from pqlm import oracles, scoring
+from pqlm import oracles, pipeline, scoring
 from pqlm.corpus import Query, TermIndex
 from pqlm.lm import log_rendition_docs
 
@@ -275,9 +275,29 @@ def test_document_pseudo_query_scored_once_across_queries(method, monkeypatch):
     monkeypatch.setattr(scoring, KERNELS[method], counting)
     for q in pair:
         run_retrieval(q, golden_config(method), corpus, clusters)
-    del calls[None]  # the queries themselves
+    # the queries themselves: only mccluster renders them in scoring, against
+    # the clusters; vdoc and mcdoc read the query vector of run_retrieval
+    assert calls.pop(None, 0) == (len(pair) if method == "mccluster" else 0)
     assert set(calls) == round2[0] | round2[1]
     assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("method", ["vdoc", "mcdoc"])
+def test_query_scored_once_per_run(method, monkeypatch):
+    # round 1, vdoc's unmatched documents and drift all read one query vector
+    corpus, queries, _ = golden_setup()
+    documents = {id(d.term_counts) for d in corpus.documents}
+    calls = []
+    for module in (pipeline, scoring):
+        def counting(*args, kernel=module.log_rendition_docs):
+            if id(args[-2]) not in documents:  # args[-2] is the scored text
+                calls.append(args[-2])
+            return kernel(*args)
+        monkeypatch.setattr(module, "log_rendition_docs", counting)
+    for q in queries:
+        calls.clear()
+        run_retrieval(q, dataclasses.replace(golden_config(method), drift=DRIFTS[1]), corpus)
+        assert calls == [corpus.query_counts(q)], f"{len(calls)} kernel calls on {q.query_id}"
 
 
 def test_memo_entries_own_their_memory_and_hold_at_most_k():

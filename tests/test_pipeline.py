@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_corpus, random_mu
+from conftest import query_probs, random_corpus, random_mu
 from pqlm import (
     DriftTechnique,
     PreprocessOptions,
@@ -200,8 +200,7 @@ class TestNextPseudoQueries:
         from pqlm.pipeline import _next_pseudo_queries
         from pqlm.scoring import ScoredRanking
 
-        ranking = ScoredRanking.from_pairs(
-            [(3, 0.8), (0, 0.4), (5, 0.2), (7, 0.0)])
+        ranking = ScoredRanking([3, 0, 5, 7], [0.8, 0.4, 0.2, 0.0])
         pq = _next_pseudo_queries(ranking)
         assert pq.items == [3, 0, 5]
         assert pq.weights == pytest.approx([1.0, 0.5, 0.25])
@@ -211,7 +210,7 @@ class TestNextPseudoQueries:
         from pqlm.scoring import ScoredRanking
 
         with pytest.raises(ValueError, match="no pseudo-queries"):
-            _next_pseudo_queries(ScoredRanking.from_pairs([(0, 0.0), (1, 0.0)]))
+            _next_pseudo_queries(ScoredRanking([0, 1], [0.0, 0.0]))
 
 
 class TestDriftNoneIdentity:
@@ -225,7 +224,8 @@ class TestDriftNoneIdentity:
         cfg = RunConfig(method="mcdoc", alpha=3, alpha1=3, m=7, T=1, mu=4.0,
                         N=9)
         via_pipeline = run_retrieval(q, cfg, corpus)
-        direct = score_mcdoc(PseudoQueryList.initial(), 3, 7, corpus, 4.0, counts)
+        direct = score_mcdoc(PseudoQueryList.initial(), 3, 7, corpus, 4.0,
+                             query_probs(corpus, counts, 4.0))
         assert via_pipeline == direct
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_corpus, random_mu
+from conftest import query_probs, random_corpus, random_mu
 from pqlm import (
     QUERY_ID,
     PreprocessOptions,
@@ -49,7 +49,7 @@ class TestVDoc:
             mu = random_mu(rng)
             q = {"a": 1, "b": 1}
             ranking = score_vdoc(PseudoQueryList.initial(), corpus.n_docs,
-                                 corpus, mu, q)
+                                 corpus, mu, query_probs(corpus, q, mu))
             base = lm_baseline(Query("q", ["a", "b"]), corpus, mu, corpus.n_docs)
             assert ranking.doc_ids.tolist() == base.doc_ids.tolist()
 
@@ -62,7 +62,7 @@ class TestVDoc:
             mu = random_mu(rng)
             alpha = 3
             ranking = score_vdoc(PseudoQueryList([0, 1], [1.0, 0.5]), alpha,
-                                 corpus, mu, {"a": 1})
+                                 corpus, mu, query_probs(corpus, {"a": 1}, mu))
             x = corpus.documents[0].term_counts
             firsts = set(ranked_order(np.exp(log_rendition_docs(corpus, x, mu)))[:alpha].tolist())
             position = {d: i for i, d in enumerate(ranking.doc_ids.tolist())}
@@ -78,7 +78,7 @@ class TestVDoc:
             vocab = sorted(corpus.vocabulary)
             q = {vocab[0]: 1, vocab[-1]: 2}
             pq = PseudoQueryList([2, 5], [0.9, 0.4])
-            got = score_vdoc(pq, 2, corpus, mu, q)
+            got = score_vdoc(pq, 2, corpus, mu, query_probs(corpus, q, mu))
             want = oracles.vdoc_scores([2, 5], [0.9, 0.4], 2, corpus, mu, q)
             assert_rankings_close(got, want)
 
@@ -92,9 +92,10 @@ class TestVDoc:
         corpus = random_corpus(rng, n_docs=8)
         mu = random_mu(rng)
         q = {sorted(corpus.vocabulary)[0]: 1}
-        plain = score_vdoc(PseudoQueryList([1, 4], [0.9, 0.4]), 3, corpus, mu, q)
+        q_p = query_probs(corpus, q, mu)
+        plain = score_vdoc(PseudoQueryList([1, 4], [0.9, 0.4]), 3, corpus, mu, q_p)
         padded = score_vdoc(PseudoQueryList([1, 4, 6], [0.9, 0.4, 0.0]), 3,
-                            corpus, mu, q)
+                            corpus, mu, q_p)
         assert plain == padded
 
 
@@ -104,7 +105,8 @@ class TestMcDoc:
         corpus = random_corpus(rng, n_docs=10)
         mu = 2.0
         q = {"a": 1, "b": 1}
-        ranking = score_mcdoc(PseudoQueryList.initial(), 3, 5, corpus, mu, q)
+        ranking = score_mcdoc(PseudoQueryList.initial(), 3, 5, corpus, mu,
+                              query_probs(corpus, q, mu))
         nonzero = [d for d, s in ranking.entries if s > 0]
         assert len(nonzero) == 3
         base = lm_baseline(Query("q", ["a", "b"]), corpus, mu, 3)
