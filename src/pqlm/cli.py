@@ -25,7 +25,7 @@ from .corpus import (
     parse_topics,
     parse_trec,
 )
-from .drift import TRUNCATING, DriftTechnique
+from .drift import INTERPOLATING, TRUNCATING, DriftTechnique
 from .evaluation import Qrels, evaluate_run, format_report, parse_run
 from .experiment import SystemSpec, parse_spec
 from .lm import NeighborIndex, precompute_neighbors
@@ -49,6 +49,9 @@ system section keys (RunConfig fields) and defaults:
                  iterated_rerank | iterated_interpolation (default none)
   lambda         interpolation weight in [0,1]
   drift_N        drift cutoff of the truncating techniques (default: N)
+                 a system may grid over drift kinds; a point ignores lambda or
+                 drift_N when its kind does not read the key and another kind
+                 in the grid does; a key no kind in the grid reads is an error
   N              retrieval depth (default 1000)
 baseline keys: mu, N.  rocchio keys: k1, t, gamma, N.
 relevance_model keys: k1, lambda_r, clip_k, mu, N.
@@ -204,14 +207,24 @@ _BASELINE_KEYS = {
 _ITERATIVE_KEYS = {f.name for f in fields(RunConfig)} - {"method"} | {"lambda", "drift_N"}
 
 
-def _make_run_config(method: str, point: dict[str, str]) -> RunConfig:
+def _make_run_config(method: str, point: dict[str, str],
+                     grid_drifts: list[str]) -> RunConfig:
+    """The RunConfig of one grid point of an iterative system whose grid
+    takes the drift kinds ``grid_drifts``."""
     raw = dict(point)
     drift_kind = raw.pop("drift", "none")
     params = _typed(raw)
     lambda_ = params.pop("lambda", None)
     drift_n = params.pop("drift_N", None)
-    if drift_n is None and drift_kind in TRUNCATING:
-        drift_n = params.get("N", 1000)
+    # one key set serves every drift kind in the grid, so a point drops a
+    # key its kind does not read if another kind in the grid reads it
+    if drift_kind not in INTERPOLATING and set(grid_drifts) & set(INTERPOLATING):
+        lambda_ = None
+    if drift_kind in TRUNCATING:
+        if drift_n is None:
+            drift_n = params.get("N", 1000)
+    elif set(grid_drifts) & set(TRUNCATING):
+        drift_n = None
     drift = DriftTechnique(drift_kind, lambda_, drift_n)
     return RunConfig(method=method, drift=drift, **params)
 
@@ -275,18 +288,28 @@ def _point_label(name: str, point: dict[str, str], varying: list[str]) -> str:
     return f"{name}__{parts}"
 
 
+def _point_config(system: SystemSpec, point: dict[str, str]) -> RunConfig | dict:
+    """The checked parameters of one grid point: a RunConfig for an
+    iterative method, the typed keys for a baseline."""
+    method = system.method
+    unknown = set(point) - _BASELINE_KEYS.get(method, _ITERATIVE_KEYS)
+    if unknown:
+        raise ParseError(f"system {system.name!r}: invalid parameters "
+                         f"for {method}: {', '.join(sorted(unknown))}")
+    if method in _BASELINE_KEYS:
+        return _typed(dict(point))
+    return _make_run_config(method, point, system.params.get("drift", ["none"]))
+
+
 def _execute_system(system: SystemSpec, point: dict[str, str], corpus,
                     queries, threads: int, spec, spec_path) -> list[str]:
     """Run every query for one parameter point; returns TREC run lines."""
     method = system.method
     tag = _system_tag(system.name, point)
-    unknown = set(point) - _BASELINE_KEYS.get(method, _ITERATIVE_KEYS)
-    if unknown:
-        raise ParseError(f"system {system.name!r}: invalid parameters "
-                         f"for {method}: {', '.join(sorted(unknown))}")
+    config = _point_config(system, point)
 
     if method in _BASELINE_KEYS:
-        params = _typed(dict(point))
+        params = config
         n = params.pop("N", 1000)
 
         def score(query):
@@ -302,7 +325,6 @@ def _execute_system(system: SystemSpec, point: dict[str, str], corpus,
                 params.get("lambda_r", 0.5), params.get("clip_k", 0),
                 params.get("mu", 2000.0), n)
     else:
-        config = _make_run_config(method, point)
         cluster_index = (_cluster_index_for(spec, spec_path, corpus, config)
                          if method == "mccluster" else None)
 
@@ -340,6 +362,11 @@ def _queries(corpus, topics):
 
 def cmd_run(args) -> int:
     spec, corpus, topics, qrels = _load_experiment(args.spec)
+    # every point is checked before any is scored, so a bad point leaves
+    # no run files of the points before it
+    for system in spec.systems:
+        for point in system.grid():
+            _point_config(system, point)
     queries = _queries(corpus, topics)
     outdir = Path(_rel(args.spec, spec.output))
     outdir.mkdir(parents=True, exist_ok=True)

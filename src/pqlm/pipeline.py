@@ -92,8 +92,8 @@ def run_retrieval(query: Query, config: RunConfig, corpus: Corpus,
     """Execute T rounds of pseudo-query processing for one query.
 
     The query is scored once, as ``query_p`` (its rendition probability per
-    doc id): round 1 of vdoc and mcdoc, vdoc's unmatched documents and every
-    drift correction read that one vector.
+    doc id): round 1 of vdoc and mcdoc, vdoc's unmatched documents and the
+    interpolation and re-rank drift corrections read that one vector.
     """
     query_counts = corpus.query_counts(query)
 

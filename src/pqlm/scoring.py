@@ -145,10 +145,14 @@ def score_vdoc(pq: PseudoQueryList, alpha: int, corpus: Corpus, mu: float,
     probability at that pseudo-query.  Documents matched by no pseudo-query
     use rank |D| + 1 and ``query_p[d]``, their rendition probability of the
     original query, which places them below every matched document.
+    ``query_p`` holds one value per document and must be smoothed with the
+    same ``mu``.
     """
     n = corpus.n_docs
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
+    if np.shape(query_p) != (n,):
+        raise ValueError(f"query_p needs one value per document ({n})")
     matched_rank = np.full(n, n + 1, dtype=int)
     matched_p = query_p.copy()
     rank = 0
@@ -172,10 +176,13 @@ def score_mcdoc(pq: PseudoQueryList, alpha: int, m: int, corpus: Corpus,
     w(q) * p(q | d) / N(q), where N(q) sums the rendition probabilities of
     q's top-m renderers.  Accumulation follows pseudo-query rank order so
     results are bit-stable.  Round 1 reads the query's p(q | d) off
-    ``query_p``.
+    ``query_p``, which holds one value per document and must be smoothed
+    with the same ``mu``.
     """
     if not 1 <= alpha < m:
         raise ValueError(f"need 1 <= alpha < m, got alpha={alpha}, m={m}")
+    if query_p is not None and np.shape(query_p) != (corpus.n_docs,):
+        raise ValueError(f"query_p needs one value per document ({corpus.n_docs})")
     scores = np.zeros(corpus.n_docs)
     for item, w in pq.active():
         pool, probs = _top_rendered(item, m, corpus, mu, query_p)

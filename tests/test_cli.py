@@ -563,6 +563,59 @@ drift = {drift}
 """)
         _assert_data_error(main(["run", str(spec)]), capsys, needle)
 
+    @staticmethod
+    def _drift_spec(tmp_path, systems: str) -> Path:
+        return write_spec(tmp_path, f"""\
+corpus = {DATA / 'micro.trec'}
+topics = {DATA / 'micro_topics.txt'}
+output = out
+{systems}""")
+
+    @staticmethod
+    def _mcdoc_system(name: str, keys: str) -> str:
+        return f"""
+[system]
+name = {name}
+method = mcdoc
+alpha = 2
+m = 4
+T = 2
+{keys}
+"""
+
+    @staticmethod
+    def _ranked_rows(path: Path) -> list[list[str]]:
+        # every column but the run tag, which hashes the point's keys
+        return [line.split()[:5] for line in path.read_text().splitlines()]
+
+    @pytest.mark.parametrize("kinds,keys,alone", [
+        (["interpolation", "truncated_rerank"], "lambda = 0.5\ndrift_N = 3",
+         {"interpolation": "lambda = 0.5", "truncated_rerank": "drift_N = 3"}),
+        (["none", "interpolation"], "lambda = 0.5",
+         {"none": "", "interpolation": "lambda = 0.5"}),
+    ], ids=["interpolation+truncated_rerank", "none+interpolation"])
+    def test_drift_grid_point_reads_only_its_own_keys(self, tmp_path, kinds, keys, alone):
+        grid = self._mcdoc_system("grid", f"drift = {' '.join(kinds)}\n{keys}")
+        singles = "".join(self._mcdoc_system(f"one_{k}", f"drift = {k}\n{alone[k]}")
+                          for k in kinds)
+        spec = self._drift_spec(tmp_path, grid + singles)
+        assert main(["run", str(spec)]) == 0
+        for kind in kinds:
+            assert self._ranked_rows(tmp_path / "out" / f"grid__drift={kind}.run") \
+                == self._ranked_rows(tmp_path / "out" / f"one_{kind}.run")
+
+    @pytest.mark.parametrize("kinds,keys,needle", [
+        ("none truncated_rerank", "lambda = 0.5", "lambda is meaningless for none"),
+        ("none interpolation", "lambda = 0.5\ndrift_N = 3", "N is meaningless for none"),
+    ], ids=["lambda", "drift_N"])
+    def test_drift_key_no_kind_in_grid_reads_is_data_error(self, tmp_path, capsys,
+                                                           kinds, keys, needle):
+        # the good system comes first: no run file may be written for it
+        spec = self._drift_spec(tmp_path, self._mcdoc_system("good", "")
+                                + self._mcdoc_system("bad", f"drift = {kinds}\n{keys}"))
+        _assert_data_error(main(["run", str(spec)]), capsys, needle)
+        assert not list(tmp_path.glob("out/*.run"))
+
     @pytest.mark.parametrize("mu", ["nan", "inf"])
     @pytest.mark.parametrize("method", ["mcdoc", "baseline"])
     def test_non_finite_mu_is_data_error(self, tmp_path, capsys, method, mu):

@@ -99,6 +99,17 @@ class TestVDoc:
         assert plain == padded
 
 
+@pytest.mark.parametrize("length", [1, 3])
+def test_query_p_must_cover_every_document(length, tiny_corpus):
+    # a vector for another corpus would broadcast (length 1) or rank only
+    # a prefix of the documents
+    q_p = np.full(length, 0.5)
+    with pytest.raises(ValueError, match="one value per document"):
+        score_vdoc(PseudoQueryList.initial(), 1, tiny_corpus, 1.0, q_p)
+    with pytest.raises(ValueError, match="one value per document"):
+        score_mcdoc(PseudoQueryList.initial(), 1, 2, tiny_corpus, 1.0, q_p)
+
+
 class TestMcDoc:
     def test_round_one_only_top_renderers_nonzero(self):
         rng = np.random.default_rng(83)
