@@ -34,6 +34,16 @@ from .storage import atomic_write
 
 THREADS_ENV = "PQLM_THREADS"
 
+# feedback method -> (name of its pqlm.baselines function, its spec keys with
+# their defaults in argument order after (query, corpus)); the function is
+# looked up by name at call time, so a rebound module attribute is used
+_BASELINES = {
+    "baseline": ("lm_baseline", {"mu": 2000.0, "N": 1000}),
+    "rocchio": ("rocchio_rank", {"k1": 10, "t": 10, "gamma": 1.0, "N": 1000}),
+    "relevance_model": ("relevance_model_rank",
+                        {"k1": 10, "lambda_r": 0.5, "clip_k": 0, "mu": 2000.0, "N": 1000}),
+}
+
 _CONFIG_HELP = """\
 system section keys (RunConfig fields) and defaults:
   method         vdoc | mcdoc | mccluster | baseline | rocchio | relevance_model
@@ -53,9 +63,8 @@ system section keys (RunConfig fields) and defaults:
                  drift_N when its kind does not read the key and another kind
                  in the grid does; a key no kind in the grid reads is an error
   N              retrieval depth (default 1000)
-baseline keys: mu, N.  rocchio keys: k1, t, gamma, N.
-relevance_model keys: k1, lambda_r, clip_k, mu, N.
-"""
+""" + "".join(f"{method} keys and defaults: {', '.join(f'{k}={v}' for k, v in keys.items())}\n"
+              for method, (_, keys) in _BASELINES.items())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,16 +134,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _preprocess_options(args) -> PreprocessOptions:
-    stop = frozenset()
-    if args.stoplist:
-        stop = frozenset(Path(args.stoplist).read_text().split())
-    return PreprocessOptions(
-        lowercase=not args.no_lowercase,
-        stemmer=args.stemmer,
-        stoplist=stop,
-        drop_length_one=args.drop_length_one,
-    )
+def _preprocess_options(lowercase: bool, stemmer: str, stoplist: str | None,
+                        drop_length_one: bool) -> PreprocessOptions:
+    """Options from the `pqlm index` flags or the spec keys; `stoplist` is
+    a file with one stopword per line."""
+    stop = frozenset(Path(stoplist).read_text().split()) if stoplist else frozenset()
+    return PreprocessOptions(lowercase, stemmer, stop, drop_length_one)
 
 
 def _read_documents(paths, fmt: str) -> list[tuple[str, str]]:
@@ -147,7 +152,8 @@ def _read_documents(paths, fmt: str) -> list[tuple[str, str]]:
 
 
 def cmd_index(args) -> int:
-    opts = _preprocess_options(args)
+    opts = _preprocess_options(not args.no_lowercase, args.stemmer, args.stoplist,
+                               args.drop_length_one)
     excluded: list[str] = []
     corpus = build_corpus(_read_documents(args.inputs, args.format), opts, excluded)
     corpus.save(args.output)
@@ -179,32 +185,14 @@ def cmd_cluster(args) -> int:
 # -- run / sweep ----------------------------------------------------------
 
 
-_INT_KEYS = ("alpha", "alpha1", "alpha_cluster", "beta", "delta", "m", "T",
-             "N", "k1", "t", "clip_k", "drift_N")
+# the drift keys build the DriftTechnique; the rest are RunConfig fields
+_ITERATIVE_KEYS = {f.name for f in fields(RunConfig)} - {"method"} | {"lambda", "drift_N"}
 _FLOAT_KEYS = ("mu", "gamma", "lambda", "lambda_r")
 
 
 def _typed(params: dict[str, str]) -> dict:
-    out: dict = {}
-    for key, value in params.items():
-        if key in _INT_KEYS:
-            out[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            out[key] = float(value)
-        else:
-            raise ParseError(f"unknown system parameter {key!r}")
-    return out
-
-
-_BASELINE_KEYS = {
-    "baseline": {"mu", "N"},
-    "rocchio": {"k1", "t", "gamma", "N"},
-    "relevance_model": {"k1", "lambda_r", "clip_k", "mu", "N"},
-}
-
-
-# the drift keys build the DriftTechnique; the rest are RunConfig fields
-_ITERATIVE_KEYS = {f.name for f in fields(RunConfig)} - {"method"} | {"lambda", "drift_N"}
+    """Spec values as numbers: float for _FLOAT_KEYS, int for every other key."""
+    return {k: (float if k in _FLOAT_KEYS else int)(v) for k, v in params.items()}
 
 
 def _make_run_config(method: str, point: dict[str, str],
@@ -236,14 +224,9 @@ def _load_experiment(spec_path: str):
     else:
         if not spec.corpus:
             raise ParseError("spec needs either an index or corpus paths")
-        opts = PreprocessOptions(
-            lowercase=spec.lowercase,
-            stemmer=spec.stemmer,
-            stoplist=frozenset(
-                Path(_rel(spec_path, spec.stoplist)).read_text().split())
-            if spec.stoplist else frozenset(),
-            drop_length_one=spec.drop_length_one,
-        )
+        opts = _preprocess_options(spec.lowercase, spec.stemmer,
+                                   spec.stoplist and _rel(spec_path, spec.stoplist),
+                                   spec.drop_length_one)
         docs = _read_documents([_rel(spec_path, p) for p in spec.corpus], spec.format)
         corpus = build_corpus(docs, opts)
     if not spec.topics:
@@ -281,55 +264,45 @@ def _system_tag(name: str, point: dict[str, str]) -> str:
     return f"{name}.{digest}"
 
 
-def _point_label(name: str, point: dict[str, str], varying: list[str]) -> str:
+def _point_label(system: SystemSpec, point: dict[str, str]) -> str:
+    varying = sorted(k for k, v in system.params.items() if len(v) > 1)
     if not varying:
-        return name
+        return system.name
     parts = "_".join(f"{k}={point[k]}" for k in varying)
-    return f"{name}__{parts}"
+    return f"{system.name}__{parts}"
 
 
-def _point_config(system: SystemSpec, point: dict[str, str]) -> RunConfig | dict:
+def _point_config(system: SystemSpec, point: dict[str, str]) -> RunConfig | tuple[str, dict]:
     """The checked parameters of one grid point: a RunConfig for an
-    iterative method, the typed keys for a baseline."""
+    iterative method; for a feedback baseline, the name of its function and
+    its arguments after (query, corpus), defaults filled in."""
     method = system.method
-    unknown = set(point) - _BASELINE_KEYS.get(method, _ITERATIVE_KEYS)
+    keys = _BASELINES[method][1] if method in _BASELINES else _ITERATIVE_KEYS
+    unknown = set(point) - set(keys)
     if unknown:
         raise ParseError(f"system {system.name!r}: invalid parameters "
                          f"for {method}: {', '.join(sorted(unknown))}")
-    if method in _BASELINE_KEYS:
-        return _typed(dict(point))
+    if method in _BASELINES:
+        function, defaults = _BASELINES[method]
+        return function, {**defaults, **_typed(point)}
     return _make_run_config(method, point, system.params.get("drift", ["none"]))
 
 
-def _execute_system(system: SystemSpec, point: dict[str, str], corpus,
-                    queries, threads: int, spec, spec_path) -> list[str]:
-    """Run every query for one parameter point; returns TREC run lines."""
-    method = system.method
-    tag = _system_tag(system.name, point)
-    config = _point_config(system, point)
-
-    if method in _BASELINE_KEYS:
-        params = config
-        n = params.pop("N", 1000)
-
-        def score(query):
-            if method == "baseline":
-                return baselines.lm_baseline(query, corpus,
-                                             params.get("mu", 2000.0), n)
-            if method == "rocchio":
-                return baselines.rocchio_rank(
-                    query, corpus, params.get("k1", 10), params.get("t", 10),
-                    params.get("gamma", 1.0), n)
-            return baselines.relevance_model_rank(
-                query, corpus, params.get("k1", 10),
-                params.get("lambda_r", 0.5), params.get("clip_k", 0),
-                params.get("mu", 2000.0), n)
-    else:
+def _score_point(config, tag: str, run_path: Path, corpus, queries, threads: int,
+                 spec, spec_path: str) -> list[str]:
+    """Rank every query at one configured point, write the run file and
+    return its lines."""
+    if isinstance(config, RunConfig):
         cluster_index = (_cluster_index_for(spec, spec_path, corpus, config)
-                         if method == "mccluster" else None)
+                         if config.method == "mccluster" else None)
 
         def score(query):
             return run_retrieval(query, config, corpus, cluster_index)
+    else:
+        function, params = config
+
+        def score(query):
+            return getattr(baselines, function)(query, corpus, *params.values())
 
     def one(query):
         return format_run_lines(query.query_id, score(query), corpus, tag)
@@ -339,7 +312,15 @@ def _execute_system(system: SystemSpec, point: dict[str, str], corpus,
             chunks = list(pool.map(one, queries))
     else:
         chunks = [one(q) for q in queries]
-    return [line for chunk in chunks for line in chunk]
+    lines = [line for chunk in chunks for line in chunk]
+    atomic_write(run_path, ("\n".join(lines) + "\n").encode())
+    return lines
+
+
+def _evaluate(lines: list[str], config, qrels: Qrels):
+    """The report of one point's run lines, cut at the point's depth N."""
+    depth = config.N if isinstance(config, RunConfig) else config[1]["N"]
+    return evaluate_run(parse_run("\n".join(lines)), qrels, depth)
 
 
 def _queries(corpus, topics):
@@ -364,34 +345,24 @@ def cmd_run(args) -> int:
     spec, corpus, topics, qrels = _load_experiment(args.spec)
     # every point is checked before any is scored, so a bad point leaves
     # no run files of the points before it
-    for system in spec.systems:
-        for point in system.grid():
-            _point_config(system, point)
+    points = [(_point_label(system, point), _system_tag(system.name, point),
+               _point_config(system, point))
+              for system in spec.systems for point in system.grid()]
     queries = _queries(corpus, topics)
     outdir = Path(_rel(args.spec, spec.output))
     outdir.mkdir(parents=True, exist_ok=True)
     reports = {}
-    for system in spec.systems:
-        grid = system.grid()
-        varying = sorted(k for k, v in system.params.items() if len(v) > 1)
-        for point in grid:
-            label = _point_label(system.name, point, varying)
-            lines = _execute_system(system, point, corpus, queries,
-                                    args.threads, spec, args.spec)
-            run_path = outdir / f"{label}.run"
-            atomic_write(run_path, ("\n".join(lines) + "\n").encode())
-            print(f"wrote {run_path} ({len(lines)} rows)")
-            if qrels is not None:
-                run = parse_run("\n".join(lines))
-                reports[label] = evaluate_run(run, qrels, _point_depth(point))
+    for label, tag, config in points:
+        run_path = outdir / f"{label}.run"
+        lines = _score_point(config, tag, run_path, corpus, queries, args.threads,
+                             spec, args.spec)
+        print(f"wrote {run_path} ({len(lines)} rows)")
+        if qrels is not None:
+            reports[label] = _evaluate(lines, config, qrels)
     if reports:
         print()
         print(format_report(reports))
     return 0
-
-
-def _point_depth(point: dict[str, str]) -> int:
-    return int(point.get("N", 1000))
 
 
 def cmd_eval(args) -> int:
@@ -412,7 +383,6 @@ def cmd_sweep(args) -> int:
     spec, corpus, topics, qrels = _load_experiment(args.spec)
     if qrels is None:
         raise ParseError("sweep needs qrels in the spec")
-    queries = _queries(corpus, topics)
     systems = {s.name: s for s in spec.systems}
     if args.system not in systems:
         raise ParseError(f"system {args.system!r} not found in spec")
@@ -425,19 +395,21 @@ def cmd_sweep(args) -> int:
         raise ParseError("the plain baseline has no round-1 spread to sweep; "
                          "pick an iterative or feedback system")
     # feedback baselines share the round-1 pool size through k1
-    knob = "k1" if system.method in ("rocchio", "relevance_model") else "alpha1"
+    knob = "k1" if system.method in _BASELINES else "alpha1"
+    # every point is checked before any is scored, as in cmd_run
+    points = []
+    for alpha1 in args.alpha1:
+        point = {**grid[0], knob: str(alpha1)}
+        points.append((alpha1, _system_tag(system.name, point), _point_config(system, point)))
+    queries = _queries(corpus, topics)
     outdir = Path(_rel(args.spec, spec.output))
     outdir.mkdir(parents=True, exist_ok=True)
     rows = ["alpha1,map,recall"]
-    for i, alpha1 in enumerate(args.alpha1):
-        point = dict(grid[0])
-        point[knob] = str(alpha1)
-        lines = _execute_system(system, point, corpus, queries, args.threads,
-                                spec, args.spec)
+    for i, (alpha1, tag, config) in enumerate(points):
         run_path = outdir / f"{i:03d}_{system.name}_alpha1={alpha1}.run"
-        atomic_write(run_path, ("\n".join(lines) + "\n").encode())
-        report = evaluate_run(parse_run("\n".join(lines)), qrels,
-                              _point_depth(point))
+        lines = _score_point(config, tag, run_path, corpus, queries, args.threads,
+                             spec, args.spec)
+        report = _evaluate(lines, config, qrels)
         rows.append(f"{alpha1},{report.mean_ap:.6f},{report.recall_micro:.6f}")
     csv_path = outdir / f"sweep_{system.name}.csv"
     atomic_write(csv_path, ("\n".join(rows) + "\n").encode())

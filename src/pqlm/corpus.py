@@ -232,8 +232,9 @@ class Corpus:
         seen = set()
         collection_length = 0
         for docno, counts in entries:
-            if not isinstance(docno, str) or docno in seen:
-                raise ParseError(f"{path}: docno {docno!r} is duplicated or not a string")
+            if not _is_docno(docno) or docno in seen:
+                raise ParseError(f"{path}: docno {docno!r} is duplicated, "
+                                 "empty or not a string without whitespace")
             seen.add(docno)
             valid = bool(counts) and all(type(c) is int and c > 0 for c in counts.values())
             length = sum(counts.values()) if valid else 0
@@ -280,6 +281,11 @@ def check_doc_id_rows(path, rows, n_docs: int, width: int, what: str) -> None:
             raise ParseError(f"{path}: {what} {i} is not {width} distinct ids in 0..{n_docs - 1}")
 
 
+def _is_docno(docno) -> bool:
+    """A docno fills one column of a whitespace-separated run row."""
+    return isinstance(docno, str) and docno.split() == [docno]
+
+
 def build_corpus(
     docs: list[tuple[str, str]],
     opts: PreprocessOptions,
@@ -294,6 +300,8 @@ def build_corpus(
     seen: set[str] = set()
     documents: list[Document] = []
     for docno, text in docs:
+        if not _is_docno(docno):
+            raise ParseError(f"docno {docno!r} is empty or contains whitespace")
         if docno in seen:
             raise ParseError(f"duplicate docno {docno!r}")
         seen.add(docno)
@@ -368,13 +376,17 @@ def parse_topics(data) -> list[tuple[str, str]]:
         data = data.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8", "replace")
-    out = []
+    out = {}
     for block in _TOP_RE.findall(data):
         num_m = _NUM_RE.search(block)
         if num_m is None:
             raise ParseError("topic block without <num>")
+        qid = num_m.group(1).strip()
         title_m = _TITLE_RE.search(block)
         if title_m is None:
-            raise ParseError(f"topic {num_m.group(1)} has no <title>")
-        out.append((num_m.group(1).strip(), " ".join(title_m.group(1).split())))
-    return out
+            raise ParseError(f"topic {qid} has no <title>")
+        # one qid is one ranked block of the run file
+        if qid in out:
+            raise ParseError(f"duplicate topic number {qid!r}")
+        out[qid] = " ".join(title_m.group(1).split())
+    return list(out.items())

@@ -54,7 +54,13 @@ class DriftTechnique:
         elif self.N is not None:
             raise ValueError(f"N is meaningless for {self.kind}")
 
-    def apply(self, ranking: ScoredRanking, query_p: np.ndarray,
+    @property
+    def reads_query(self) -> bool:
+        """Whether ``apply`` reads ``query_p``; when it does not, callers
+        need not score the query against every document."""
+        return self.kind not in ("none", "iterated_truncation")
+
+    def apply(self, ranking: ScoredRanking, query_p: np.ndarray | None,
               final: bool) -> ScoredRanking:
         """The ranking after this technique's step: called on every round's
         ranking with final=False and once more after the last round with

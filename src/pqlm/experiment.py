@@ -9,15 +9,9 @@ parse/serialize so a run's provenance can be reconstructed from its spec.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .corpus import ParseError
-
-_GLOBAL_KEYS = (
-    "corpus", "format", "topics", "qrels", "output",
-    "index", "neighbors", "clusters",
-    "lowercase", "stemmer", "stoplist", "drop_length_one",
-)
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
@@ -55,6 +49,12 @@ class ExperimentSpec:
     systems: list[SystemSpec] = field(default_factory=list)
 
 
+# the global keys are the spec's fields; a field's default says how its
+# value is read: a list accumulates repeated keys, a bool is parsed, the
+# rest are strings
+_GLOBAL_KEYS = {f.name: f for f in fields(ExperimentSpec) if f.name != "systems"}
+
+
 def parse_bool(value: str) -> bool:
     try:
         return _BOOL[value.strip().lower()]
@@ -81,6 +81,9 @@ def parse_spec(text: str) -> ExperimentSpec:
         if system is None:
             _set_global(spec, key, value, lineno)
         elif key == "name":
+            if len(value.split()) > 1:
+                raise ParseError(f"spec line {lineno}: system name {value!r} "
+                                 "contains whitespace")
             system.name = value
         elif key == "method":
             system.method = value
@@ -95,31 +98,27 @@ def parse_spec(text: str) -> ExperimentSpec:
 
 
 def _set_global(spec: ExperimentSpec, key: str, value: str, lineno: int) -> None:
-    if key == "corpus":
-        spec.corpus.append(value)
-    elif key in ("format", "topics", "qrels", "output", "index",
-                 "neighbors", "clusters", "stemmer", "stoplist"):
-        setattr(spec, key, value)
-    elif key in ("lowercase", "drop_length_one"):
-        setattr(spec, key, parse_bool(value))
-    else:
+    f = _GLOBAL_KEYS.get(key)
+    if f is None:
         raise ParseError(f"spec line {lineno}: unknown key {key!r} "
                          f"(expected one of {', '.join(_GLOBAL_KEYS)})")
+    if f.default_factory is list:
+        getattr(spec, key).append(value)
+    elif isinstance(f.default, bool):
+        setattr(spec, key, parse_bool(value))
+    else:
+        setattr(spec, key, value)
 
 
 def serialize_spec(spec: ExperimentSpec) -> str:
     lines: list[str] = []
-    for path in spec.corpus:
-        lines.append(f"corpus = {path}")
-    lines.append(f"format = {spec.format}")
-    for key in ("topics", "qrels", "output", "index", "neighbors",
-                "clusters", "stoplist"):
+    for key in _GLOBAL_KEYS:
         value = getattr(spec, key)
-        if value is not None:
-            lines.append(f"{key} = {value}")
-    lines.append(f"lowercase = {'true' if spec.lowercase else 'false'}")
-    lines.append(f"stemmer = {spec.stemmer}")
-    lines.append(f"drop_length_one = {'true' if spec.drop_length_one else 'false'}")
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, bool):
+                item = "true" if item else "false"
+            if item is not None:
+                lines.append(f"{key} = {item}")
     for system in spec.systems:
         lines.append("")
         lines.append("[system]")

@@ -112,18 +112,17 @@ class NeighborIndex:
         atomic_write(path, canonical_json(self.to_payload()))
 
     @classmethod
-    def load(cls, path, corpus: Corpus | None = None, mu: float | None = None) -> "NeighborIndex":
+    def load(cls, path, corpus: Corpus, mu: float | None = None) -> "NeighborIndex":
         payload = read_payload(path, NEIGHBORS_FORMAT)
         try:
             idx = cls(payload["corpus_hash"], payload["mu"], payload["k_max"],
                       payload["neighbors"])
             check_mu(path, idx.mu)
-            if corpus is not None and idx.corpus_hash != corpus.content_hash:
+            if idx.corpus_hash != corpus.content_hash:
                 raise ValueError(f"{path}: neighbor lists were built for a different corpus")
             if mu is not None and idx.mu != mu:
                 raise ValueError(f"{path}: neighbor lists were built with mu={idx.mu}, not {mu}")
-            n_docs = len(idx.neighbors) if corpus is None else corpus.n_docs
-            check_doc_id_rows(path, idx.neighbors, n_docs, idx.k_max, "neighbor list")
+            check_doc_id_rows(path, idx.neighbors, corpus.n_docs, idx.k_max, "neighbor list")
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{path}: malformed neighbor payload: {exc}") from exc
         return idx

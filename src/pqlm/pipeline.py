@@ -94,6 +94,7 @@ def run_retrieval(query: Query, config: RunConfig, corpus: Corpus,
     The query is scored once, as ``query_p`` (its rendition probability per
     doc id): round 1 of vdoc and mcdoc, vdoc's unmatched documents and the
     interpolation and re-rank drift corrections read that one vector.
+    mccluster with a drift technique that reads no query vector skips it.
     """
     query_counts = corpus.query_counts(query)
 
@@ -111,7 +112,8 @@ def run_retrieval(query: Query, config: RunConfig, corpus: Corpus,
                 f"cluster index was built with delta={cluster_index.delta}, "
                 f"config expects delta={config.resolved_delta(corpus)}")
 
-    query_p = np.exp(log_rendition_docs(corpus, query_counts, config.mu))
+    query_p = (np.exp(log_rendition_docs(corpus, query_counts, config.mu))
+               if config.method != "mccluster" or config.drift.reads_query else None)
 
     pq = PseudoQueryList.initial()
     for t in range(1, config.T + 1):

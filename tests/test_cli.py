@@ -62,6 +62,15 @@ class TestIndex:
                        "<DOC><DOCNO>A</DOCNO><TEXT>y</TEXT></DOC>")
         assert main(["index", str(doc), "-o", str(tmp_path / "i.json")]) == 2
 
+    @pytest.mark.parametrize("docno", [" AP 1 ", "  "])
+    def test_docno_not_one_run_column_is_data_error(self, tmp_path, capsys, docno):
+        doc = tmp_path / "ws.trec"
+        doc.write_text(f"<DOC><DOCNO>{docno}</DOCNO><TEXT>x</TEXT></DOC>")
+        out = tmp_path / "i.json"
+        _assert_data_error(main(["index", str(doc), "-o", str(out)]), capsys,
+                           "is empty or contains whitespace")
+        assert not out.exists()
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["index"]) == 1
         assert main(["frobnicate"]) == 1
@@ -154,6 +163,13 @@ class TestArtifactChecks:
             p["documents"][3]["docno"] = p["documents"][1]["docno"]
         _rewrite(paths["index"], edit)
         _assert_data_error(self._neighbors(paths), capsys, "docno 'D1' is duplicated")
+
+    @pytest.mark.parametrize("docno", ["D 9", "", 7])
+    def test_docno_not_one_run_column_in_index(self, tmp_path, capsys, docno):
+        paths = _artifacts(tmp_path)
+        capsys.readouterr()
+        _rewrite(paths["index"], lambda p: p["documents"][2].update(docno=docno))
+        _assert_data_error(self._neighbors(paths), capsys, "not a string without whitespace")
 
     @pytest.mark.parametrize("count", [-3, 0, 2.5, "3", True, pytest.param(2**53, id="2**53"),
                                        pytest.param(10**400, id="10**400")])
@@ -506,6 +522,26 @@ T = 2
             lines = (tmp_path / "out" / name).read_text().splitlines()
             assert {line.split()[0] for line in lines} == {"901", "902"}
 
+    @pytest.mark.parametrize("target, old, new, needle", [
+        # a docno or system name with whitespace would split a run row's column
+        ("micro.trec", "<DOCNO>M02</DOCNO>", "<DOCNO> AP 1 </DOCNO>",
+         "docno 'AP 1' is empty or contains whitespace"),
+        ("exp.cfg", "name = baseline", "name = my base",
+         "system name 'my base' contains whitespace"),
+        # one qid is one ranked block of the run file
+        ("micro_topics.txt", "Number: 902", "Number: 901", "duplicate topic number '901'"),
+    ], ids=["docno", "system-name", "topic-number"])
+    def test_input_that_breaks_the_run_format_writes_nothing(self, tmp_path, capsys,
+                                                             target, old, new, needle):
+        for name in ("micro.trec", "micro_topics.txt", "micro.qrels"):
+            shutil.copy(DATA / name, tmp_path / name)
+        spec = baseline_spec(tmp_path)
+        spec.write_text(spec.read_text().replace(f"{DATA}/", ""))
+        path = tmp_path / target
+        path.write_text(path.read_text().replace(old, new))
+        _assert_data_error(main(["run", str(spec)]), capsys, needle)
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_grid_value_is_data_error(self, tmp_path, capsys):
         spec = baseline_spec(tmp_path, """
 [system]
@@ -742,6 +778,19 @@ mu = 2000
             "001_sweepme_alpha1=4.run",
             "002_sweepme_alpha1=8.run",
         ]
+
+    def test_bad_point_writes_no_run_file(self, tmp_path, capsys):
+        # every point is checked before the first is scored
+        spec = baseline_spec(tmp_path, """
+[system]
+name = sweepme
+method = mcdoc
+alpha = 2
+m = 9
+""")
+        code = main(["sweep", str(spec), "--system", "sweepme", "--alpha1", "1", "0"])
+        _assert_data_error(code, capsys, "alpha1 must be >= 1")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_system(self, tmp_path):
         spec = baseline_spec(tmp_path)

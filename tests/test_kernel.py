@@ -282,10 +282,17 @@ def test_document_pseudo_query_scored_once_across_queries(method, monkeypatch):
     assert set(calls.values()) == {1}
 
 
-@pytest.mark.parametrize("method", ["vdoc", "mcdoc"])
-def test_query_scored_once_per_run(method, monkeypatch):
+@pytest.mark.parametrize("method, drift, scored", [
+    pytest.param("vdoc", DRIFTS[1], 1, id="vdoc"),
+    pytest.param("mcdoc", DRIFTS[1], 1, id="mcdoc"),
+    # mccluster ranks against clusters: only a drift that reads the vector needs it
+    pytest.param("mccluster", DRIFTS[0], 0, id="mccluster-none"),
+    pytest.param("mccluster", DRIFTS[3], 0, id="mccluster-iterated_truncation"),
+    pytest.param("mccluster", DRIFTS[1], 1, id="mccluster-interpolation"),
+])
+def test_query_scored_once_per_run(method, drift, scored, monkeypatch):
     # round 1, vdoc's unmatched documents and drift all read one query vector
-    corpus, queries, _ = golden_setup()
+    corpus, queries, clusters = golden_setup()
     documents = {id(d.term_counts) for d in corpus.documents}
     calls = []
     for module in (pipeline, scoring):
@@ -296,8 +303,8 @@ def test_query_scored_once_per_run(method, monkeypatch):
         monkeypatch.setattr(module, "log_rendition_docs", counting)
     for q in queries:
         calls.clear()
-        run_retrieval(q, dataclasses.replace(golden_config(method), drift=DRIFTS[1]), corpus)
-        assert calls == [corpus.query_counts(q)], f"{len(calls)} kernel calls on {q.query_id}"
+        run_retrieval(q, dataclasses.replace(golden_config(method), drift=drift), corpus, clusters)
+        assert calls == [corpus.query_counts(q)] * scored, f"{len(calls)} kernel calls on {q.query_id}"
 
 
 def test_memo_entries_own_their_memory_and_hold_at_most_k():
