@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, Query
-from .lm import log_rendition_docs, ranked_order
+from .lm import log_rendition_docs, top_k
 from .scoring import ScoredRanking
 
 
@@ -214,7 +214,7 @@ def relevance_model_rank(query: Query, corpus: Corpus, k1: int, lambda_r: float,
     counts = corpus.query_counts(query)
     # the lm_baseline order of the feedback documents, without normalising
     # the query a second time
-    feedback = ranked_order(np.exp(log_rendition_docs(corpus, counts, mu)))[:k1].tolist()
+    feedback = top_k(np.exp(log_rendition_docs(corpus, counts, mu)), k1).tolist()
     rel = estimate_relevance_model(counts, corpus, feedback, lambda_r, clip_k)
     # -KL(R || d) = H(R) + sum_w p_R(w) log p_dir(w | d): the cross-entropy
     # term is a rendition score of the fractional-count text p_R.

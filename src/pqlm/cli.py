@@ -244,17 +244,22 @@ def _rel(spec_path: str, path: str) -> str:
     return str(p if p.is_absolute() else Path(spec_path).parent / p)
 
 
-def _cluster_index_for(spec, spec_path, corpus, config: RunConfig) -> ClusterIndex:
+def _cluster_index_for(spec, spec_path, corpus, config: RunConfig,
+                       cluster_indexes: dict) -> ClusterIndex:
+    """The cluster index of one mccluster point, made once per (delta, mu)
+    and kept in `cluster_indexes` for the other points of the invocation:
+    it and its memos depend only on the document text, delta and mu."""
     delta = config.resolved_delta(corpus)
-    if spec.clusters:
-        index = ClusterIndex.load(_rel(spec_path, spec.clusters), corpus)
-        return index
-    if spec.neighbors:
-        neighbors = NeighborIndex.load(_rel(spec_path, spec.neighbors), corpus,
-                                       mu=config.mu)
-    else:
-        neighbors = precompute_neighbors(corpus, delta, config.mu)
-    return build_clusters(corpus, delta, neighbors)
+    key = (delta, config.mu)
+    if key not in cluster_indexes:
+        if spec.clusters:
+            index = ClusterIndex.load(_rel(spec_path, spec.clusters), corpus)
+        else:
+            neighbors = (NeighborIndex.load(_rel(spec_path, spec.neighbors), corpus, mu=config.mu)
+                         if spec.neighbors else precompute_neighbors(corpus, delta, config.mu))
+            index = build_clusters(corpus, delta, neighbors)
+        cluster_indexes[key] = index
+    return cluster_indexes[key]
 
 
 def _system_tag(name: str, point: dict[str, str]) -> str:
@@ -289,11 +294,12 @@ def _point_config(system: SystemSpec, point: dict[str, str]) -> RunConfig | tupl
 
 
 def _score_point(config, tag: str, run_path: Path, corpus, queries, threads: int,
-                 spec, spec_path: str) -> list[str]:
+                 spec, spec_path: str, cluster_indexes: dict) -> list[str]:
     """Rank every query at one configured point, write the run file and
-    return its lines."""
+    return its lines; `cluster_indexes` is shared by the points of one
+    invocation."""
     if isinstance(config, RunConfig):
-        cluster_index = (_cluster_index_for(spec, spec_path, corpus, config)
+        cluster_index = (_cluster_index_for(spec, spec_path, corpus, config, cluster_indexes)
                          if config.method == "mccluster" else None)
 
         def score(query):
@@ -351,11 +357,11 @@ def cmd_run(args) -> int:
     queries = _queries(corpus, topics)
     outdir = Path(_rel(args.spec, spec.output))
     outdir.mkdir(parents=True, exist_ok=True)
-    reports = {}
+    reports, cluster_indexes = {}, {}
     for label, tag, config in points:
         run_path = outdir / f"{label}.run"
         lines = _score_point(config, tag, run_path, corpus, queries, args.threads,
-                             spec, args.spec)
+                             spec, args.spec, cluster_indexes)
         print(f"wrote {run_path} ({len(lines)} rows)")
         if qrels is not None:
             reports[label] = _evaluate(lines, config, qrels)
@@ -404,11 +410,11 @@ def cmd_sweep(args) -> int:
     queries = _queries(corpus, topics)
     outdir = Path(_rel(args.spec, spec.output))
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = ["alpha1,map,recall"]
+    rows, cluster_indexes = ["alpha1,map,recall"], {}
     for i, (alpha1, tag, config) in enumerate(points):
         run_path = outdir / f"{i:03d}_{system.name}_alpha1={alpha1}.run"
         lines = _score_point(config, tag, run_path, corpus, queries, args.threads,
-                             spec, args.spec)
+                             spec, args.spec, cluster_indexes)
         report = _evaluate(lines, config, qrels)
         rows.append(f"{alpha1},{report.mean_ap:.6f},{report.recall_micro:.6f}")
     csv_path = outdir / f"sweep_{system.name}.csv"

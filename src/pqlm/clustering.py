@@ -42,6 +42,8 @@ class ClusterIndex:
         doc_lengths = np.fromiter((d.length for d in corpus.documents), float, corpus.n_docs)
         self._lengths = np.bincount(owners, doc_lengths[docs], minlength=len(self.members))
         self._postings: dict[str, tuple] = {}
+        # mu -> term -> (background, deviations), as on the corpus
+        self._deviations: dict[float, dict] = {}
         self._member_scores: dict[int, tuple] = {}
         # (doc id, alpha_cluster) -> phase-1 cluster credits of that
         # document's text, filled by score_mccluster
@@ -66,7 +68,8 @@ class ClusterIndex:
             rows = np.arange(sizes.sum()) + np.repeat(starts - offsets, sizes)
             sums = np.bincount(self._holders[rows], weights=np.repeat(counts, sizes),
                                minlength=len(self))
-            ids = np.flatnonzero(sums)
+            # int32 ids, as in the document postings
+            ids = np.flatnonzero(sums).astype(np.int32)
             # bincount makes integer zeros when no cluster holds the term
             hit = self._postings[term] = (ids, sums[ids].astype(float, copy=False))
         return hit

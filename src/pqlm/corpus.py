@@ -68,7 +68,14 @@ def tokenize(text: str, opts: PreprocessOptions) -> list[str]:
     """Split text into maximal alphanumeric runs and apply the option chain.
 
     Order: segment, lowercase, stoplist filter, length-one filter, stem.
+    Each distinct token is stemmed once per call.
     """
+    return _tokenize(text, opts, {})
+
+
+def _tokenize(text: str, opts: PreprocessOptions, stems: dict[str, str]) -> list[str]:
+    """:func:`tokenize` with a caller-owned token -> stem memo, so that one
+    build stems each distinct token once."""
     tokens = _TOKEN_RE.findall(text)
     if opts.lowercase:
         tokens = [t.lower() for t in tokens]
@@ -77,7 +84,9 @@ def tokenize(text: str, opts: PreprocessOptions) -> list[str]:
     if opts.drop_length_one:
         tokens = [t for t in tokens if len(t) > 1]
     if opts.stemmer == "porter":
-        tokens = [porter.stem(t) for t in tokens]
+        for t in set(tokens).difference(stems):
+            stems[t] = porter.stem(t)
+        tokens = [stems[t] for t in tokens]
     return tokens
 
 
@@ -153,6 +162,9 @@ class Corpus:
         }
         self._terms = TermIndex(documents, self.vocabulary)
         self._postings: dict[str, tuple] = {}
+        # mu -> term -> (background, read-only per-posting deviations),
+        # filled by lm.log_rendition
+        self._deviations: dict[float, dict] = {}
         # (doc id, mu, k) -> top-k renderers of that document's text, filled
         # by the scorers; lives as long as the corpus
         self._rendered: dict[tuple, tuple] = {}
@@ -299,13 +311,14 @@ def build_corpus(
     """
     seen: set[str] = set()
     documents: list[Document] = []
+    stems: dict[str, str] = {}
     for docno, text in docs:
         if not _is_docno(docno):
             raise ParseError(f"docno {docno!r} is empty or contains whitespace")
         if docno in seen:
             raise ParseError(f"duplicate docno {docno!r}")
         seen.add(docno)
-        tokens = tokenize(text, opts)
+        tokens = _tokenize(text, opts, stems)
         if not tokens:
             log.warning("document %s is empty after preprocessing; excluded", docno)
             if excluded is not None:

@@ -102,6 +102,8 @@ def _set_global(spec: ExperimentSpec, key: str, value: str, lineno: int) -> None
     if f is None:
         raise ParseError(f"spec line {lineno}: unknown key {key!r} "
                          f"(expected one of {', '.join(_GLOBAL_KEYS)})")
+    if key == "format" and value not in ("trec", "lines"):
+        raise ParseError(f"spec line {lineno}: format {value!r} is not trec or lines")
     if f.default_factory is list:
         getattr(spec, key).append(value)
     elif isinstance(f.default, bool):

@@ -39,29 +39,41 @@ def log_rendition(owner, corpus: Corpus, x_counts: Mapping[str, float],
     of `owner` (the corpus or a cluster index); requires a finite mu > 0.
 
     Only renderers holding a text term deviate from the background
-    log(mu * p_coll).  ``bincount`` sums the deviations per renderer in input
-    (sorted term) order from 0.0.  O(|x| + sum of the text terms' df).
+    log(mu * p_coll).  A term's background and its deviations
+    ``log(c + mu * p_coll) - log(mu * p_coll)``, one per posting, depend
+    only on the owner, the term and mu: the logarithms are taken on the
+    term's first use and kept read-only in ``owner._deviations[mu][term]``,
+    at most one float64 per posting per mu.  Each call weights the gathered
+    deviations by the text counts and ``bincount`` sums them per renderer in
+    input (sorted term) order from 0.0.  O(|x| + sum of the text terms' df).
     """
     if not 0 < mu < math.inf:
         raise ValueError(f"rendition scoring requires mu > 0 and finite, got mu={mu}")
     xlen = float(sum(x_counts.values()))
     if xlen == 0:
         raise ValueError("empty sequence")
-    postings, per_term, base = [], [], 0.0
+    memo = owner._deviations.setdefault(mu, {})
+    ids, deviations, cnts, base = [], [], [], 0.0
     for term, cnt in sorted(x_counts.items()):
         p_coll = corpus.collection_prob(term)
         if p_coll == 0.0:
             raise ValueError(f"term {term!r} is not in the corpus vocabulary")
-        background = math.log(mu * p_coll)
+        term_ids, counts = owner.postings(term)
+        entry = memo.get(term)
+        if entry is None:
+            background = math.log(mu * p_coll)
+            deviation = np.log(counts + mu * p_coll) - background
+            deviation.flags.writeable = False
+            entry = memo[term] = (background, deviation)
+        background, deviation = entry
         base += cnt * background
-        postings.append(owner.postings(term))
-        per_term.append((cnt, mu * p_coll, background))
-    ids, counts = (np.concatenate(arrays) for arrays in zip(*postings))
-    sizes = [len(i) for i, _ in postings]
-    cnts, smooth, backgrounds = np.repeat(np.array(per_term).T, sizes, axis=1)
-    deviation = cnts * (np.log(counts + smooth) - backgrounds)
+        ids.append(term_ids)
+        deviations.append(deviation)
+        cnts.append(cnt)
+    weights = np.concatenate(deviations)
+    weights *= np.repeat(np.array(cnts, dtype=float), [len(i) for i in ids])
     # "+ base" also makes floats of bincount's integer zeros when no posting exists
-    out = np.bincount(ids, weights=deviation, minlength=len(owner)) + base
+    out = np.bincount(np.concatenate(ids), weights=weights, minlength=len(owner)) + base
     out -= xlen * np.log(owner.lengths() + mu)
     out /= xlen
     return out
@@ -76,6 +88,24 @@ def ranked_order(scores: np.ndarray) -> np.ndarray:
     """Indices sorted by descending score, ties toward lower index."""
     ids = np.arange(len(scores))
     return np.lexsort((ids, -np.asarray(scores, dtype=float)))
+
+
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """``ranked_order(scores)[:k]`` as a new array, without sorting all N.
+
+    ``np.partition`` finds the k-th best value; every index scoring at least
+    that much is a candidate, so ties at the cut are all kept, and only the
+    candidates are sorted.  O(N + c log c) for c candidates (c = k without
+    ties at the cut).  Fewer than k candidates happen only with NaNs, which
+    ``ranked_order`` places last; that case, k >= N and k < 1 sort fully.
+    """
+    scores = np.asarray(scores, dtype=float)
+    n = len(scores)
+    if 0 < k < n:
+        cand = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+        if len(cand) >= k:
+            return cand[np.lexsort((cand, -scores[cand]))[:k]]
+    return ranked_order(scores)[:k].copy()
 
 
 class NeighborIndex:
@@ -145,7 +175,7 @@ def precompute_neighbors(corpus: Corpus, k_max: int, mu: float,
 
     def one(doc_id: int) -> list[int]:
         scores = log_rendition_docs(corpus, corpus.documents[doc_id].term_counts, mu)
-        return ranked_order(scores)[:k_max].tolist()
+        return top_k(scores, k_max).tolist()
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .clustering import ClusterIndex, cluster_membership
 from .corpus import Corpus
-from .lm import QUERY_ID, log_rendition, log_rendition_docs, ranked_order
+from .lm import QUERY_ID, log_rendition, log_rendition_docs, ranked_order, top_k
 
 
 @dataclass
@@ -107,23 +107,25 @@ def _top_rendered(item: int, k: int, corpus: Corpus, mu: float,
     """Top-k rendering documents of one pseudo-query, best first, and their
     rendition probabilities.
 
-    The query is read off ``query_p``, its rendition probability per doc
-    id, and never stored.  Document items are memoised on the corpus, keyed
-    by (doc id, mu, k).  Entries are read-only, own their memory (copies,
-    not views of the N-long ranking) and are identical whichever thread
-    computes them, so concurrent stores need no lock.
+    The k best are picked with :func:`~pqlm.lm.top_k`, O(N + k log k), in
+    ``ranked_order``'s order.  The query is read off ``query_p``, its
+    rendition probability per doc id, and never stored.  Document items are
+    memoised on the corpus, keyed by (doc id, mu, k).  Entries are
+    read-only, own their memory (not views of an N-long array) and are
+    identical whichever thread computes them, so concurrent stores need no
+    lock.
     """
     if item == QUERY_ID:
         if query_p is None:
             raise ValueError("pseudo-query list references the query but no "
                              "query probabilities were provided")
-        top = ranked_order(query_p)[:k]
+        top = top_k(query_p, k)
         return top, query_p[top]
     key = (item, mu, k)
     hit = corpus._rendered.get(key)
     if hit is None:
         probs = np.exp(log_rendition_docs(corpus, corpus.documents[item].term_counts, mu))
-        top = ranked_order(probs)[:k].copy()
+        top = top_k(probs, k)
         hit = corpus._rendered[key] = _frozen(top, probs[top])
     return hit
 

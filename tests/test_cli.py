@@ -679,6 +679,50 @@ bogus = 3
 """)
         assert main(["run", str(spec)]) == 2
 
+    def test_unknown_corpus_format_is_data_error(self, tmp_path, capsys):
+        spec = baseline_spec(tmp_path)
+        spec.write_text("format = trce\n" + spec.read_text())
+        _assert_data_error(main(["run", str(spec)]), capsys, "format 'trce' is not trec or lines")
+        assert not (tmp_path / "out").exists()
+
+    def test_cluster_index_built_once_per_delta_and_mu(self, tmp_path, monkeypatch):
+        import pqlm.cli
+
+        passes = []
+        precompute = pqlm.cli.precompute_neighbors
+        monkeypatch.setattr(pqlm.cli, "precompute_neighbors",
+                            lambda *args, **kw: passes.append(args[1:]) or precompute(*args, **kw))
+        system = """
+[system]
+name = mc
+method = mccluster
+alpha = {}
+alpha1 = 4
+alpha_cluster = 2
+beta = 3
+delta = 3
+T = 2
+mu = 2000
+"""
+        (tmp_path / "grid").mkdir()
+        assert main(["run", str(baseline_spec(tmp_path / "grid", system.format("2 3 4")))]) == 0
+        assert passes == [(3, 2000.0)]
+        (tmp_path / "sweep").mkdir()
+        assert main(["sweep", str(baseline_spec(tmp_path / "sweep", system.format("2"))),
+                     "--system", "mc", "--alpha1", "2", "4", "8"]) == 0
+        assert len(passes) == 2
+        # each point's run file is what a fresh invocation of that point writes
+        for alpha in ("2", "3", "4"):
+            (tmp_path / alpha).mkdir()
+            assert main(["run", str(baseline_spec(tmp_path / alpha, system.format(alpha)))]) == 0
+            assert (tmp_path / alpha / "out" / "mc.run").read_bytes() == \
+                (tmp_path / "grid" / "out" / f"mc__alpha={alpha}.run").read_bytes()
+        (tmp_path / "sweep8").mkdir()
+        point = system.format("2").replace("alpha1 = 4", "alpha1 = 8")
+        assert main(["run", str(baseline_spec(tmp_path / "sweep8", point))]) == 0
+        assert (tmp_path / "sweep8" / "out" / "mc.run").read_bytes() == \
+            (tmp_path / "sweep" / "out" / "002_mc_alpha1=8.run").read_bytes()
+
 
 class TestDeterminism:
     def test_byte_identical_across_invocations_and_threads(self, tmp_path):
@@ -839,6 +883,15 @@ class TestConsoleScript:
         assert proc.returncode == 0
         for sub in ("index", "cluster", "neighbors", "run", "eval", "sweep"):
             assert sub in proc.stdout
+
+    def test_cli_runs_on_numpy_alone(self):
+        # importing scipy.sparse adds ~16 MB to a process's peak RSS
+        import subprocess
+        import sys
+
+        code = "import pqlm.cli, sys; assert 'scipy' not in sys.modules"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestHelp:

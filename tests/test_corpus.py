@@ -1,6 +1,9 @@
 import io
+from collections import Counter
 
 import pytest
+
+import pqlm.porter
 
 from pqlm import (
     Corpus,
@@ -45,6 +48,32 @@ class TestTokenize:
     def test_krovetz_not_shipped(self):
         with pytest.raises(ValueError, match="krovetz"):
             PreprocessOptions(stemmer="krovetz")
+
+
+class TestStemMemo:
+    @pytest.fixture
+    def stem_calls(self, monkeypatch):
+        calls: Counter = Counter()
+        stem = pqlm.porter.stem
+        monkeypatch.setattr(pqlm.porter, "stem", lambda t: calls.update([t]) or stem(t))
+        return calls
+
+    def test_build_stems_each_distinct_token_once(self, stem_calls):
+        docs = [("d0", "Running runners run"), ("d1", "running jumps RUNNING"),
+                ("d2", "the the")]
+        opts = PreprocessOptions(stemmer="porter", stoplist={"the"})
+        excluded: list[str] = []
+        corpus = build_corpus(docs, opts, excluded)
+        assert stem_calls == Counter(["running", "runners", "run", "jumps"])
+        assert [d.term_counts for d in corpus.documents] == [
+            {"run": 2, "runner": 1}, {"run": 2, "jump": 1}]
+        assert excluded == ["d2"]
+
+    def test_tokenize_stems_each_distinct_token_once_per_call(self, stem_calls):
+        opts = PreprocessOptions(stemmer="porter")
+        for _ in range(2):
+            assert tokenize("cats cats cat", opts) == ["cat", "cat", "cat"]
+        assert stem_calls == Counter({"cats": 2, "cat": 2})
 
 
 class TestParseTrec:

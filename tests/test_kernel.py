@@ -38,7 +38,7 @@ from pqlm import (
 )
 from pqlm import oracles, pipeline, scoring
 from pqlm.corpus import Query, TermIndex
-from pqlm.lm import log_rendition_docs
+from pqlm.lm import log_rendition, log_rendition_docs
 
 GOLDEN_SHA256 = "b1cffddc03ddcd2ab30a1a6cf31bd516f0503030abc6f0168d000db72c9314f0"
 
@@ -123,6 +123,62 @@ class TestKernel:
         assert ids.tolist() == [0, 1] and counts.tolist() == [1.0, 1.0]
         ids, counts = tiny_corpus.postings("a")
         assert ids.tolist() == [0] and counts.tolist() == [2.0]
+
+
+class _CountingMemo(dict):
+    """A deviation memo that counts its stores: one per memo miss, each
+    miss one logarithm per posting of the term."""
+
+    stores = 0
+
+    def __setitem__(self, term, entry):
+        self.stores += 1
+        super().__setitem__(term, entry)
+
+
+class TestDeviationMemo:
+    @staticmethod
+    def owners(corpus):
+        return {"corpus": corpus,
+                "clusters": build_clusters(corpus, 3, precompute_neighbors(corpus, 3, 2.0))}
+
+    @pytest.mark.parametrize("owner_kind", ["corpus", "clusters"])
+    def test_second_rendition_of_a_text_takes_no_logarithm(self, owner_kind):
+        corpus = random_corpus(np.random.default_rng(37), n_docs=10)
+        owner = self.owners(corpus)[owner_kind]
+        mu = 7.5
+        memo = owner._deviations[mu] = _CountingMemo()
+        text = corpus.documents[0].term_counts
+        first = log_rendition(owner, corpus, text, mu)
+        assert memo.stores == len(text)
+        second = log_rendition(owner, corpus, text, mu)
+        assert memo.stores == len(text)
+        assert np.array_equal(first, second)
+        # another mu has its own entries
+        log_rendition(owner, corpus, text, 2 * mu)
+        assert memo.stores == len(text) and len(owner._deviations[2 * mu]) == len(text)
+
+    def test_memo_hits_stay_bit_equal_to_literal_reference(self):
+        rng = np.random.default_rng(41)
+        corpus = random_corpus(rng, n_docs=12)
+        for mu in (0.5, 30.0, 0.5):
+            for doc in corpus.documents:
+                assert np.array_equal(log_rendition_docs(corpus, doc.term_counts, mu),
+                                      literal_log_rendition(corpus, doc.term_counts, mu))
+
+    def test_entries_are_read_only_and_one_float_per_posting(self):
+        corpus = random_corpus(np.random.default_rng(43), n_docs=10)
+        for owner in self.owners(corpus).values():
+            for doc in corpus.documents:
+                log_rendition(owner, corpus, doc.term_counts, 2.0)
+            assert list(owner._deviations) == [2.0]
+            for term, (background, deviations) in owner._deviations[2.0].items():
+                assert background == math.log(2.0 * corpus.collection_prob(term))
+                assert deviations.dtype == np.float64
+                assert len(deviations) == len(owner.postings(term)[0])
+                assert not deviations.flags.writeable
+                with pytest.raises(ValueError):
+                    deviations[:] = 0.0
 
 
 # -- golden run bytes -----------------------------------------------------

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_corpus, random_mu, term_probs
 from pqlm import (
@@ -11,7 +13,7 @@ from pqlm import (
     build_corpus,
     precompute_neighbors,
 )
-from pqlm.lm import log_rendition_docs, ranked_order
+from pqlm.lm import log_rendition_docs, ranked_order, top_k
 from pqlm import oracles
 
 
@@ -129,6 +131,31 @@ class TestTopRenderers:
         b = ranked_order(renditions(rev, {"b": 1}, 1.0))[:2]
         assert [tiny_corpus.documents[d].docno for d in a] == \
             [rev.documents[d].docno for d in b]
+
+
+# few distinct values make heavy ties; the rest are any floats, NaN included
+_SCORES = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0, math.inf, -math.inf]),
+                             st.floats()), min_size=1, max_size=40)
+
+
+class TestTopK:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_SCORES, st.data())
+    def test_equals_ranked_order_prefix(self, values, data):
+        scores = np.array(values)
+        n = len(values)
+        k = data.draw(st.one_of(st.sampled_from([1, n, n + 3]), st.integers(1, n)))
+        top = top_k(scores, k)
+        assert top.tolist() == ranked_order(scores)[:k].tolist()
+        # a new array, never a view of an N-long one
+        assert top.base is None
+
+    def test_ties_at_the_cut_go_to_lower_ids(self, monkeypatch):
+        # below N and without NaN, the partition path answers alone
+        monkeypatch.setattr("pqlm.lm.ranked_order", None)
+        scores = np.array([1.0, 3.0, 2.0, 2.0, 3.0, 2.0])
+        assert top_k(scores, 3).tolist() == [1, 4, 2]
+        assert top_k(scores, 4).tolist() == [1, 4, 2, 3]
 
 
 class TestRepertoire:
