@@ -168,8 +168,6 @@ def estimate_relevance_model(query_counts: dict[str, int], corpus: Corpus,
     # term ids are lexicographic, so every sum below runs in sorted-term
     # order, which a freshly built and a reloaded corpus share
     vocab = corpus.vocabulary
-    coll_prob = np.fromiter(map(corpus.collection_counts.__getitem__, vocab), float,
-                            len(vocab)) / corpus.collection_length
     mixture = np.zeros(len(vocab))
     in_feedback = np.zeros(len(vocab), dtype=bool)
     for pi, d in zip(posterior, feedback):
@@ -178,7 +176,7 @@ def estimate_relevance_model(query_counts: dict[str, int], corpus: Corpus,
                           len(doc.term_counts))
         tf = np.zeros(len(vocab))
         tf[ids] = np.fromiter(doc.term_counts.values(), float, len(ids))
-        mixture += pi * smoothed(tf, doc.length, coll_prob)
+        mixture += pi * smoothed(tf, doc.length, corpus._collection_probs)
         in_feedback[ids] = True
     ids = np.arange(len(vocab)) if lambda_r != 0.0 else np.flatnonzero(in_feedback)
     # one renormalization guards against accumulated rounding; Python's
@@ -190,8 +188,7 @@ def estimate_relevance_model(query_counts: dict[str, int], corpus: Corpus,
         kept = np.lexsort((ids, -probs))[:clip_k]
         ids, probs = ids[kept], probs[kept]
         probs = probs / sum(probs.tolist())
-    terms = list(vocab)
-    return RelevanceDistribution(dict(zip(map(terms.__getitem__, ids.tolist()),
+    return RelevanceDistribution(dict(zip(map(corpus._terms.__getitem__, ids.tolist()),
                                           probs.tolist())))
 
 

@@ -29,7 +29,7 @@ from .drift import INTERPOLATING, TRUNCATING, DriftTechnique
 from .evaluation import Qrels, evaluate_run, format_report, parse_run
 from .experiment import SystemSpec, parse_spec
 from .lm import NeighborIndex, precompute_neighbors
-from .pipeline import RunConfig, format_run_lines, run_retrieval
+from .pipeline import RunConfig, check_cluster_index, format_run_lines, run_retrieval
 from .storage import atomic_write
 
 THREADS_ENV = "PQLM_THREADS"
@@ -244,11 +244,13 @@ def _rel(spec_path: str, path: str) -> str:
     return str(p if p.is_absolute() else Path(spec_path).parent / p)
 
 
-def _cluster_index_for(spec, spec_path, corpus, config: RunConfig,
-                       cluster_indexes: dict) -> ClusterIndex:
-    """The cluster index of one mccluster point, made once per (delta, mu)
-    and kept in `cluster_indexes` for the other points of the invocation:
+def _cluster_index_for(spec, spec_path, corpus, config,
+                       cluster_indexes: dict) -> ClusterIndex | None:
+    """The checked cluster index of an mccluster point (None for others), made
+    once per (delta, mu) and kept in `cluster_indexes` for the other points:
     it and its memos depend only on the document text, delta and mu."""
+    if not isinstance(config, RunConfig) or config.method != "mccluster":
+        return None
     delta = config.resolved_delta(corpus)
     key = (delta, config.mu)
     if key not in cluster_indexes:
@@ -259,6 +261,7 @@ def _cluster_index_for(spec, spec_path, corpus, config: RunConfig,
                          if spec.neighbors else precompute_neighbors(corpus, delta, config.mu))
             index = build_clusters(corpus, delta, neighbors)
         cluster_indexes[key] = index
+    check_cluster_index(cluster_indexes[key], config, corpus)
     return cluster_indexes[key]
 
 
@@ -293,15 +296,11 @@ def _point_config(system: SystemSpec, point: dict[str, str]) -> RunConfig | tupl
     return _make_run_config(method, point, system.params.get("drift", ["none"]))
 
 
-def _score_point(config, tag: str, run_path: Path, corpus, queries, threads: int,
-                 spec, spec_path: str, cluster_indexes: dict) -> list[str]:
+def _score_point(config, cluster_index, tag: str, run_path: Path, corpus, queries,
+                 threads: int) -> list[str]:
     """Rank every query at one configured point, write the run file and
-    return its lines; `cluster_indexes` is shared by the points of one
-    invocation."""
+    return its lines."""
     if isinstance(config, RunConfig):
-        cluster_index = (_cluster_index_for(spec, spec_path, corpus, config, cluster_indexes)
-                         if config.method == "mccluster" else None)
-
         def score(query):
             return run_retrieval(query, config, corpus, cluster_index)
     else:
@@ -335,13 +334,9 @@ def _queries(corpus, topics):
     out = []
     for qid, title in topics:
         q = corpus.preprocess_query(qid, title)
-        if not q.terms:
-            print(f"skipping query {qid}: empty after preprocessing",
-                  file=sys.stderr)
-            continue
         if not any(t in corpus.collection_counts for t in q.terms):
-            print(f"skipping query {qid}: no term in the corpus vocabulary",
-                  file=sys.stderr)
+            why = "no term in the corpus vocabulary" if q.terms else "empty after preprocessing"
+            print(f"skipping query {qid}: {why}", file=sys.stderr)
             continue
         out.append(q)
     return out
@@ -349,19 +344,22 @@ def _queries(corpus, topics):
 
 def cmd_run(args) -> int:
     spec, corpus, topics, qrels = _load_experiment(args.spec)
-    # every point is checked before any is scored, so a bad point leaves
-    # no run files of the points before it
-    points = [(_point_label(system, point), _system_tag(system.name, point),
-               _point_config(system, point))
-              for system in spec.systems for point in system.grid()]
+    # every point, with its cluster index, is checked before any is scored,
+    # so a bad point leaves no run files of the points before it
+    points, cluster_indexes = [], {}
+    for system in spec.systems:
+        for point in system.grid():
+            config = _point_config(system, point)
+            points.append((_point_label(system, point), _system_tag(system.name, point), config,
+                           _cluster_index_for(spec, args.spec, corpus, config, cluster_indexes)))
     queries = _queries(corpus, topics)
     outdir = Path(_rel(args.spec, spec.output))
     outdir.mkdir(parents=True, exist_ok=True)
-    reports, cluster_indexes = {}, {}
-    for label, tag, config in points:
+    reports = {}
+    for label, tag, config, cluster_index in points:
         run_path = outdir / f"{label}.run"
-        lines = _score_point(config, tag, run_path, corpus, queries, args.threads,
-                             spec, args.spec, cluster_indexes)
+        lines = _score_point(config, cluster_index, tag, run_path, corpus, queries,
+                             args.threads)
         print(f"wrote {run_path} ({len(lines)} rows)")
         if qrels is not None:
             reports[label] = _evaluate(lines, config, qrels)
@@ -403,18 +401,20 @@ def cmd_sweep(args) -> int:
     # feedback baselines share the round-1 pool size through k1
     knob = "k1" if system.method in _BASELINES else "alpha1"
     # every point is checked before any is scored, as in cmd_run
-    points = []
+    points, cluster_indexes = [], {}
     for alpha1 in args.alpha1:
         point = {**grid[0], knob: str(alpha1)}
-        points.append((alpha1, _system_tag(system.name, point), _point_config(system, point)))
+        config = _point_config(system, point)
+        points.append((alpha1, _system_tag(system.name, point), config,
+                       _cluster_index_for(spec, args.spec, corpus, config, cluster_indexes)))
     queries = _queries(corpus, topics)
     outdir = Path(_rel(args.spec, spec.output))
     outdir.mkdir(parents=True, exist_ok=True)
-    rows, cluster_indexes = ["alpha1,map,recall"], {}
-    for i, (alpha1, tag, config) in enumerate(points):
+    rows = ["alpha1,map,recall"]
+    for i, (alpha1, tag, config, cluster_index) in enumerate(points):
         run_path = outdir / f"{i:03d}_{system.name}_alpha1={alpha1}.run"
-        lines = _score_point(config, tag, run_path, corpus, queries, args.threads,
-                             spec, args.spec, cluster_indexes)
+        lines = _score_point(config, cluster_index, tag, run_path, corpus, queries,
+                             args.threads)
         report = _evaluate(lines, config, qrels)
         rows.append(f"{alpha1},{report.mean_ap:.6f},{report.recall_micro:.6f}")
     csv_path = outdir / f"sweep_{system.name}.csv"

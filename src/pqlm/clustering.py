@@ -3,9 +3,12 @@
 A cluster is literally its seed's top-delta renderer set; the seed is a
 member only if it ranks among its own top delta (checked, never assumed).
 Cluster ids reuse seed doc ids, so the lower-id tie rule carries over
-without a second numbering scheme.  A cluster is stored as its member list;
-its term counts and length, sums over its members' text, are derived from
-the document postings and are integers below 2**53, exact in float64.
+without a second numbering scheme.  A cluster is stored as its member list.
+Its length, the sum of its members' lengths, is summed from the corpus's
+document lengths when the index is made (O(N * delta), without building
+the postings); its term counts are its members' document postings summed
+per term on the term's first use.  Both are integers below 2**53, exact in
+float64.
 """
 
 from __future__ import annotations
@@ -39,8 +42,7 @@ class ClusterIndex:
         self._holders = owners[np.argsort(docs, kind="stable")]
         self._holder_ptr = np.zeros(corpus.n_docs + 1, dtype=np.int64)
         np.cumsum(np.bincount(docs, minlength=corpus.n_docs), out=self._holder_ptr[1:])
-        doc_lengths = np.fromiter((d.length for d in corpus.documents), float, corpus.n_docs)
-        self._lengths = np.bincount(owners, doc_lengths[docs], minlength=len(self.members))
+        self._lengths = np.bincount(owners, corpus.lengths()[docs], minlength=len(self.members))
         self._postings: dict[str, tuple] = {}
         # mu -> term -> (background, deviations), as on the corpus
         self._deviations: dict[float, dict] = {}
@@ -90,8 +92,7 @@ class ClusterIndex:
             for row, cols, table in zip(counts, columns, tables):
                 row[cols] = list(table.values())
             text_counts = counts.sum(axis=0)  # integer sums, exact
-            coll = np.fromiter(map(corpus.collection_counts.__getitem__, column), float,
-                               len(column)) / corpus.collection_length
+            coll = corpus._collection_probs[[corpus.vocabulary[t] for t in column]]
             lengths = corpus.lengths()[list(members)]
             # elementwise log + pairwise sum keeps results thread-independent;
             # sorting each member's contributions first makes the sum

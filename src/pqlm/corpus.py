@@ -104,49 +104,15 @@ class Query:
     terms: list[str]
 
 
-class TermIndex:
-    """Document postings in CSR form (cluster postings are sums of these):
-    vocabulary term t has doc ids ``ids[indptr[t]:indptr[t + 1]]`` (int32,
-    ascending) and float64 ``counts``.  Built on first use in one O(P) pass
-    over the P postings, under a lock so that concurrent first uses build once.
-    """
-
-    def __init__(self, documents, vocabulary: dict[str, int]):
-        self._documents, self._vocabulary = documents, vocabulary
-        self._arrays = None
-        self._lock = threading.Lock()
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """(indptr, ids, counts, document lengths)."""
-        with self._lock:
-            if self._arrays is None:
-                self._arrays = self._build()
-        return self._arrays
-
-    def _build(self):
-        tables = [d.term_counts for d in self._documents]
-        sizes = np.fromiter(map(len, tables), np.int64, len(tables))
-        terms = np.fromiter(map(self._vocabulary.__getitem__, chain.from_iterable(tables)),
-                            np.int32, sizes.sum())
-        counts = np.fromiter(chain.from_iterable(t.values() for t in tables),
-                             np.float64, len(terms))
-        order = np.argsort(terms, kind="stable")
-        indptr = np.zeros(len(self._vocabulary) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(terms, minlength=len(self._vocabulary)), out=indptr[1:])
-        ids = np.repeat(np.arange(len(tables), dtype=np.int32), sizes)[order]
-        lengths = np.array([d.length for d in self._documents], dtype=float)
-        return indptr, ids, counts[order], lengths
-
-    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, counts) views of one term's postings; empty when unknown."""
-        indptr, ids, counts, _ = self.arrays()
-        t = self._vocabulary.get(term)
-        span = slice(0, 0) if t is None else slice(indptr[t], indptr[t + 1])
-        return ids[span], counts[span]
-
-
 class Corpus:
-    """Indexed document collection with collection-level statistics."""
+    """Indexed document collection with the statistics every language model
+    reads, each built once and read-only.  Construction makes the collection
+    counts and length (O(P) over the P postings), the lexicographic
+    vocabulary (O(V log V) for V terms), the document lengths (N float64s),
+    each term id's collection probability (V float64s) and the id -> term
+    tuple.  The first :meth:`postings` call builds the CSR postings in one
+    pass, under a lock: int32 doc ids and float64 counts, 12 bytes a posting.
+    """
 
     def __init__(self, documents: list[Document], options: PreprocessOptions):
         self.documents = documents
@@ -157,10 +123,13 @@ class Corpus:
         self.collection_counts: dict[str, int] = dict(counts)
         self.collection_length = sum(doc.length for doc in documents)
         # lexicographic term ids: deterministic and reload-stable
-        self.vocabulary: dict[str, int] = {
-            t: i for i, t in enumerate(sorted(self.collection_counts))
-        }
-        self._terms = TermIndex(documents, self.vocabulary)
+        self.vocabulary = {t: i for i, t in enumerate(sorted(self.collection_counts))}
+        self._terms = tuple(self.vocabulary)
+        self._lengths = np.array([d.length for d in documents], dtype=float)
+        self._collection_probs = (np.array([counts[t] for t in self._terms], dtype=float)
+                                  / self.collection_length)
+        self._lengths.flags.writeable = self._collection_probs.flags.writeable = False
+        self._csr, self._csr_lock = None, threading.Lock()
         self._postings: dict[str, tuple] = {}
         # mu -> term -> (background, read-only per-posting deviations),
         # filled by lm.log_rendition
@@ -182,14 +151,37 @@ class Corpus:
         return self.collection_counts.get(term, 0) / self.collection_length
 
     def lengths(self) -> np.ndarray:
-        return self._terms.arrays()[3]
+        """Document lengths by doc id, float64, read-only."""
+        return self._lengths
 
     def postings(self, term: str):
-        """(doc_ids, counts) of one term: O(df) views into the term index."""
+        """(doc_ids, counts) of one term: O(df) views into the CSR postings;
+        empty when the term is unknown."""
         hit = self._postings.get(term)
         if hit is None:
-            hit = self._postings[term] = self._terms.postings(term)
+            with self._csr_lock:
+                if self._csr is None:
+                    self._csr = self._build_postings()
+            indptr, ids, counts = self._csr
+            t = self.vocabulary.get(term)
+            span = slice(0, 0) if t is None else slice(indptr[t], indptr[t + 1])
+            hit = self._postings[term] = (ids[span], counts[span])
         return hit
+
+    def _build_postings(self) -> tuple[np.ndarray, ...]:
+        """(indptr, ids, counts): term id t has doc ids
+        ``ids[indptr[t]:indptr[t + 1]]``, ascending, and their counts."""
+        tables = [d.term_counts for d in self.documents]
+        sizes = np.fromiter(map(len, tables), np.int64, len(tables))
+        terms = np.fromiter(map(self.vocabulary.__getitem__, chain.from_iterable(tables)),
+                            np.int32, sizes.sum())
+        counts = np.fromiter(chain.from_iterable(t.values() for t in tables),
+                             np.float64, len(terms))
+        order = np.argsort(terms, kind="stable")
+        indptr = np.zeros(len(self._terms) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(terms, minlength=len(self._terms)), out=indptr[1:])
+        ids = np.repeat(np.arange(len(tables), dtype=np.int32), sizes)[order]
+        return indptr, ids, counts[order]
 
     def preprocess_query(self, query_id: str, text: str) -> Query:
         return Query(query_id, tokenize(text, self.options))
@@ -337,6 +329,13 @@ _DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.S)
 _TEXT_RE = re.compile(r"<TEXT>(.*?)</TEXT>", re.S)
 
 
+def read_text(data, errors: str = "replace") -> str:
+    """`data` as text: a str, UTF-8 bytes or a file-like object."""
+    if hasattr(data, "read"):
+        data = data.read()
+    return data.decode("utf-8", errors) if isinstance(data, bytes) else data
+
+
 def parse_trec(data) -> list[tuple[str, str]]:
     """Parse TREC SGML <DOC> blocks into (docno, text) pairs.
 
@@ -371,11 +370,7 @@ def parse_trec(data) -> list[tuple[str, str]]:
 
 def parse_lines(data) -> list[tuple[str, str]]:
     """One document per line; line k (0-based) becomes docno "L<k>"."""
-    if hasattr(data, "read"):
-        data = data.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", "replace")
-    return [(f"L{k}", line) for k, line in enumerate(data.splitlines())]
+    return [(f"L{k}", line) for k, line in enumerate(read_text(data).splitlines())]
 
 
 _TOP_RE = re.compile(r"<top>(.*?)</top>", re.S | re.I)
@@ -385,12 +380,8 @@ _TITLE_RE = re.compile(r"<title>\s*(?:Topic:)?\s*(.*?)\s*(?=<|\Z)", re.S | re.I)
 
 def parse_topics(data) -> list[tuple[str, str]]:
     """Parse TREC topic files into (query_id, title) pairs."""
-    if hasattr(data, "read"):
-        data = data.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", "replace")
     out = {}
-    for block in _TOP_RE.findall(data):
+    for block in _TOP_RE.findall(read_text(data)):
         num_m = _NUM_RE.search(block)
         if num_m is None:
             raise ParseError("topic block without <num>")

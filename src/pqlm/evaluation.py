@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ParseError
+from .corpus import ParseError, read_text
 
 
 def average_precision(run: Sequence[str], relevant: set[str], n: int) -> float:
@@ -144,12 +144,8 @@ class Qrels:
     @classmethod
     def parse(cls, data) -> "Qrels":
         """Lines of `qid 0 docno rel`; rel > 0 marks relevance."""
-        if hasattr(data, "read"):
-            data = data.read()
-        if isinstance(data, bytes):
-            data = data.decode()
         relevant: dict[str, set[str]] = {}
-        for lineno, line in enumerate(data.splitlines(), start=1):
+        for lineno, line in enumerate(read_text(data, "strict").splitlines(), start=1):
             if not line.strip():
                 continue
             parts = line.split()
@@ -157,26 +153,29 @@ class Qrels:
                 raise ParseError(f"qrels line {lineno}: expected 4 fields")
             qid, _, docno, rel = parts
             relevant.setdefault(qid, set())
-            if int(rel) > 0:
+            if _int_field(rel, f"qrels line {lineno}") > 0:
                 relevant[qid].add(docno)
         return cls(relevant)
 
 
+def _int_field(value: str, where: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"{where}: {value!r} is not an integer") from None
+
+
 def parse_run(data) -> dict[str, list[str]]:
     """TREC 6-column run -> qid -> docnos in rank order."""
-    if hasattr(data, "read"):
-        data = data.read()
-    if isinstance(data, bytes):
-        data = data.decode()
     runs: dict[str, list[tuple[int, str]]] = {}
-    for lineno, line in enumerate(data.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(data, "strict").splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split()
         if len(parts) != 6:
             raise ParseError(f"run line {lineno}: expected 6 fields")
         qid, _, docno, rank, _score, _tag = parts
-        runs.setdefault(qid, []).append((int(rank), docno))
+        runs.setdefault(qid, []).append((_int_field(rank, f"run line {lineno}"), docno))
     return {qid: [d for _, d in sorted(rows)] for qid, rows in runs.items()}
 
 
@@ -193,6 +192,8 @@ class EvalReport:
 
 
 def evaluate_run(run: dict[str, list[str]], qrels: Qrels, n: int = 1000) -> EvalReport:
+    if n < 1:
+        raise ValueError("depth must be >= 1")
     per_ap: dict[str, float] = {}
     per_recall: dict[str, float] = {}
     excluded: list[str] = []

@@ -86,6 +86,23 @@ def _next_pseudo_queries(ranking: ScoredRanking) -> PseudoQueryList:
     return PseudoQueryList(items, weights)
 
 
+def check_cluster_index(cluster_index: ClusterIndex | None, config: RunConfig,
+                        corpus: Corpus) -> None:
+    """An mccluster configuration's cluster index: present, built for this
+    corpus and at the configuration's mu and delta; ValueError otherwise."""
+    if cluster_index is None:
+        raise ValueError("mccluster requires a cluster index")
+    if cluster_index.corpus_hash != corpus.content_hash:
+        raise ValueError("cluster index was built for a different corpus")
+    if cluster_index.mu != config.mu:
+        raise ValueError(f"cluster index was built with mu={cluster_index.mu}, "
+                         f"config has mu={config.mu}")
+    delta = config.resolved_delta(corpus)
+    if cluster_index.delta != delta:
+        raise ValueError(f"cluster index was built with delta={cluster_index.delta}, "
+                         f"config expects delta={delta}")
+
+
 def run_retrieval(query: Query, config: RunConfig, corpus: Corpus,
                   cluster_index: ClusterIndex | None = None,
                   trace: list[RoundTrace] | None = None) -> ScoredRanking:
@@ -99,18 +116,7 @@ def run_retrieval(query: Query, config: RunConfig, corpus: Corpus,
     query_counts = corpus.query_counts(query)
 
     if config.method == "mccluster":
-        if cluster_index is None:
-            raise ValueError("mccluster requires a cluster index")
-        if cluster_index.corpus_hash != corpus.content_hash:
-            raise ValueError("cluster index was built for a different corpus")
-        if cluster_index.mu != config.mu:
-            raise ValueError(
-                f"cluster index was built with mu={cluster_index.mu}, "
-                f"config has mu={config.mu}")
-        if cluster_index.delta != config.resolved_delta(corpus):
-            raise ValueError(
-                f"cluster index was built with delta={cluster_index.delta}, "
-                f"config expects delta={config.resolved_delta(corpus)}")
+        check_cluster_index(cluster_index, config, corpus)
 
     query_p = (np.exp(log_rendition_docs(corpus, query_counts, config.mu))
                if config.method != "mccluster" or config.drift.reads_query else None)

@@ -256,6 +256,37 @@ mu = 5
         paths = _artifacts(tmp_path)
         assert self._run_with_clusters(tmp_path, paths) == 0
 
+    @pytest.mark.parametrize("delta, mu, needle", [
+        (2, 5, "cluster index was built with delta=3"),
+        (3, 7, "cluster index was built with mu=5.0"),
+    ])
+    def test_cluster_file_mismatch_writes_no_run_file(self, tmp_path, capsys,
+                                                      delta, mu, needle):
+        # the vdoc point comes first; the clusters point is checked before it runs
+        paths = _artifacts(tmp_path, k_max=3, delta=3)
+        capsys.readouterr()
+        topics = tmp_path / "topics.txt"
+        topics.write_text("<top><num> 1 <title> x w1 </top>")
+        spec = write_spec(tmp_path, f"""\
+index = {paths['index']}
+clusters = {paths['clusters']}
+topics = {topics}
+output = out
+
+[system]
+name = v
+method = vdoc
+mu = 5
+
+[system]
+name = clustered
+method = mccluster
+delta = {delta}
+mu = {mu}
+""")
+        _assert_data_error(main(["run", str(spec)]), capsys, needle)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("bad_id", [99, -1])
     def test_cluster_member_out_of_range(self, tmp_path, capsys, bad_id):
         paths = _artifacts(tmp_path)
@@ -796,6 +827,28 @@ class TestEvalCommand:
                      str(run_path)]) == 0
         out = capsys.readouterr().out
         assert "prec" in out and "recall" in out and "baseline" in out
+
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_depth_below_one_is_data_error(self, tmp_path, capsys, depth):
+        main(["run", str(baseline_spec(tmp_path))])
+        capsys.readouterr()
+        code = main(["eval", "--qrels", str(DATA / "micro.qrels"), "--depth", depth,
+                     str(tmp_path / "out" / "baseline.run")])
+        _assert_data_error(code, capsys, "depth must be >= 1")
+
+    def test_non_integer_relevance_names_its_line(self, tmp_path, capsys):
+        qrels = tmp_path / "bad.qrels"
+        qrels.write_text("1 0 D1 1\n1 0 D2 x\n")
+        run = tmp_path / "r.run"
+        run.write_text("1 Q0 D1 1 0.5 t\n")
+        code = main(["eval", "--qrels", str(qrels), str(run)])
+        _assert_data_error(code, capsys, "qrels line 2: 'x' is not an integer")
+
+    def test_non_integer_rank_names_its_line(self, tmp_path, capsys):
+        run = tmp_path / "r.run"
+        run.write_text("1 Q0 D1 1 0.5 t\n1 Q0 D2 two 0.4 t\n")
+        code = main(["eval", "--qrels", str(DATA / "micro.qrels"), str(run)])
+        _assert_data_error(code, capsys, "run line 2: 'two' is not an integer")
 
 
 class TestSweep:

@@ -22,6 +22,7 @@ import pytest
 
 from conftest import random_corpus, random_mu
 from pqlm import (
+    ClusterIndex,
     Corpus,
     DriftTechnique,
     PreprocessOptions,
@@ -37,7 +38,7 @@ from pqlm import (
     singleton_cluster_index,
 )
 from pqlm import oracles, pipeline, scoring
-from pqlm.corpus import Query, TermIndex
+from pqlm.corpus import Query
 from pqlm.lm import log_rendition, log_rendition_docs
 
 GOLDEN_SHA256 = "b1cffddc03ddcd2ab30a1a6cf31bd516f0503030abc6f0168d000db72c9314f0"
@@ -123,6 +124,38 @@ class TestKernel:
         assert ids.tolist() == [0, 1] and counts.tolist() == [1.0, 1.0]
         ids, counts = tiny_corpus.postings("a")
         assert ids.tolist() == [0] and counts.tolist() == [2.0]
+
+
+class TestCorpusStatistics:
+    """The statistics a corpus builds once, at construction."""
+
+    def test_lengths_and_cluster_index_do_not_build_postings(self, monkeypatch):
+        corpus, _ = golden_corpus()
+        builds = []
+        build = Corpus._build_postings
+
+        def counted_build(self):
+            builds.append(self)
+            return build(self)
+
+        monkeypatch.setattr(Corpus, "_build_postings", counted_build)
+        assert corpus.lengths().tolist() == [d.length for d in corpus.documents]
+        clusters = ClusterIndex([(d, (d + 1) % corpus.n_docs) for d in range(corpus.n_docs)],
+                                corpus, MU, 2)
+        assert clusters.lengths()[0] == corpus.documents[0].length + corpus.documents[1].length
+        assert builds == []
+        corpus.postings("w0")
+        assert builds == [corpus]
+
+    def test_collection_vector_equals_collection_prob(self, tmp_path):
+        corpus, _ = golden_corpus()
+        corpus.save(tmp_path / "index.json")
+        for owner in (corpus, Corpus.load(tmp_path / "index.json")):
+            assert owner._terms == tuple(sorted(owner.vocabulary))
+            assert owner._collection_probs.tolist() == [
+                owner.collection_prob(t) for t in owner._terms]
+            for stat in (owner._collection_probs, owner.lengths()):
+                assert not stat.flags.writeable
 
 
 class _CountingMemo(dict):
@@ -254,14 +287,14 @@ def test_term_index_built_once_under_threads(tmp_path, monkeypatch):
     corpus.save(tmp_path / "index.json")
     fresh = Corpus.load(tmp_path / "index.json")
     builds = []
-    build = TermIndex._build
+    build = Corpus._build_postings
 
     def slow_build(self):
         builds.append(self)
         time.sleep(0.05)  # lets the other workers reach the index meanwhile
         return build(self)
 
-    monkeypatch.setattr(TermIndex, "_build", slow_build)
+    monkeypatch.setattr(Corpus, "_build_postings", slow_build)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
