@@ -1,12 +1,12 @@
 """Reference retrieval systems: the plain language-model ranking,
 pseudo-feedback Rocchio, and the (optionally clipped) relevance model.
 
-Per-query cost, for N documents and a V-term vocabulary: the LM ranking is
-one rendition pass, O(|q| + sum of the query terms' df + N log N); Rocchio
-is two tf.idf inner-product passes, with idf for the query and feedback
-terms only; the relevance model is an LM ranking for its feedback, O(k1 * V)
-vector operations and O(V) list work to estimate the model, and one
-rendition pass over the model's support.
+Per-query cost, for N documents, depth n and a V-term vocabulary: the LM
+ranking is one rendition pass, O(|q| + sum of the query terms' df + N +
+n log n); Rocchio is two tf.idf inner-product passes, with idf for the query
+and feedback terms only; the relevance model is an LM ranking for its
+feedback, O(k1 * V) vector operations and O(V) list work to estimate the
+model, and one rendition pass over the model's support.
 """
 
 from __future__ import annotations
@@ -17,19 +17,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, Query
-from .lm import log_rendition_docs, top_k
+from .lm import log_rendition_docs, top_k, top_renderers
 from .scoring import ScoredRanking
+
+
+# spec key -> (test of a value, the range it states); N is the depth n
+_ARG_RANGES = {
+    "N": (lambda v: v >= 1, ">= 1"),
+    "k1": (lambda v: v >= 1, ">= 1"),
+    "t": (lambda v: v >= 0, ">= 0"),
+    "gamma": (lambda v: v >= 0, ">= 0"),
+    "lambda_r": (lambda v: 0 < v < 1, "strictly between 0 and 1"),
+    "clip_k": (lambda v: v >= 0, ">= 0"),
+    "mu": (lambda v: 0 < v < math.inf, "a positive finite number"),
+}
+
+
+def check_args(**args) -> None:
+    """ValueError for the first argument, keyed by its spec key, that lies
+    outside its range; every system below checks its arguments here."""
+    for key, value in args.items():
+        test, bound = _ARG_RANGES[key]
+        if not test(value):
+            raise ValueError(f"{key} must be {bound}, got {key}={value}")
 
 
 def lm_baseline(query: Query, corpus: Corpus, mu: float, n: int) -> ScoredRanking:
     """Rank every document by its rendition probability of the query.
 
-    O(|q| + sum of the query terms' df + N log N) per query.
+    O(|q| + sum of the query terms' df + N + n log n) per query.
     """
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    scores = np.exp(log_rendition_docs(corpus, corpus.query_counts(query), mu))
-    return ScoredRanking.from_dense(scores).truncate(n)
+    check_args(N=n, mu=mu)
+    return ScoredRanking(*top_renderers(corpus, corpus.query_counts(query), n, mu))
 
 
 # -- Rocchio over pseudo-feedback ----------------------------------------
@@ -58,12 +77,7 @@ def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,
     passes over the postings of the query and expansion terms, and two
     O(N log N) rankings.
     """
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    if k1 < 1:
-        raise ValueError("k1 must be >= 1")
-    if t < 0 or gamma < 0:
-        raise ValueError("t and gamma must be >= 0")
+    check_args(N=n, k1=k1, t=t, gamma=gamma)
     k1 = min(k1, corpus.n_docs)
     q_counts = corpus.query_counts(query)
     idf = _idf(corpus, q_counts)
@@ -185,7 +199,7 @@ def estimate_relevance_model(query_counts: dict[str, int], corpus: Corpus,
     probs = probs / sum(probs.tolist())
 
     if 0 < clip_k < len(ids):
-        kept = np.lexsort((ids, -probs))[:clip_k]
+        kept = top_k(probs, clip_k)
         ids, probs = ids[kept], probs[kept]
         probs = probs / sum(probs.tolist())
     return RelevanceDistribution(dict(zip(map(corpus._terms.__getitem__, ids.tolist()),
@@ -200,18 +214,11 @@ def relevance_model_rank(query: Query, corpus: Corpus, k1: int, lambda_r: float,
     Scores are emitted as negative KL(R || Dirichlet(d)) so that higher is
     better, matching every other system here.
     """
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    if k1 < 1:
-        raise ValueError("k1 must be >= 1")
-    if not 0.0 < lambda_r < 1.0:
-        raise ValueError("lambda_r must lie strictly between 0 and 1")
-    if clip_k < 0:
-        raise ValueError("clip_k must be >= 0")
+    check_args(N=n, k1=k1, lambda_r=lambda_r, clip_k=clip_k, mu=mu)
     counts = corpus.query_counts(query)
     # the lm_baseline order of the feedback documents, without normalising
     # the query a second time
-    feedback = top_k(np.exp(log_rendition_docs(corpus, counts, mu)), k1).tolist()
+    feedback = top_renderers(corpus, counts, k1, mu)[0].tolist()
     rel = estimate_relevance_model(counts, corpus, feedback, lambda_r, clip_k)
     # -KL(R || d) = H(R) + sum_w p_R(w) log p_dir(w | d): the cross-entropy
     # term is a rendition score of the fractional-count text p_R.

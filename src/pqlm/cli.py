@@ -138,7 +138,7 @@ def _preprocess_options(lowercase: bool, stemmer: str, stoplist: str | None,
                         drop_length_one: bool) -> PreprocessOptions:
     """Options from the `pqlm index` flags or the spec keys; `stoplist` is
     a file with one stopword per line."""
-    stop = frozenset(Path(stoplist).read_text().split()) if stoplist else frozenset()
+    stop = frozenset(_parse_file(str.split, stoplist)) if stoplist else frozenset()
     return PreprocessOptions(lowercase, stemmer, stop, drop_length_one)
 
 
@@ -217,8 +217,16 @@ def _make_run_config(method: str, point: dict[str, str],
     return RunConfig(method=method, drift=drift, **params)
 
 
+def _parse_file(parse, path):
+    """``parse`` of a UTF-8 text file; a data error in it names the file."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # ParseError and UnicodeDecodeError among them
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _load_experiment(spec_path: str):
-    spec = parse_spec(Path(spec_path).read_text())
+    spec = _parse_file(parse_spec, spec_path)
     if spec.index:
         corpus = Corpus.load(_rel(spec_path, spec.index))
     else:
@@ -231,10 +239,11 @@ def _load_experiment(spec_path: str):
         corpus = build_corpus(docs, opts)
     if not spec.topics:
         raise ParseError("spec has no topics path")
-    topics = parse_topics(Path(_rel(spec_path, spec.topics)).read_text())
+    # topics decode with replacement, as documents do
+    topics = parse_topics(Path(_rel(spec_path, spec.topics)).read_bytes())
     qrels = None
     if spec.qrels:
-        qrels = Qrels.parse(Path(_rel(spec_path, spec.qrels)).read_text())
+        qrels = _parse_file(Qrels.parse, _rel(spec_path, spec.qrels))
     return spec, corpus, topics, qrels
 
 
@@ -292,7 +301,9 @@ def _point_config(system: SystemSpec, point: dict[str, str]) -> RunConfig | tupl
                          f"for {method}: {', '.join(sorted(unknown))}")
     if method in _BASELINES:
         function, defaults = _BASELINES[method]
-        return function, {**defaults, **_typed(point)}
+        params = {**defaults, **_typed(point)}
+        baselines.check_args(**params)
+        return function, params
     return _make_run_config(method, point, system.params.get("drift", ["none"]))
 
 
@@ -328,9 +339,10 @@ def _evaluate(lines: list[str], config, qrels: Qrels):
     return evaluate_run(parse_run("\n".join(lines)), qrels, depth)
 
 
-def _queries(corpus, topics):
+def _queries(corpus, topics, qrels):
     """Preprocessed topics; a topic with no term in the corpus vocabulary
-    has nothing to rank by, so it is skipped with one stderr line."""
+    has nothing to rank by, so it is skipped with one stderr line.  With
+    qrels, the runs are evaluated, so some query must be in them."""
     out = []
     for qid, title in topics:
         q = corpus.preprocess_query(qid, title)
@@ -339,6 +351,8 @@ def _queries(corpus, topics):
             print(f"skipping query {qid}: {why}", file=sys.stderr)
             continue
         out.append(q)
+    if qrels is not None and not qrels.judges_any(q.query_id for q in out):
+        raise ParseError("no query of the spec is in the qrels")
     return out
 
 
@@ -352,7 +366,7 @@ def cmd_run(args) -> int:
             config = _point_config(system, point)
             points.append((_point_label(system, point), _system_tag(system.name, point), config,
                            _cluster_index_for(spec, args.spec, corpus, config, cluster_indexes)))
-    queries = _queries(corpus, topics)
+    queries = _queries(corpus, topics, qrels)
     outdir = Path(_rel(args.spec, spec.output))
     outdir.mkdir(parents=True, exist_ok=True)
     reports = {}
@@ -370,10 +384,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    qrels = Qrels.parse(Path(args.qrels).read_text())
+    qrels = _parse_file(Qrels.parse, args.qrels)
     reports = {}
     for path in args.runs:
-        run = parse_run(Path(path).read_text())
+        run = _parse_file(parse_run, path)
+        if not qrels.judges_any(run):
+            raise ParseError(f"{path}: no query of the run is in the qrels")
         reports[Path(path).stem] = evaluate_run(run, qrels, args.depth)
     print(format_report(reports))
     for name, rep in reports.items():
@@ -407,7 +423,7 @@ def cmd_sweep(args) -> int:
         config = _point_config(system, point)
         points.append((alpha1, _system_tag(system.name, point), config,
                        _cluster_index_for(spec, args.spec, corpus, config, cluster_indexes)))
-    queries = _queries(corpus, topics)
+    queries = _queries(corpus, topics, qrels)
     outdir = Path(_rel(args.spec, spec.output))
     outdir.mkdir(parents=True, exist_ok=True)
     rows = ["alpha1,map,recall"]

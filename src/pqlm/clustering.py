@@ -18,7 +18,7 @@ import logging
 import numpy as np
 
 from .corpus import Corpus, ParseError, canonical_json, check_doc_id_rows, check_mu, read_payload
-from .lm import QUERY_ID, NeighborIndex
+from .lm import QUERY_ID, NeighborIndex, _frozen, ranked_order
 from .storage import atomic_write
 
 log = logging.getLogger(__name__)
@@ -79,8 +79,10 @@ class ClusterIndex:
     def member_rendition(self, cluster_id: int, corpus: Corpus):
         """Member docs of one cluster scored as renderers of the cluster text.
 
-        Returns (member ids desc-by-score, their rendition probs, total over
-        all members).  Query-independent, so memoized per cluster.
+        Returns (member ids by descending probability, ties to the lower id;
+        their rendition probs; the total over all members, summed in member
+        order).  Query-independent, so memoized per cluster; the arrays are
+        read-only.
         """
         hit = self._member_scores.get(cluster_id)
         if hit is None:
@@ -102,10 +104,9 @@ class ClusterIndex:
             logs = np.log((counts + self.mu * coll) / (lengths[:, None] + self.mu))
             probs = np.exp(np.sort(logs * text_counts, axis=1).sum(axis=1)
                            / self._lengths[cluster_id])
-            order = np.lexsort((np.array(members), -probs))
-            ranked = np.array(members, dtype=int)[order]
-            scores = probs[order]
-            hit = (ranked, scores, float(scores[np.argsort(ranked)].sum()))
+            order = ranked_order(probs)
+            hit = (*_frozen(np.array(members, dtype=int)[order], probs[order]),
+                   float(probs.sum()))
             self._member_scores[cluster_id] = hit
         return hit
 

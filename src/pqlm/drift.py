@@ -101,6 +101,7 @@ def truncated_rerank(method_scores: ScoredRanking, query_p: np.ndarray,
         raise ValueError("N must be >= 1")
     kept = method_scores.doc_ids[:n]
     q = query_p[kept]
+    # kept is in rank order, not id order, so ties need the ids as a key
     order = np.lexsort((kept, -q))
     return ScoredRanking(kept[order], q[order])
 

@@ -157,6 +157,11 @@ class Qrels:
                 relevant[qid].add(docno)
         return cls(relevant)
 
+    def judges_any(self, qids) -> bool:
+        """Whether any of `qids` is in the qrels; :func:`evaluate_run`
+        refuses a run with none."""
+        return any(qid in self.relevant for qid in qids)
+
 
 def _int_field(value: str, where: str) -> int:
     try:
@@ -192,8 +197,17 @@ class EvalReport:
 
 
 def evaluate_run(run: dict[str, list[str]], qrels: Qrels, n: int = 1000) -> EvalReport:
+    """Average precision and recall at depth n of each run query that the
+    qrels judge, and their means.
+
+    A run query that the qrels hold with no relevant document is excluded.
+    A run with no query in the qrels, an empty run among them, has nothing
+    to average: that is a ValueError, not a mean of 0.
+    """
     if n < 1:
         raise ValueError("depth must be >= 1")
+    if not qrels.judges_any(run):
+        raise ValueError("no query of the run is in the qrels")
     per_ap: dict[str, float] = {}
     per_recall: dict[str, float] = {}
     excluded: list[str] = []

@@ -108,6 +108,21 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return ranked_order(scores)[:k].copy()
 
 
+def top_renderers(corpus: Corpus, x_counts: Mapping[str, float], k: int,
+                  mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """The k best renderers of a text by :func:`top_k`, and their probabilities."""
+    probs = np.exp(log_rendition_docs(corpus, x_counts, mu))
+    top = top_k(probs, k)
+    return top, probs[top]
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays made read-only, as memo entries shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 class NeighborIndex:
     """Per-document ordered best-renderer lists, precomputed offline.
 
@@ -162,7 +177,7 @@ def precompute_neighbors(corpus: Corpus, k_max: int, mu: float,
                          threads: int = 1) -> NeighborIndex:
     """Top-k_max renderer list for every document, one scoring pass each.
 
-    Clustering reads these lists; query-time scoring does not use them yet.
+    Row d is :func:`top_renderers` of document d, as the scorers rank it.
     Per-document results are independent, so the computation may fan out
     over threads without affecting the (deterministic) output.
     """
@@ -174,8 +189,7 @@ def precompute_neighbors(corpus: Corpus, k_max: int, mu: float,
         raise ValueError("k_max must be >= 1")
 
     def one(doc_id: int) -> list[int]:
-        scores = log_rendition_docs(corpus, corpus.documents[doc_id].term_counts, mu)
-        return top_k(scores, k_max).tolist()
+        return top_renderers(corpus, corpus.documents[doc_id].term_counts, k_max, mu)[0].tolist()
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

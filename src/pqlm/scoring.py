@@ -21,7 +21,7 @@ import numpy as np
 
 from .clustering import ClusterIndex, cluster_membership
 from .corpus import Corpus
-from .lm import QUERY_ID, log_rendition, log_rendition_docs, ranked_order, top_k
+from .lm import QUERY_ID, _frozen, log_rendition, ranked_order, top_k, top_renderers
 
 
 @dataclass
@@ -109,8 +109,9 @@ def _top_rendered(item: int, k: int, corpus: Corpus, mu: float,
 
     The k best are picked with :func:`~pqlm.lm.top_k`, O(N + k log k), in
     ``ranked_order``'s order.  The query is read off ``query_p``, its
-    rendition probability per doc id, and never stored.  Document items are
-    memoised on the corpus, keyed by (doc id, mu, k).  Entries are
+    rendition probability per doc id, and never stored.  A document item's
+    list is :func:`~pqlm.lm.top_renderers` of its text, as in the neighbour
+    file, memoised on the corpus, keyed by (doc id, mu, k).  Entries are
     read-only, own their memory (not views of an N-long array) and are
     identical whichever thread computes them, so concurrent stores need no
     lock.
@@ -124,17 +125,9 @@ def _top_rendered(item: int, k: int, corpus: Corpus, mu: float,
     key = (item, mu, k)
     hit = corpus._rendered.get(key)
     if hit is None:
-        probs = np.exp(log_rendition_docs(corpus, corpus.documents[item].term_counts, mu))
-        top = top_k(probs, k)
-        hit = corpus._rendered[key] = _frozen(top, probs[top])
+        hit = corpus._rendered[key] = _frozen(
+            *top_renderers(corpus, corpus.documents[item].term_counts, k, mu))
     return hit
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays made read-only, as memo entries shared by every caller."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 def score_vdoc(pq: PseudoQueryList, alpha: int, corpus: Corpus, mu: float,
@@ -219,7 +212,7 @@ def _cluster_credits(item: int, k: int, corpus: Corpus, cluster_index: ClusterIn
                 cluster_index.mu)
             probs = np.exp(logp[cand])
             norm = float(probs.sum())
-            order = np.lexsort((cand, -probs))[:k]
+            order = top_k(probs, k)
             hit = _frozen(cand[order], probs[order] / norm)
         if item != QUERY_ID:
             cluster_index._credits[key] = hit

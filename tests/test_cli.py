@@ -573,6 +573,48 @@ T = 2
         _assert_data_error(main(["run", str(spec)]), capsys, needle)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("method, key, value", [
+        ("baseline", "N", "0"), ("baseline", "mu", "0"),
+        ("rocchio", "k1", "0"), ("rocchio", "t", "-1"), ("rocchio", "gamma", "-0.5"),
+        ("relevance_model", "lambda_r", "1"), ("relevance_model", "lambda_r", "0"),
+        ("relevance_model", "clip_k", "-1"), ("relevance_model", "mu", "-inf"),
+    ])
+    def test_bad_feedback_value_writes_no_run_file(self, tmp_path, capsys, method, key, value):
+        # the good baseline system comes first: no run file may be written for it
+        spec = baseline_spec(tmp_path, f"""
+[system]
+name = bad
+method = {method}
+{key} = {value}
+""")
+        _assert_data_error(main(["run", str(spec)]), capsys, f"{key} must be")
+        assert not (tmp_path / "out").exists()
+
+    def test_topics_decode_with_replacement(self, tmp_path, capsys):
+        topics = tmp_path / "topics.txt"
+        topics.write_bytes(b"\xff\xfe" + (DATA / "micro_topics.txt").read_bytes())
+        spec = baseline_spec(tmp_path)
+        spec.write_text(spec.read_text().replace(str(DATA / "micro_topics.txt"), str(topics)))
+        assert main(["run", str(spec)]) == 0
+        lines = (tmp_path / "out" / "baseline.run").read_text().splitlines()
+        assert {line.split()[0] for line in lines} == {"901", "902"}
+
+    def test_qrels_not_utf8_names_the_file(self, tmp_path, capsys):
+        qrels = tmp_path / "bad.qrels"
+        qrels.write_bytes((DATA / "micro.qrels").read_bytes() + b"902 0 M\xff 1\n")
+        spec = baseline_spec(tmp_path)
+        spec.write_text(spec.read_text().replace(str(DATA / "micro.qrels"), str(qrels)))
+        _assert_data_error(main(["run", str(spec)]), capsys, f"{qrels}: 'utf-8' codec")
+        assert not (tmp_path / "out").exists()
+
+    def test_qrels_judging_no_query_writes_no_run_file(self, tmp_path, capsys):
+        qrels = tmp_path / "other.qrels"
+        qrels.write_text("903 0 M01 1\n")
+        spec = baseline_spec(tmp_path)
+        spec.write_text(spec.read_text().replace(str(DATA / "micro.qrels"), str(qrels)))
+        _assert_data_error(main(["run", str(spec)]), capsys, "no query of the spec is in the qrels")
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_grid_value_is_data_error(self, tmp_path, capsys):
         spec = baseline_spec(tmp_path, """
 [system]
@@ -844,6 +886,22 @@ class TestEvalCommand:
         code = main(["eval", "--qrels", str(qrels), str(run)])
         _assert_data_error(code, capsys, "qrels line 2: 'x' is not an integer")
 
+    @pytest.mark.parametrize("rows", ["", "903 Q0 M01 1 0.5 t\n"], ids=["empty", "unjudged"])
+    def test_run_with_no_judged_query_names_the_file(self, tmp_path, capsys, rows):
+        run = tmp_path / "r.run"
+        run.write_text(rows)
+        code = main(["eval", "--qrels", str(DATA / "micro.qrels"), str(run)])
+        _assert_data_error(code, capsys, f"{run}: no query of the run is in the qrels")
+
+    @pytest.mark.parametrize("target", ["qrels", "run"])
+    def test_file_not_utf8_names_the_file(self, tmp_path, capsys, target):
+        files = {"qrels": tmp_path / "q.qrels", "run": tmp_path / "r.run"}
+        files["qrels"].write_bytes((DATA / "micro.qrels").read_bytes())
+        files["run"].write_text("901 Q0 M01 1 0.5 t\n")
+        files[target].write_bytes(files[target].read_bytes() + b"\xff\n")
+        code = main(["eval", "--qrels", str(files["qrels"]), str(files["run"])])
+        _assert_data_error(code, capsys, f"{files[target]}: 'utf-8' codec can't decode byte 0xff")
+
     def test_non_integer_rank_names_its_line(self, tmp_path, capsys):
         run = tmp_path / "r.run"
         run.write_text("1 Q0 D1 1 0.5 t\n1 Q0 D2 two 0.4 t\n")
@@ -887,6 +945,16 @@ m = 9
 """)
         code = main(["sweep", str(spec), "--system", "sweepme", "--alpha1", "1", "0"])
         _assert_data_error(code, capsys, "alpha1 must be >= 1")
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_feedback_point_writes_no_run_file(self, tmp_path, capsys):
+        spec = baseline_spec(tmp_path, """
+[system]
+name = roc
+method = rocchio
+""")
+        code = main(["sweep", str(spec), "--system", "roc", "--alpha1", "5", "0"])
+        _assert_data_error(code, capsys, "k1 must be >= 1, got k1=0")
         assert not (tmp_path / "out").exists()
 
     def test_unknown_system(self, tmp_path):

@@ -132,6 +132,18 @@ class TestMemberRendition:
         members, probs, _ = index.member_rendition(0, corpus)
         assert members.tolist() == [0, 1] and probs[0] == probs[1]
 
+    def test_memo_entries_are_read_only_and_total_sums_in_member_order(self):
+        rng = np.random.default_rng(67)
+        corpus = random_corpus(rng, n_docs=9)
+        index = build_clusters(corpus, 4, neighbors_for(corpus, 4, 2.0))
+        for cid, row in enumerate(index.members):
+            members, probs, total = index.member_rendition(cid, corpus)
+            assert sorted(members.tolist()) == list(row)
+            assert total == float(probs[np.argsort(members)].sum())
+            for a in (members, probs):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = a[1]
+
 
 class TestMembership:
     def test_query_round_one_belongs_to_all(self, tiny_corpus):

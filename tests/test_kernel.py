@@ -37,7 +37,7 @@ from pqlm import (
     run_retrieval,
     singleton_cluster_index,
 )
-from pqlm import oracles, pipeline, scoring
+from pqlm import lm, oracles, pipeline, scoring
 from pqlm.corpus import Query
 from pqlm.lm import log_rendition, log_rendition_docs
 
@@ -323,8 +323,8 @@ def test_cluster_postings_match_member_counts():
 # -- memoised document pseudo-queries -------------------------------------
 
 METHODS = ("vdoc", "mcdoc", "mccluster")
-KERNELS = {"vdoc": "log_rendition_docs", "mcdoc": "log_rendition_docs",
-           "mccluster": "log_rendition_clusters"}
+KERNELS = {"vdoc": (lm, "log_rendition_docs"), "mcdoc": (lm, "log_rendition_docs"),
+           "mccluster": (scoring, "log_rendition_clusters")}
 MU2 = 1500.0
 
 
@@ -355,13 +355,14 @@ def test_document_pseudo_query_scored_once_across_queries(method, monkeypatch):
 
     texts = {id(d.term_counts): d.doc_id for d in corpus.documents}
     calls = Counter()
-    kernel = getattr(scoring, KERNELS[method])
+    module, name = KERNELS[method]
+    kernel = getattr(module, name)
 
     def counting(*args):
         calls[texts.get(id(args[-2]))] += 1  # args[-2] is the scored text
         return kernel(*args)
 
-    monkeypatch.setattr(scoring, KERNELS[method], counting)
+    monkeypatch.setattr(module, name, counting)
     for q in pair:
         run_retrieval(q, golden_config(method), corpus, clusters)
     # the queries themselves: only mccluster renders them in scoring, against
@@ -384,7 +385,7 @@ def test_query_scored_once_per_run(method, drift, scored, monkeypatch):
     corpus, queries, clusters = golden_setup()
     documents = {id(d.term_counts) for d in corpus.documents}
     calls = []
-    for module in (pipeline, scoring):
+    for module in (pipeline, lm):
         def counting(*args, kernel=module.log_rendition_docs):
             if id(args[-2]) not in documents:  # args[-2] is the scored text
                 calls.append(args[-2])

@@ -15,6 +15,7 @@ from pqlm import (
 )
 from pqlm.lm import log_rendition_docs, ranked_order, top_k
 from pqlm import oracles
+from pqlm.scoring import _top_rendered
 
 
 def renditions(corpus, text, mu):
@@ -200,6 +201,22 @@ class TestNeighbors:
         idx = precompute_neighbors(corpus, 3, 2.0)
         assert idx.top(0, 2) == [0, 1]
         assert idx.top(1, 2) == [0, 1]
+
+    def test_rows_are_the_scorers_top_renderers(self):
+        # the neighbour file and the scorers' memo rank by one rule; repeated
+        # documents tie exactly, so the lower id decides
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            texts = [" ".join(rng.choice(list("abcdef"), size=int(rng.integers(2, 9))))
+                     for _ in range(int(rng.integers(3, 9)))]
+            texts += [texts[i] for i in rng.integers(0, len(texts), size=3)]
+            corpus = build_corpus(list(zip(map(str, range(len(texts))), texts)),
+                                  PreprocessOptions())
+            mu = random_mu(rng)
+            for k in (1, int(rng.integers(2, corpus.n_docs)), corpus.n_docs):
+                idx = precompute_neighbors(corpus, k, mu)
+                for d in range(corpus.n_docs):
+                    assert idx.top(d, k) == _top_rendered(d, k, corpus, mu, None)[0].tolist()
 
     def test_thread_counts_agree(self):
         rng = np.random.default_rng(37)
