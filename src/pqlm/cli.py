@@ -81,6 +81,17 @@ def _default_threads() -> int:
         return 1
 
 
+def _thread_count(text: str) -> int:
+    """The type of --threads: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pqlm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True,
@@ -102,7 +113,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--mu", type=float, default=2000.0)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_thread_count, default=_default_threads())
 
     p = sub.add_parser("cluster",
                        help="build the overlapping clusters (member lists)")
@@ -116,7 +127,7 @@ def _build_parser() -> _Parser:
                        formatter_class=argparse.RawDescriptionHelpFormatter,
                        epilog=_CONFIG_HELP)
     p.add_argument("spec", help="experiment spec file")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_thread_count, default=_default_threads())
 
     p = sub.add_parser("eval",
                        help="evaluate TREC run files against qrels")
@@ -130,7 +141,7 @@ def _build_parser() -> _Parser:
     p.add_argument("spec")
     p.add_argument("--system", required=True, help="system name from the spec")
     p.add_argument("--alpha1", type=int, nargs="+", required=True)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_thread_count, default=_default_threads())
     return parser
 
 
@@ -210,17 +221,18 @@ def _make_run_config(method: str, point: dict[str, str],
         lambda_ = None
     if drift_kind in TRUNCATING:
         if drift_n is None:
-            drift_n = params.get("N", 1000)
+            drift_n = params.get("N", RunConfig.N)
     elif set(grid_drifts) & set(TRUNCATING):
         drift_n = None
     drift = DriftTechnique(drift_kind, lambda_, drift_n)
     return RunConfig(method=method, drift=drift, **params)
 
 
-def _parse_file(parse, path):
-    """``parse`` of a UTF-8 text file; a data error in it names the file."""
+def _parse_file(parse, path, text: bool = True):
+    """``parse`` of a file's UTF-8 text, or of its bytes when not ``text``;
+    a data error in it names the file."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        return parse(Path(path).read_text(encoding="utf-8") if text else Path(path).read_bytes())
     except ValueError as exc:  # ParseError and UnicodeDecodeError among them
         raise ParseError(f"{path}: {exc}") from None
 
@@ -240,7 +252,7 @@ def _load_experiment(spec_path: str):
     if not spec.topics:
         raise ParseError("spec has no topics path")
     # topics decode with replacement, as documents do
-    topics = parse_topics(Path(_rel(spec_path, spec.topics)).read_bytes())
+    topics = _parse_file(parse_topics, _rel(spec_path, spec.topics), text=False)
     qrels = None
     if spec.qrels:
         qrels = _parse_file(Qrels.parse, _rel(spec_path, spec.qrels))
@@ -251,27 +263,6 @@ def _rel(spec_path: str, path: str) -> str:
     """Paths inside a spec resolve relative to the spec file."""
     p = Path(path)
     return str(p if p.is_absolute() else Path(spec_path).parent / p)
-
-
-def _cluster_index_for(spec, spec_path, corpus, config,
-                       cluster_indexes: dict) -> ClusterIndex | None:
-    """The checked cluster index of an mccluster point (None for others), made
-    once per (delta, mu) and kept in `cluster_indexes` for the other points:
-    it and its memos depend only on the document text, delta and mu."""
-    if not isinstance(config, RunConfig) or config.method != "mccluster":
-        return None
-    delta = config.resolved_delta(corpus)
-    key = (delta, config.mu)
-    if key not in cluster_indexes:
-        if spec.clusters:
-            index = ClusterIndex.load(_rel(spec_path, spec.clusters), corpus)
-        else:
-            neighbors = (NeighborIndex.load(_rel(spec_path, spec.neighbors), corpus, mu=config.mu)
-                         if spec.neighbors else precompute_neighbors(corpus, delta, config.mu))
-            index = build_clusters(corpus, delta, neighbors)
-        cluster_indexes[key] = index
-    check_cluster_index(cluster_indexes[key], config, corpus)
-    return cluster_indexes[key]
 
 
 def _system_tag(name: str, point: dict[str, str]) -> str:
@@ -289,10 +280,13 @@ def _point_label(system: SystemSpec, point: dict[str, str]) -> str:
     return f"{system.name}__{parts}"
 
 
-def _point_config(system: SystemSpec, point: dict[str, str]) -> RunConfig | tuple[str, dict]:
-    """The checked parameters of one grid point: a RunConfig for an
-    iterative method; for a feedback baseline, the name of its function and
-    its arguments after (query, corpus), defaults filled in."""
+def _configure(spec, spec_path, corpus, system: SystemSpec, point: dict[str, str],
+               cluster_indexes: dict):
+    """The checked scorer ``query -> ScoredRanking`` of one grid point, and
+    the point's depth N.  An iterative point scores with ``run_retrieval``,
+    its checked cluster index bound in; a feedback baseline with its
+    ``pqlm.baselines`` function, defaults filled in.  Both are looked up
+    at call time, so a rebound module attribute is used."""
     method = system.method
     keys = _BASELINES[method][1] if method in _BASELINES else _ITERATIVE_KEYS
     unknown = set(point) - set(keys)
@@ -303,40 +297,59 @@ def _point_config(system: SystemSpec, point: dict[str, str]) -> RunConfig | tupl
         function, defaults = _BASELINES[method]
         params = {**defaults, **_typed(point)}
         baselines.check_args(**params)
-        return function, params
-    return _make_run_config(method, point, system.params.get("drift", ["none"]))
+        return (lambda query: getattr(baselines, function)(query, corpus, *params.values()),
+                params["N"])
+    config = _make_run_config(method, point, system.params.get("drift", ["none"]))
+    cluster_index = None
+    if method == "mccluster":
+        # one cluster index per (delta, mu), kept in `cluster_indexes` for the
+        # other points: it and its memos depend only on the text, delta and mu
+        delta = config.resolved_delta(corpus)
+        key = (delta, config.mu)
+        if key not in cluster_indexes:
+            if spec.clusters:
+                index = ClusterIndex.load(_rel(spec_path, spec.clusters), corpus)
+            else:
+                neighbors = (NeighborIndex.load(_rel(spec_path, spec.neighbors), corpus,
+                                                mu=config.mu)
+                             if spec.neighbors else precompute_neighbors(corpus, delta, config.mu))
+                index = build_clusters(corpus, delta, neighbors)
+            cluster_indexes[key] = index
+        cluster_index = cluster_indexes[key]
+        check_cluster_index(cluster_index, config, corpus)
+    return lambda query: run_retrieval(query, config, corpus, cluster_index), config.N
 
 
-def _score_point(config, cluster_index, tag: str, run_path: Path, corpus, queries,
-                 threads: int) -> list[str]:
-    """Rank every query at one configured point, write the run file and
-    return its lines."""
-    if isinstance(config, RunConfig):
-        def score(query):
-            return run_retrieval(query, config, corpus, cluster_index)
-    else:
-        function, params = config
+def _run_points(spec_path, spec, corpus, topics, qrels, points, threads: int):
+    """Score each (system, grid point, run file name) of `points` in order:
+    write its run file and yield the file's path, its row count and, with
+    qrels, the report of its rows cut at the point's depth N.
 
-        def score(query):
-            return getattr(baselines, function)(query, corpus, *params.values())
+    Every point, with its cluster index and its run file, is checked before
+    any is scored, so a bad point leaves no run files of the points before it."""
+    outdir = Path(_rel(spec_path, spec.output))
+    configured, cluster_indexes = {}, {}
+    for system, point, name in points:
+        run_path = outdir / f"{name}.run"
+        if run_path in configured:
+            raise ParseError(f"{run_path}: two points of the spec write this run file")
+        configured[run_path] = (_system_tag(system.name, point),
+                                *_configure(spec, spec_path, corpus, system, point,
+                                            cluster_indexes))
+    queries = _queries(corpus, topics, qrels)
+    outdir.mkdir(parents=True, exist_ok=True)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for run_path, (tag, score, depth) in configured.items():
+            def one(query):
+                return format_run_lines(query.query_id, score(query), corpus, tag)
 
-    def one(query):
-        return format_run_lines(query.query_id, score(query), corpus, tag)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(one, queries))
-    else:
-        chunks = [one(q) for q in queries]
-    lines = [line for chunk in chunks for line in chunk]
-    atomic_write(run_path, ("\n".join(lines) + "\n").encode())
-    return lines
-
-
-def _evaluate(lines: list[str], config, qrels: Qrels):
-    """The report of one point's run lines, cut at the point's depth N."""
-    depth = config.N if isinstance(config, RunConfig) else config[1]["N"]
-    return evaluate_run(parse_run("\n".join(lines)), qrels, depth)
+            # a pool of one would only move the work off this thread
+            chunks = list((pool.map if threads > 1 else map)(one, queries))
+            lines = [line for chunk in chunks for line in chunk]
+            atomic_write(run_path, ("\n".join(lines) + "\n").encode())
+            report = (evaluate_run(parse_run("\n".join(lines)), qrels, depth)
+                      if qrels is not None else None)
+            yield run_path, len(lines), report
 
 
 def _queries(corpus, topics, qrels):
@@ -358,25 +371,14 @@ def _queries(corpus, topics, qrels):
 
 def cmd_run(args) -> int:
     spec, corpus, topics, qrels = _load_experiment(args.spec)
-    # every point, with its cluster index, is checked before any is scored,
-    # so a bad point leaves no run files of the points before it
-    points, cluster_indexes = [], {}
-    for system in spec.systems:
-        for point in system.grid():
-            config = _point_config(system, point)
-            points.append((_point_label(system, point), _system_tag(system.name, point), config,
-                           _cluster_index_for(spec, args.spec, corpus, config, cluster_indexes)))
-    queries = _queries(corpus, topics, qrels)
-    outdir = Path(_rel(args.spec, spec.output))
-    outdir.mkdir(parents=True, exist_ok=True)
+    points = [(system, point, _point_label(system, point))
+              for system in spec.systems for point in system.grid()]
     reports = {}
-    for label, tag, config, cluster_index in points:
-        run_path = outdir / f"{label}.run"
-        lines = _score_point(config, cluster_index, tag, run_path, corpus, queries,
-                             args.threads)
-        print(f"wrote {run_path} ({len(lines)} rows)")
-        if qrels is not None:
-            reports[label] = _evaluate(lines, config, qrels)
+    for run_path, rows, report in _run_points(args.spec, spec, corpus, topics, qrels,
+                                              points, args.threads):
+        print(f"wrote {run_path} ({rows} rows)")
+        if report is not None:
+            reports[run_path.stem] = report
     if reports:
         print()
         print(format_report(reports))
@@ -416,24 +418,13 @@ def cmd_sweep(args) -> int:
                          "pick an iterative or feedback system")
     # feedback baselines share the round-1 pool size through k1
     knob = "k1" if system.method in _BASELINES else "alpha1"
-    # every point is checked before any is scored, as in cmd_run
-    points, cluster_indexes = [], {}
-    for alpha1 in args.alpha1:
-        point = {**grid[0], knob: str(alpha1)}
-        config = _point_config(system, point)
-        points.append((alpha1, _system_tag(system.name, point), config,
-                       _cluster_index_for(spec, args.spec, corpus, config, cluster_indexes)))
-    queries = _queries(corpus, topics, qrels)
-    outdir = Path(_rel(args.spec, spec.output))
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = ["alpha1,map,recall"]
-    for i, (alpha1, tag, config, cluster_index) in enumerate(points):
-        run_path = outdir / f"{i:03d}_{system.name}_alpha1={alpha1}.run"
-        lines = _score_point(config, cluster_index, tag, run_path, corpus, queries,
-                             args.threads)
-        report = _evaluate(lines, config, qrels)
-        rows.append(f"{alpha1},{report.mean_ap:.6f},{report.recall_micro:.6f}")
-    csv_path = outdir / f"sweep_{system.name}.csv"
+    points = [(system, {**grid[0], knob: str(alpha1)}, f"{i:03d}_{system.name}_alpha1={alpha1}")
+              for i, alpha1 in enumerate(args.alpha1)]
+    reports = [report for *_, report in _run_points(args.spec, spec, corpus, topics, qrels,
+                                                    points, args.threads)]
+    rows = ["alpha1,map,recall"] + [f"{alpha1},{report.mean_ap:.6f},{report.recall_micro:.6f}"
+                                    for alpha1, report in zip(args.alpha1, reports)]
+    csv_path = Path(_rel(args.spec, spec.output)) / f"sweep_{system.name}.csv"
     atomic_write(csv_path, ("\n".join(rows) + "\n").encode())
     print("\n".join(rows))
     print(f"wrote {csv_path}")

@@ -56,10 +56,18 @@ class PreprocessOptions:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PreprocessOptions":
+        """The options of a loaded index: ValueError unless they have the
+        types that `to_dict` writes and a known stemmer."""
+        for key in ("lowercase", "drop_length_one"):
+            if type(d[key]) is not bool:
+                raise ValueError(f"options {key} {d[key]!r} is not a boolean")
+        stoplist = d["stoplist"]
+        if not (isinstance(stoplist, list) and all(isinstance(w, str) for w in stoplist)):
+            raise ValueError("options stoplist is not a list of strings")
         return cls(
             lowercase=d["lowercase"],
             stemmer=d["stemmer"],
-            stoplist=frozenset(d["stoplist"]),
+            stoplist=frozenset(stoplist),
             drop_length_one=d["drop_length_one"],
         )
 
@@ -228,7 +236,7 @@ class Corpus:
         try:
             options = PreprocessOptions.from_dict(payload["options"])
             entries = [(e["docno"], dict(e["counts"].items())) for e in payload["documents"]]
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ParseError(f"{path}: malformed index payload: {exc}") from exc
         # the term index trusts its input: hold a loaded index to what
         # ingestion guarantees; a document's length is the sum of its counts

@@ -195,6 +195,20 @@ class TestArtifactChecks:
         _rewrite(paths["index"], lambda p: p["documents"][0].update(counts={}))
         _assert_data_error(self._neighbors(paths), capsys, "needs positive integer counts")
 
+    @pytest.mark.parametrize("key, value, needle", [
+        ("stoplist", ["the", 5], "options stoplist is not a list of strings"),
+        ("stoplist", "the", "options stoplist is not a list of strings"),
+        ("lowercase", "no", "options lowercase 'no' is not a boolean"),
+        ("drop_length_one", 0, "options drop_length_one 0 is not a boolean"),
+        ("stemmer", "snowball", "unknown stemmer 'snowball'"),
+    ], ids=["stoplist-item", "stoplist-string", "lowercase", "drop-length-one", "stemmer"])
+    def test_options_not_what_index_writes(self, tmp_path, capsys, key, value, needle):
+        paths = _artifacts(tmp_path)
+        capsys.readouterr()
+        _rewrite(paths["index"], lambda p: p["options"].update({key: value}))
+        _assert_data_error(self._neighbors(paths), capsys,
+                           f"{paths['index']}: malformed index payload: {needle}")
+
     def _cluster(self, paths):
         return main(["cluster", "--index", str(paths["index"]), "--neighbors",
                      str(paths["nbrs"]), "-o", str(paths["clusters"]), "--delta", "2"])
@@ -571,6 +585,30 @@ T = 2
         path = tmp_path / target
         path.write_text(path.read_text().replace(old, new))
         _assert_data_error(main(["run", str(spec)]), capsys, needle)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old, new, needle", [
+        ("Number: 902", "Number: 901", "duplicate topic number '901'"),
+        ("<num> Number: 902", "", "topic block without <num>"),
+        ("<title> poetry verse", "", "topic 902 has no <title>"),
+    ], ids=["duplicate-number", "no-num", "no-title"])
+    def test_topics_error_names_the_file(self, tmp_path, capsys, old, new, needle):
+        topics = tmp_path / "topics.txt"
+        topics.write_text((DATA / "micro_topics.txt").read_text().replace(old, new))
+        spec = baseline_spec(tmp_path)
+        spec.write_text(spec.read_text().replace(str(DATA / "micro_topics.txt"), str(topics)))
+        _assert_data_error(main(["run", str(spec)]), capsys, f"{topics}: {needle}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("systems, run_file", [
+        ("[system]\nname = baseline\nmethod = rocchio\n", "baseline.run"),
+        ("[system]\nname = x\nmethod = mcdoc\nalpha1 = 1 2\n"
+         "[system]\nname = x__alpha1=1\nmethod = vdoc\n", "x__alpha1=1.run"),
+    ], ids=["same-system-name", "grid-label"])
+    def test_points_sharing_a_run_file_write_nothing(self, tmp_path, capsys, systems, run_file):
+        spec = baseline_spec(tmp_path, systems)
+        _assert_data_error(main(["run", str(spec)]), capsys,
+                           f"{tmp_path / 'out' / run_file}: two points of the spec write")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("method, key, value", [
@@ -983,6 +1021,16 @@ gamma = 0.5
 
 
 class TestThreadsEnvVar:
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    @pytest.mark.parametrize("command", ["neighbors", "run", "sweep"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, command, threads):
+        spec = str(baseline_spec(tmp_path))
+        argv = {"neighbors": ["--index", "index.json", "-o", "nbrs.json", "--k-max", "2"],
+                "run": [spec], "sweep": [spec, "--system", "baseline", "--alpha1", "2"]}
+        assert main([command, *argv[command], "--threads", threads]) == 1
+        assert f"argument --threads: must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_default_worker_count_from_environment(self, monkeypatch):
         from pqlm.cli import _default_threads
 
