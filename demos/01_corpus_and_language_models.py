@@ -27,25 +27,35 @@ print(f"\n{corpus.n_docs} documents, {len(corpus.vocabulary)} distinct terms, "
       f"{corpus.collection_length} tokens")
 print("collection probability of 'power':", corpus.collection_prob("power"))
 
-doc = corpus.documents[0]
-print(f"\nunsmoothed model of {doc.docno}: p('power') =",
-      doc.term_counts.get("power", 0) / doc.length)
+# a document's text is one row: its term ids, ascending, and their counts;
+# term ids are lexicographic
+terms = sorted(corpus.vocabulary)
+ids, counts = corpus.text(0)
+print(f"\ntext of {corpus.docnos[0]}:",
+      {terms[t]: c for t, c in zip(ids.tolist(), counts.tolist())})
+power = dict(zip(ids.tolist(), counts.tolist())).get(corpus.vocabulary["power"], 0)
+print(f"unsmoothed model of {corpus.docnos[0]}: p('power') =", power / corpus.lengths()[0])
+
+
+def text_of(words: str):
+    """A query string as a text: (term ids ascending, counts)."""
+    return corpus.query_counts(corpus.preprocess_query("demo", words))
+
 
 # One kernel scores a text against every document at once.  A one-term
 # text's rendition is that term's smoothed probability; mu must be > 0.
 print("\nDirichlet smoothing pulls unseen terms up from zero:")
 for mu in (0.0, 10.0, 1000.0):
     try:
-        p = math.exp(log_rendition_docs(corpus, {"turbines": 1}, mu)[0])
+        p = math.exp(log_rendition_docs(corpus, text_of("turbines"), mu)[0])
     except ValueError as exc:
         p = f"error: {exc}"
-    print(f"  mu={mu:>6}: p('turbines' | {doc.docno}) = {p}")
+    print(f"  mu={mu:>6}: p('turbines' | {corpus.docnos[0]}) = {p}")
 
-text = {"solar": 1, "power": 1}
-scores = [math.exp(s) for s in log_rendition_docs(corpus, text, 10.0)]
+scores = [math.exp(s) for s in log_rendition_docs(corpus, text_of("solar power"), 10.0)]
 print("\nrendition scores of the text 'solar power' under each document:")
 for d, score in enumerate(scores):
-    print(f"  {corpus.documents[d].docno:7s} {score:.6f}")
+    print(f"  {corpus.docnos[d]:7s} {score:.6f}")
 
 print("\ntop-3 renderers of 'solar power':",
-      [corpus.documents[i].docno for i in ranked_order(scores)[:3]])
+      [corpus.docnos[i] for i in ranked_order(scores)[:3]])

@@ -26,7 +26,7 @@ DOCS = [
 
 MU = 10.0
 corpus = build_corpus(DOCS, PreprocessOptions())
-name = lambda d: corpus.documents[d].docno
+name = lambda d: corpus.docnos[d]
 
 neighbors = precompute_neighbors(corpus, k_max=3, mu=MU)
 print("per-document best renderers (k_max=3):")

@@ -30,7 +30,7 @@ DOCS = [
 ]
 
 corpus = build_corpus(DOCS, PreprocessOptions())
-name = lambda d: corpus.documents[d].docno
+name = lambda d: corpus.docnos[d]
 query = corpus.preprocess_query("demo", "solar power")
 
 

@@ -41,7 +41,7 @@ QRELS = Qrels.parse("""\
 """)
 
 corpus = build_corpus(DOCS, PreprocessOptions())
-docno = lambda d: corpus.documents[int(d)].docno
+docno = lambda d: corpus.docnos[int(d)]
 
 systems = {
     "baseline": lambda q: lm_baseline(q, corpus, 50.0, 8),

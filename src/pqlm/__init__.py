@@ -11,7 +11,6 @@ from .clustering import (
 )
 from .corpus import (
     Corpus,
-    Document,
     ParseError,
     PreprocessOptions,
     Query,
@@ -40,7 +39,6 @@ __all__ = [
     "QUERY_ID",
     "ClusterIndex",
     "Corpus",
-    "Document",
     "DriftTechnique",
     "EvalReport",
     "NeighborIndex",

@@ -58,9 +58,10 @@ def _tfidf_weight(tf: int, idf: float) -> float:
     return (1.0 + math.log(tf)) * idf if tf > 0 else 0.0
 
 
-def _idf(corpus: Corpus, terms) -> dict[str, float]:
+def _idf(corpus: Corpus, term_ids) -> dict[int, float]:
     # every vocabulary term occurs in some document, so df >= 1
-    return {t: math.log(corpus.n_docs / len(corpus.postings(t)[0])) for t in terms}
+    return {t: math.log(corpus.n_docs / len(corpus.postings(corpus._terms[t])[0]))
+            for t in term_ids}
 
 
 def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,
@@ -75,20 +76,20 @@ def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,
     idf is computed only for the query and feedback-document terms, so a
     query costs O(|q| + feedback terms) postings lookups, two inner-product
     passes over the postings of the query and expansion terms, and two
-    O(N log N) rankings.
+    O(N log N) rankings.  Vectors are keyed by term id.
     """
     check_args(N=n, k1=k1, t=t, gamma=gamma)
     k1 = min(k1, corpus.n_docs)
-    q_counts = corpus.query_counts(query)
-    idf = _idf(corpus, q_counts)
-    q_vec = {w: _tfidf_weight(c, idf[w]) for w, c in q_counts.items()}
+    q_ids, q_tfs = (a.tolist() for a in corpus.query_counts(query))
+    idf = _idf(corpus, q_ids)
+    q_vec = {w: _tfidf_weight(c, idf[w]) for w, c in zip(q_ids, q_tfs)}
 
-    def inner_products(vec: dict[str, float]) -> np.ndarray:
+    def inner_products(vec: dict[int, float]) -> np.ndarray:
         scores = np.zeros(corpus.n_docs)
         for term, wq in sorted(vec.items()):
             if wq == 0.0:
                 continue
-            ids, counts = corpus.postings(term)
+            ids, counts = corpus.postings(corpus._terms[term])
             scores[ids] += wq * (1.0 + np.log(counts)) * idf[term]
         return scores
 
@@ -101,9 +102,9 @@ def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,
     # accumulate each term over its sorted tf values so that terms with
     # identical (tf multiset, df) come out exactly equal and fall to the
     # term-id tie rule
-    term_tfs: dict[str, list[int]] = {}
+    term_tfs: dict[int, list[int]] = {}
     for d in feedback:
-        for term, tf in corpus.documents[d].term_counts.items():
+        for term, tf in zip(*(a.tolist() for a in corpus.text(d))):
             term_tfs.setdefault(term, []).append(tf)
     idf.update(_idf(corpus, term_tfs.keys() - idf.keys()))
     centroid = {
@@ -112,7 +113,7 @@ def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,
     }
 
     candidates = [(term, w) for term, w in centroid.items() if term not in q_vec]
-    candidates.sort(key=lambda e: (-e[1], corpus.vocabulary[e[0]]))
+    candidates.sort(key=lambda e: (-e[1], e[0]))
     expanded = dict(q_vec)
     for term, w in candidates[:t]:
         expanded[term] = gamma * w
@@ -143,11 +144,12 @@ class RelevanceDistribution:
         return -sum(p * math.log(p) for _, p in sorted(self.probs.items()))
 
 
-def estimate_relevance_model(query_counts: dict[str, int], corpus: Corpus,
+def estimate_relevance_model(query_counts: tuple[np.ndarray, np.ndarray], corpus: Corpus,
                              feedback: list[int], lambda_r: float,
                              clip_k: int) -> RelevanceDistribution:
     """Mixture of feedback-document models weighted by query likelihood.
 
+    `query_counts` is the query as a text, (term ids ascending, counts).
     Document models are Jelinek-Mercer smoothed,
     p(w | d) = (1 - lambda_r) * mle(w | d) + lambda_r * mle(w | collection),
     and the mixture weights are the (uniform-prior) posteriors of the
@@ -166,13 +168,14 @@ def estimate_relevance_model(query_counts: dict[str, int], corpus: Corpus,
         # scalars or term-id vectors alike
         return (1.0 - lambda_r) * tf / length + lambda_r * coll_prob
 
+    coll, lengths = corpus._collection_probs, corpus.lengths()
+    q_ids, q_cnts = (a.tolist() for a in query_counts)
     likelihood = []
     for d in feedback:
-        doc = corpus.documents[d]
+        tf = dict(zip(*(a.tolist() for a in corpus.text(d))))
         val = 1.0
-        for term, cnt in sorted(query_counts.items()):
-            val *= smoothed(doc.term_counts.get(term, 0), doc.length,
-                            corpus.collection_prob(term)) ** cnt
+        for t, cnt in zip(q_ids, q_cnts):
+            val *= smoothed(tf.get(t, 0), float(lengths[d]), float(coll[t])) ** cnt
         likelihood.append(val)
     total = sum(likelihood)
     if total <= 0.0:
@@ -181,18 +184,15 @@ def estimate_relevance_model(query_counts: dict[str, int], corpus: Corpus,
 
     # term ids are lexicographic, so every sum below runs in sorted-term
     # order, which a freshly built and a reloaded corpus share
-    vocab = corpus.vocabulary
-    mixture = np.zeros(len(vocab))
-    in_feedback = np.zeros(len(vocab), dtype=bool)
+    mixture = np.zeros(len(coll))
+    in_feedback = np.zeros(len(coll), dtype=bool)
     for pi, d in zip(posterior, feedback):
-        doc = corpus.documents[d]
-        ids = np.fromiter(map(vocab.__getitem__, doc.term_counts), np.intp,
-                          len(doc.term_counts))
-        tf = np.zeros(len(vocab))
-        tf[ids] = np.fromiter(doc.term_counts.values(), float, len(ids))
-        mixture += pi * smoothed(tf, doc.length, corpus._collection_probs)
+        ids, counts = corpus.text(d)
+        tf = np.zeros(len(coll))
+        tf[ids] = counts
+        mixture += pi * smoothed(tf, lengths[d], coll)
         in_feedback[ids] = True
-    ids = np.arange(len(vocab)) if lambda_r != 0.0 else np.flatnonzero(in_feedback)
+    ids = np.arange(len(coll)) if lambda_r != 0.0 else np.flatnonzero(in_feedback)
     # one renormalization guards against accumulated rounding; Python's
     # sum keeps the sequential order
     probs = mixture[ids]
@@ -221,6 +221,10 @@ def relevance_model_rank(query: Query, corpus: Corpus, k1: int, lambda_r: float,
     feedback = top_renderers(corpus, counts, k1, mu)[0].tolist()
     rel = estimate_relevance_model(counts, corpus, feedback, lambda_r, clip_k)
     # -KL(R || d) = H(R) + sum_w p_R(w) log p_dir(w | d): the cross-entropy
-    # term is a rendition score of the fractional-count text p_R.
-    cross = log_rendition_docs(corpus, rel.probs, mu)
+    # term is a rendition score of the fractional-count text p_R, whose
+    # length is summed in the model's own (rank, when clipped) order
+    ids = np.fromiter(map(corpus.vocabulary.__getitem__, rel.probs), np.int32, len(rel.probs))
+    order = np.argsort(ids)
+    text = ids[order], np.fromiter(rel.probs.values(), float, len(ids))[order]
+    cross = log_rendition_docs(corpus, text, mu, sum(rel.probs.values()))
     return ScoredRanking.from_dense(rel.entropy() + cross).truncate(n)

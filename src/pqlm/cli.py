@@ -201,18 +201,26 @@ _ITERATIVE_KEYS = {f.name for f in fields(RunConfig)} - {"method"} | {"lambda", 
 _FLOAT_KEYS = ("mu", "gamma", "lambda", "lambda_r")
 
 
-def _typed(params: dict[str, str]) -> dict:
-    """Spec values as numbers: float for _FLOAT_KEYS, int for every other key."""
-    return {k: (float if k in _FLOAT_KEYS else int)(v) for k, v in params.items()}
+def _typed(system: SystemSpec, params: dict[str, str]) -> dict:
+    """Spec values as numbers: float for _FLOAT_KEYS, int for every other
+    key; a value of neither is a ParseError naming the system and the key."""
+    out = {}
+    for key, value in params.items():
+        number, noun = (float, "a number") if key in _FLOAT_KEYS else (int, "an integer")
+        try:
+            out[key] = number(value)
+        except ValueError:
+            raise ParseError(f"system {system.name!r}: {key} {value!r} is not {noun}") from None
+    return out
 
 
-def _make_run_config(method: str, point: dict[str, str],
-                     grid_drifts: list[str]) -> RunConfig:
-    """The RunConfig of one grid point of an iterative system whose grid
-    takes the drift kinds ``grid_drifts``."""
+def _make_run_config(system: SystemSpec, point: dict[str, str]) -> RunConfig:
+    """The RunConfig of one grid point of an iterative system; the drift
+    kinds its grid takes decide which drift keys a point reads."""
+    grid_drifts = system.params.get("drift", ["none"])
     raw = dict(point)
     drift_kind = raw.pop("drift", "none")
-    params = _typed(raw)
+    params = _typed(system, raw)
     lambda_ = params.pop("lambda", None)
     drift_n = params.pop("drift_N", None)
     # one key set serves every drift kind in the grid, so a point drops a
@@ -225,7 +233,7 @@ def _make_run_config(method: str, point: dict[str, str],
     elif set(grid_drifts) & set(TRUNCATING):
         drift_n = None
     drift = DriftTechnique(drift_kind, lambda_, drift_n)
-    return RunConfig(method=method, drift=drift, **params)
+    return RunConfig(method=system.method, drift=drift, **params)
 
 
 def _parse_file(parse, path, text: bool = True):
@@ -295,11 +303,11 @@ def _configure(spec, spec_path, corpus, system: SystemSpec, point: dict[str, str
                          f"for {method}: {', '.join(sorted(unknown))}")
     if method in _BASELINES:
         function, defaults = _BASELINES[method]
-        params = {**defaults, **_typed(point)}
+        params = {**defaults, **_typed(system, point)}
         baselines.check_args(**params)
         return (lambda query: getattr(baselines, function)(query, corpus, *params.values()),
                 params["N"])
-    config = _make_run_config(method, point, system.params.get("drift", ["none"]))
+    config = _make_run_config(system, point)
     cluster_index = None
     if method == "mccluster":
         # one cluster index per (delta, mu), kept in `cluster_indexes` for the
@@ -359,7 +367,7 @@ def _queries(corpus, topics, qrels):
     out = []
     for qid, title in topics:
         q = corpus.preprocess_query(qid, title)
-        if not any(t in corpus.collection_counts for t in q.terms):
+        if not any(t in corpus.vocabulary for t in q.terms):
             why = "no term in the corpus vocabulary" if q.terms else "empty after preprocessing"
             print(f"skipping query {qid}: {why}", file=sys.stderr)
             continue

@@ -6,9 +6,9 @@ Cluster ids reuse seed doc ids, so the lower-id tie rule carries over
 without a second numbering scheme.  A cluster is stored as its member list.
 Its length, the sum of its members' lengths, is summed from the corpus's
 document lengths when the index is made (O(N * delta), without building
-the postings); its term counts are its members' document postings summed
-per term on the term's first use.  Both are integers below 2**53, exact in
-float64.
+the postings); as a renderer, its term counts are its members' postings
+summed per term on first use, and as a text, its members' rows summed per
+term id.  All are integers below 2**53, exact in float64.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ import logging
 
 import numpy as np
 
-from .corpus import Corpus, ParseError, canonical_json, check_doc_id_rows, check_mu, read_payload
-from .lm import QUERY_ID, NeighborIndex, _frozen, ranked_order
-from .storage import atomic_write
+from .corpus import Corpus, _frozen, load_doc_id_rows, save_doc_id_rows
+from .lm import QUERY_ID, NeighborIndex, ranked_order
 
 log = logging.getLogger(__name__)
 
@@ -87,14 +86,14 @@ class ClusterIndex:
         hit = self._member_scores.get(cluster_id)
         if hit is None:
             members = self.members[cluster_id]
-            tables = [corpus.documents[d].term_counts for d in members]
-            column: dict[str, int] = {}
-            columns = [[column.setdefault(t, len(column)) for t in table] for table in tables]
-            counts = np.zeros((len(members), len(column)))
-            for row, cols, table in zip(counts, columns, tables):
-                row[cols] = list(table.values())
+            texts = [corpus.text(d) for d in members]
+            columns, inverse = np.unique(np.concatenate([ids for ids, _ in texts]),
+                                         return_inverse=True)
+            counts = np.zeros((len(members), len(columns)))
+            counts[np.repeat(np.arange(len(members)), [len(ids) for ids, _ in texts]),
+                   inverse] = np.concatenate([tfs for _, tfs in texts])
             text_counts = counts.sum(axis=0)  # integer sums, exact
-            coll = corpus._collection_probs[[corpus.vocabulary[t] for t in column]]
+            coll = corpus._collection_probs[columns]
             lengths = corpus.lengths()[list(members)]
             # elementwise log + pairwise sum keeps results thread-independent;
             # sorting each member's contributions first makes the sum
@@ -112,30 +111,14 @@ class ClusterIndex:
 
     # -- persistence ----------------------------------------------------
 
-    def to_payload(self) -> dict:
-        return {
-            "format": CLUSTERS_FORMAT,
-            "corpus_hash": self.corpus_hash,
-            "mu": self.mu,
-            "delta": self.delta,
-            "members": [list(row) for row in self.members],
-        }
-
     def save(self, path) -> None:
-        atomic_write(path, canonical_json(self.to_payload()))
+        save_doc_id_rows(path, CLUSTERS_FORMAT, self, "delta", "members")
 
     @classmethod
     def load(cls, path, corpus: Corpus) -> "ClusterIndex":
-        payload = read_payload(path, CLUSTERS_FORMAT)
-        try:
-            if payload["corpus_hash"] != corpus.content_hash:
-                raise ValueError(f"{path}: clusters were built for a different corpus")
-            delta, members, mu = payload["delta"], payload["members"], payload["mu"]
-            check_doc_id_rows(path, members, corpus.n_docs, delta, "member list")
-            check_mu(path, mu)
-            return cls(members, corpus, mu, delta)
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{path}: malformed cluster payload: {exc}") from exc
+        mu, delta, members = load_doc_id_rows(path, CLUSTERS_FORMAT, corpus, "delta",
+                                              "members", "member list")
+        return cls(members, corpus, mu, delta)
 
 
 def build_clusters(corpus: Corpus, delta: int, neighbors: NeighborIndex) -> ClusterIndex:

@@ -99,14 +99,6 @@ def _tokenize(text: str, opts: PreprocessOptions, stems: dict[str, str]) -> list
 
 
 @dataclass
-class Document:
-    doc_id: int
-    docno: str
-    term_counts: dict[str, int]
-    length: int
-
-
-@dataclass
 class Query:
     query_id: str
     terms: list[str]
@@ -114,29 +106,39 @@ class Query:
 
 class Corpus:
     """Indexed document collection with the statistics every language model
-    reads, each built once and read-only.  Construction makes the collection
-    counts and length (O(P) over the P postings), the lexicographic
-    vocabulary (O(V log V) for V terms), the document lengths (N float64s),
-    each term id's collection probability (V float64s) and the id -> term
-    tuple.  The first :meth:`postings` call builds the CSR postings in one
-    pass, under a lock: int32 doc ids and float64 counts, 12 bytes a posting.
+    reads, each built once and read-only.
+
+    Construction keeps each document's text once, with no dict: a doc-major
+    CSR store whose row d is :meth:`text` d, int32 term ids (lexicographic,
+    so ascending ids are sorted terms) and int64 counts, 12 bytes a posting
+    plus N + 1 int64 offsets.  The rows' sums are the document lengths, and
+    a ``bincount`` of them the collection probability of each term id.  The
+    first :meth:`postings` call builds the rows' stable transpose under a
+    lock: int32 doc ids and float64 counts, another 12 bytes a posting.
     """
 
-    def __init__(self, documents: list[Document], options: PreprocessOptions):
-        self.documents = documents
+    def __init__(self, documents: list[tuple[str, dict[str, int]]], options: PreprocessOptions):
+        self.docnos, tables = [d for d, _ in documents], [c for _, c in documents]
         self.options = options
-        counts: Counter = Counter()
-        for doc in documents:
-            counts.update(doc.term_counts)
-        self.collection_counts: dict[str, int] = dict(counts)
-        self.collection_length = sum(doc.length for doc in documents)
         # lexicographic term ids: deterministic and reload-stable
-        self.vocabulary = {t: i for i, t in enumerate(sorted(self.collection_counts))}
-        self._terms = tuple(self.vocabulary)
-        self._lengths = np.array([d.length for d in documents], dtype=float)
-        self._collection_probs = (np.array([counts[t] for t in self._terms], dtype=float)
+        self._terms = tuple(sorted(set().union(*tables)))
+        self.vocabulary = {t: i for i, t in enumerate(self._terms)}
+        n, v = len(tables), len(self._terms)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, tables), np.int64, n), out=indptr[1:])
+        # a row in sorted-term order is in ascending term-id order
+        keys = [sorted(t) for t in tables]
+        ids = np.fromiter(map(self.vocabulary.__getitem__, chain.from_iterable(keys)),
+                          np.int32, indptr[-1])
+        values = chain.from_iterable(map(t.__getitem__, k) for t, k in zip(tables, keys))
+        counts = np.fromiter(values, np.int64, len(ids))
+        self._rows = _frozen(indptr, ids, counts)
+        self.collection_length = int(counts.sum())
+        self._lengths = np.bincount(np.repeat(np.arange(n), np.diff(indptr)), weights=counts,
+                                    minlength=n)
+        self._collection_probs = (np.bincount(ids, weights=counts, minlength=v)
                                   / self.collection_length)
-        self._lengths.flags.writeable = self._collection_probs.flags.writeable = False
+        _frozen(self._lengths, self._collection_probs)
         self._csr, self._csr_lock = None, threading.Lock()
         self._postings: dict[str, tuple] = {}
         # mu -> term -> (background, read-only per-posting deviations),
@@ -148,19 +150,26 @@ class Corpus:
         self._hash: str | None = None
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self.docnos)
 
     @property
     def n_docs(self) -> int:
-        return len(self.documents)
+        return len(self.docnos)
 
     def collection_prob(self, term: str) -> float:
         """Collection maximum-likelihood probability; 0 for unknown terms."""
-        return self.collection_counts.get(term, 0) / self.collection_length
+        t = self.vocabulary.get(term)
+        return 0.0 if t is None else float(self._collection_probs[t])
 
     def lengths(self) -> np.ndarray:
         """Document lengths by doc id, float64, read-only."""
         return self._lengths
+
+    def text(self, doc_id: int) -> tuple[np.ndarray, np.ndarray]:
+        """Document `doc_id` as a text: read-only views of its row."""
+        indptr, ids, counts = self._rows
+        row = slice(indptr[doc_id], indptr[doc_id + 1])
+        return ids[row], counts[row]
 
     def postings(self, term: str):
         """(doc_ids, counts) of one term: O(df) views into the CSR postings;
@@ -179,43 +188,38 @@ class Corpus:
     def _build_postings(self) -> tuple[np.ndarray, ...]:
         """(indptr, ids, counts): term id t has doc ids
         ``ids[indptr[t]:indptr[t + 1]]``, ascending, and their counts."""
-        tables = [d.term_counts for d in self.documents]
-        sizes = np.fromiter(map(len, tables), np.int64, len(tables))
-        terms = np.fromiter(map(self.vocabulary.__getitem__, chain.from_iterable(tables)),
-                            np.int32, sizes.sum())
-        counts = np.fromiter(chain.from_iterable(t.values() for t in tables),
-                             np.float64, len(terms))
+        row_ptr, terms, counts = self._rows
         order = np.argsort(terms, kind="stable")
         indptr = np.zeros(len(self._terms) + 1, dtype=np.int64)
         np.cumsum(np.bincount(terms, minlength=len(self._terms)), out=indptr[1:])
-        ids = np.repeat(np.arange(len(tables), dtype=np.int32), sizes)[order]
-        return indptr, ids, counts[order]
+        ids = np.repeat(np.arange(self.n_docs, dtype=np.int32), np.diff(row_ptr))[order]
+        return indptr, ids, counts[order].astype(float)
 
     def preprocess_query(self, query_id: str, text: str) -> Query:
         return Query(query_id, tokenize(text, self.options))
 
-    def query_counts(self, query: Query) -> dict[str, int]:
-        """Term counts of the query's vocabulary terms.  Out-of-vocabulary
-        terms are dropped with one warning; a query left without terms is a
-        ValueError."""
-        terms = [t for t in query.terms if t in self.collection_counts]
-        if len(terms) < len(query.terms):
+    def query_counts(self, query: Query) -> tuple[np.ndarray, np.ndarray]:
+        """The query's vocabulary terms as a text: (term ids ascending,
+        counts).  Out-of-vocabulary terms are dropped with one warning; a
+        query left without terms is a ValueError."""
+        ids = [self.vocabulary[t] for t in query.terms if t in self.vocabulary]
+        if len(ids) < len(query.terms):
             log.warning("query %s: %d out-of-vocabulary terms dropped",
-                        query.query_id, len(query.terms) - len(terms))
-        if not terms:
+                        query.query_id, len(query.terms) - len(ids))
+        if not ids:
             raise ValueError(f"query {query.query_id} is empty after preprocessing")
-        return dict(Counter(terms))
+        return np.unique(np.array(ids, dtype=np.int32), return_counts=True)
 
     # -- persistence ----------------------------------------------------
 
     def to_payload(self) -> dict:
+        indptr, ids, counts = (a.tolist() for a in self._rows)
+        names = list(map(self._terms.__getitem__, ids))
         return {
             "format": INDEX_FORMAT,
             "options": self.options.to_dict(),
-            "documents": [
-                {"docno": d.docno, "counts": dict(sorted(d.term_counts.items()))}
-                for d in self.documents
-            ],
+            "documents": [{"docno": docno, "counts": dict(zip(names[a:b], counts[a:b]))}
+                          for docno, a, b in zip(self.docnos, indptr, indptr[1:])],
         }
 
     def serialize(self) -> bytes:
@@ -235,30 +239,34 @@ class Corpus:
         payload = read_payload(path, INDEX_FORMAT)
         try:
             options = PreprocessOptions.from_dict(payload["options"])
-            entries = [(e["docno"], dict(e["counts"].items())) for e in payload["documents"]]
+            entries = [(e["docno"], e["counts"]) for e in payload["documents"]]
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ParseError(f"{path}: malformed index payload: {exc}") from exc
-        # the term index trusts its input: hold a loaded index to what
-        # ingestion guarantees; a document's length is the sum of its counts
-        documents: list[Document] = []
-        seen = set()
-        collection_length = 0
+        # the rows trust their input: hold a loaded index to what ingestion
+        # guarantees
+        seen, collection_length = set(), 0
         for docno, counts in entries:
             if not _is_docno(docno) or docno in seen:
                 raise ParseError(f"{path}: docno {docno!r} is duplicated, "
                                  "empty or not a string without whitespace")
             seen.add(docno)
-            valid = bool(counts) and all(type(c) is int and c > 0 for c in counts.values())
-            length = sum(counts.values()) if valid else 0
-            collection_length += length
+            valid = isinstance(counts, dict) and bool(counts) and all(
+                type(c) is int and c > 0 for c in counts.values())
+            collection_length += sum(counts.values()) if valid else 0
             # counts enter float64 arrays, which hold integers below 2**53
             # exactly; every count and every sum of counts (a document's or a
             # cluster's) is at most the collection length
             if not valid or collection_length >= 2**53:
                 raise ParseError(f"{path}: document {docno!r} needs positive integer counts "
                                  "that keep the collection length below 2**53")
-            documents.append(Document(len(documents), docno, counts, length))
-        return cls(documents, options)
+        return cls(entries, options)
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays made read-only, as memo entries shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def canonical_json(payload) -> bytes:
@@ -275,22 +283,39 @@ def read_payload(path, fmt: str) -> dict:
     return payload
 
 
-def check_mu(path, mu) -> None:
-    """A smoothing parameter read from an artifact: a positive finite number."""
-    if type(mu) not in (int, float) or not 0 < mu <= sys.float_info.max:
-        raise ParseError(f"{path}: mu is not a positive finite number")
+def save_doc_id_rows(path, fmt: str, owner, width_key: str, rows_key: str) -> None:
+    """Write `owner`, a neighbour or cluster index, as a `fmt` file: its
+    corpus hash, mu, row length `width_key` and doc-id rows `rows_key`."""
+    atomic_write(path, canonical_json({
+        "format": fmt, "corpus_hash": owner.corpus_hash, "mu": owner.mu,
+        width_key: getattr(owner, width_key),
+        rows_key: [list(row) for row in getattr(owner, rows_key)]}))
 
 
-def check_doc_id_rows(path, rows, n_docs: int, width: int, what: str) -> None:
-    """One row per document, each `width` distinct doc ids in 0..n_docs-1."""
-    if type(width) is not int or width < 1:
-        raise ParseError(f"{path}: {what} length is not a positive integer")
-    if len(rows) != n_docs:
-        raise ParseError(f"{path}: {len(rows)} {what}s for {n_docs} documents")
-    for i, row in enumerate(rows):
-        if len(row) != width or len(set(row)) != width or not all(
-                type(d) is int and 0 <= d < n_docs for d in row):
-            raise ParseError(f"{path}: {what} {i} is not {width} distinct ids in 0..{n_docs - 1}")
+def load_doc_id_rows(path, fmt: str, corpus: Corpus, width_key: str, rows_key: str,
+                     noun: str) -> tuple:
+    """(mu, row length, rows) of a :func:`save_doc_id_rows` file, held to
+    what it writes for `corpus`: a positive finite mu and one row (a `noun`)
+    per document of row length distinct doc ids.  Errors name the file."""
+    payload = read_payload(path, fmt)
+    n = corpus.n_docs
+    try:
+        mu, width, rows = payload["mu"], payload[width_key], payload[rows_key]
+        if payload["corpus_hash"] != corpus.content_hash:
+            raise ValueError(f"{path}: {noun}s were built for a different corpus")
+        if type(mu) not in (int, float) or not 0 < mu <= sys.float_info.max:
+            raise ParseError(f"{path}: mu is not a positive finite number")
+        if type(width) is not int or width < 1:
+            raise ParseError(f"{path}: {noun} length is not a positive integer")
+        if len(rows) != n:
+            raise ParseError(f"{path}: {len(rows)} {noun}s for {n} documents")
+        for i, row in enumerate(rows):
+            if len(row) != width or len(set(row)) != width or not all(
+                    type(d) is int and 0 <= d < n for d in row):
+                raise ParseError(f"{path}: {noun} {i} is not {width} distinct ids in 0..{n - 1}")
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"{path}: malformed {fmt} payload: {exc}") from exc
+    return mu, width, rows
 
 
 def _is_docno(docno) -> bool:
@@ -310,7 +335,7 @@ def build_corpus(
     maximum-likelihood model.
     """
     seen: set[str] = set()
-    documents: list[Document] = []
+    documents: list[tuple[str, dict[str, int]]] = []
     stems: dict[str, str] = {}
     for docno, text in docs:
         if not _is_docno(docno):
@@ -324,8 +349,7 @@ def build_corpus(
             if excluded is not None:
                 excluded.append(docno)
             continue
-        counts = dict(Counter(tokens))
-        documents.append(Document(len(documents), docno, counts, len(tokens)))
+        documents.append((docno, dict(Counter(tokens))))
     return Corpus(documents, opts)
 
 

@@ -81,9 +81,10 @@ def parse_spec(text: str) -> ExperimentSpec:
         if system is None:
             _set_global(spec, key, value, lineno)
         elif key == "name":
-            if len(value.split()) > 1:
+            # the name is a run file's name, inside `output`
+            if len(value.split()) > 1 or "/" in value or "\\" in value:
                 raise ParseError(f"spec line {lineno}: system name {value!r} "
-                                 "contains whitespace")
+                                 "contains whitespace or a path separator")
             system.name = value
         elif key == "method":
             system.method = value

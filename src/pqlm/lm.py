@@ -18,12 +18,10 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from typing import Mapping
 
 import numpy as np
 
-from .corpus import Corpus, ParseError, canonical_json, check_doc_id_rows, check_mu, read_payload
-from .storage import atomic_write
+from .corpus import Corpus, load_doc_id_rows, save_doc_id_rows
 
 log = logging.getLogger(__name__)
 
@@ -33,10 +31,12 @@ QUERY_ID = -1
 NEIGHBORS_FORMAT = "pqlm-neighbors-v1"
 
 
-def log_rendition(owner, corpus: Corpus, x_counts: Mapping[str, float],
-                  mu: float) -> np.ndarray:
-    """Log geometric-mean rendition scores of one text against every renderer
-    of `owner` (the corpus or a cluster index); requires a finite mu > 0.
+def log_rendition(owner, corpus: Corpus, text: tuple[np.ndarray, np.ndarray], mu: float,
+                  length: float | None = None) -> np.ndarray:
+    """Log geometric-mean rendition scores of one text, (term ids ascending,
+    counts), against every renderer of `owner` (the corpus or a cluster
+    index); requires a finite mu > 0.  `length` is ``sum(counts)`` summed
+    in another order, when the caller's order differs.
 
     Only renderers holding a text term deviate from the background
     log(mu * p_coll).  A term's background and its deviations
@@ -45,31 +45,32 @@ def log_rendition(owner, corpus: Corpus, x_counts: Mapping[str, float],
     term's first use and kept read-only in ``owner._deviations[mu][term]``,
     at most one float64 per posting per mu.  Each call weights the gathered
     deviations by the text counts and ``bincount`` sums them per renderer in
-    input (sorted term) order from 0.0.  O(|x| + sum of the text terms' df).
+    term-id (sorted term) order from 0.0.  O(|x| + sum of the text terms' df).
     """
     if not 0 < mu < math.inf:
         raise ValueError(f"rendition scoring requires mu > 0 and finite, got mu={mu}")
-    xlen = float(sum(x_counts.values()))
+    term_ids, cnts = (a.tolist() for a in text)
+    xlen = float(sum(cnts) if length is None else length)
     if xlen == 0:
         raise ValueError("empty sequence")
     memo = owner._deviations.setdefault(mu, {})
-    ids, deviations, cnts, base = [], [], [], 0.0
-    for term, cnt in sorted(x_counts.items()):
-        p_coll = corpus.collection_prob(term)
-        if p_coll == 0.0:
-            raise ValueError(f"term {term!r} is not in the corpus vocabulary")
-        term_ids, counts = owner.postings(term)
+    ids, deviations, base = [], [], 0.0
+    for t, cnt in zip(term_ids, cnts):
+        if not 0 <= t < len(corpus._terms):
+            raise ValueError(f"term id {t} is not in the corpus vocabulary")
+        term = corpus._terms[t]
+        renderers, counts = owner.postings(term)
         entry = memo.get(term)
         if entry is None:
+            p_coll = float(corpus._collection_probs[t])
             background = math.log(mu * p_coll)
             deviation = np.log(counts + mu * p_coll) - background
             deviation.flags.writeable = False
             entry = memo[term] = (background, deviation)
         background, deviation = entry
         base += cnt * background
-        ids.append(term_ids)
+        ids.append(renderers)
         deviations.append(deviation)
-        cnts.append(cnt)
     weights = np.concatenate(deviations)
     weights *= np.repeat(np.array(cnts, dtype=float), [len(i) for i in ids])
     # "+ base" also makes floats of bincount's integer zeros when no posting exists
@@ -79,9 +80,10 @@ def log_rendition(owner, corpus: Corpus, x_counts: Mapping[str, float],
     return out
 
 
-def log_rendition_docs(corpus: Corpus, x_counts: Mapping[str, float], mu: float) -> np.ndarray:
+def log_rendition_docs(corpus: Corpus, text: tuple[np.ndarray, np.ndarray], mu: float,
+                       length: float | None = None) -> np.ndarray:
     """:func:`log_rendition` against every document."""
-    return log_rendition(corpus, corpus, x_counts, mu)
+    return log_rendition(corpus, corpus, text, mu, length)
 
 
 def ranked_order(scores: np.ndarray) -> np.ndarray:
@@ -108,19 +110,12 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return ranked_order(scores)[:k].copy()
 
 
-def top_renderers(corpus: Corpus, x_counts: Mapping[str, float], k: int,
+def top_renderers(corpus: Corpus, text: tuple[np.ndarray, np.ndarray], k: int,
                   mu: float) -> tuple[np.ndarray, np.ndarray]:
     """The k best renderers of a text by :func:`top_k`, and their probabilities."""
-    probs = np.exp(log_rendition_docs(corpus, x_counts, mu))
+    probs = np.exp(log_rendition_docs(corpus, text, mu))
     top = top_k(probs, k)
     return top, probs[top]
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays made read-only, as memo entries shared by every caller."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 class NeighborIndex:
@@ -144,33 +139,16 @@ class NeighborIndex:
             )
         return self.neighbors[doc_id][:k]
 
-    def to_payload(self) -> dict:
-        return {
-            "format": NEIGHBORS_FORMAT,
-            "corpus_hash": self.corpus_hash,
-            "mu": self.mu,
-            "k_max": self.k_max,
-            "neighbors": self.neighbors,
-        }
-
     def save(self, path) -> None:
-        atomic_write(path, canonical_json(self.to_payload()))
+        save_doc_id_rows(path, NEIGHBORS_FORMAT, self, "k_max", "neighbors")
 
     @classmethod
     def load(cls, path, corpus: Corpus, mu: float | None = None) -> "NeighborIndex":
-        payload = read_payload(path, NEIGHBORS_FORMAT)
-        try:
-            idx = cls(payload["corpus_hash"], payload["mu"], payload["k_max"],
-                      payload["neighbors"])
-            check_mu(path, idx.mu)
-            if idx.corpus_hash != corpus.content_hash:
-                raise ValueError(f"{path}: neighbor lists were built for a different corpus")
-            if mu is not None and idx.mu != mu:
-                raise ValueError(f"{path}: neighbor lists were built with mu={idx.mu}, not {mu}")
-            check_doc_id_rows(path, idx.neighbors, corpus.n_docs, idx.k_max, "neighbor list")
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{path}: malformed neighbor payload: {exc}") from exc
-        return idx
+        built_mu, k_max, neighbors = load_doc_id_rows(path, NEIGHBORS_FORMAT, corpus, "k_max",
+                                                      "neighbors", "neighbor list")
+        if mu is not None and built_mu != mu:
+            raise ValueError(f"{path}: neighbor lists were built with mu={built_mu}, not {mu}")
+        return cls(corpus.content_hash, built_mu, k_max, neighbors)
 
 
 def precompute_neighbors(corpus: Corpus, k_max: int, mu: float,
@@ -189,7 +167,7 @@ def precompute_neighbors(corpus: Corpus, k_max: int, mu: float,
         raise ValueError("k_max must be >= 1")
 
     def one(doc_id: int) -> list[int]:
-        return top_renderers(corpus, corpus.documents[doc_id].term_counts, k_max, mu)[0].tolist()
+        return top_renderers(corpus, corpus.text(doc_id), k_max, mu)[0].tolist()
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

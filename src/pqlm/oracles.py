@@ -1,7 +1,8 @@
 """Naive desk-scale reference implementations used to verify production code.
 
-Everything here evaluates the defining formulas head-on: collection
-statistics are recounted from the documents, top-renderer sets come from
+Everything here evaluates the defining formulas head-on: the documents are
+read as literal count dicts off the corpus's text rows, collection
+statistics are recounted from them, top-renderer sets come from
 full sorts, and scoring walks every (renderer, pseudo-query) pair.  No
 indexing shortcut from the production modules is reused, so agreement
 between the two is meaningful evidence.
@@ -17,28 +18,38 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .corpus import Corpus
+from .lm import QUERY_ID
 
 MAX_DOCS = 64
 MAX_VOCAB = 32
 
 
-def _check_scale(corpus: Corpus) -> None:
-    vocab = set()
-    for doc in corpus.documents:
-        vocab.update(doc.term_counts)
-    if len(corpus.documents) > MAX_DOCS or len(vocab) > MAX_VOCAB:
+_Document = namedtuple("_Document", "doc_id term_counts length")
+
+
+def _documents(corpus: Corpus) -> list[_Document]:
+    """The documents as literal count dicts, read off the corpus's text
+    rows; desk-scale corpora only."""
+    docs = []
+    for d in range(corpus.n_docs):
+        ids, counts = corpus.text(d)
+        table = {corpus._terms[t]: c for t, c in zip(ids.tolist(), counts.tolist())}
+        docs.append(_Document(d, table, sum(table.values())))
+    if len(docs) > MAX_DOCS or len(set().union(*(d.term_counts for d in docs))) > MAX_VOCAB:
         raise ValueError("oracle is desk-scale only "
                          f"(docs <= {MAX_DOCS}, vocab <= {MAX_VOCAB})")
+    return docs
 
 
-def _collection(corpus: Corpus) -> tuple[dict[str, int], int]:
+def _collection(docs: list[_Document]) -> tuple[dict[str, int], int]:
     counts: dict[str, int] = {}
     total = 0
-    for doc in corpus.documents:
+    for doc in docs:
         for term, c in doc.term_counts.items():
             counts[term] = counts.get(term, 0) + c
             total += c
@@ -99,12 +110,12 @@ class _Table:
         return iter(self.exact)
 
 
-def _doc_table(corpus: Corpus, text: Mapping[str, int], mu: float,
+def _doc_table(docs: list[_Document], text: Mapping[str, int], mu: float,
                coll, coll_len) -> _Table:
     mu_f = Fraction(mu)
     exact = {
         d.doc_id: _product_exact(d.term_counts, d.length, text, mu_f, coll, coll_len)
-        for d in corpus.documents
+        for d in docs
     }
     return _Table(exact, sum(text.values()))
 
@@ -115,32 +126,30 @@ def _top(scores: Mapping[int, float], k: int) -> list[int]:
     return sorted(scores, key=lambda i: (-scores[i], i))[:k]
 
 
-def _text_of(item: int, corpus: Corpus, query_counts) -> Mapping[str, int]:
-    from .lm import QUERY_ID
-
-    return query_counts if item == QUERY_ID else corpus.documents[item].term_counts
+def _text_of(item: int, docs: list[_Document], query_counts) -> Mapping[str, int]:
+    return query_counts if item == QUERY_ID else docs[item].term_counts
 
 
 def lm_baseline_scores(query_counts, corpus: Corpus, mu: float) -> list[tuple[int, float]]:
-    _check_scale(corpus)
-    coll, coll_len = _collection(corpus)
-    table = _doc_table(corpus, query_counts, mu, coll, coll_len)
-    return [(d, table[d]) for d in table.top(len(corpus.documents))]
+    docs = _documents(corpus)
+    coll, coll_len = _collection(docs)
+    table = _doc_table(docs, query_counts, mu, coll, coll_len)
+    return [(d, table[d]) for d in table.top(len(docs))]
 
 
 def vdoc_scores(pq_items, pq_weights, alpha: int, corpus: Corpus, mu: float,
                 query_counts) -> list[tuple[int, float]]:
     """Explicit score-function evaluation of the first scoring method."""
-    _check_scale(corpus)
-    coll, coll_len = _collection(corpus)
-    n = len(corpus.documents)
+    docs = _documents(corpus)
+    coll, coll_len = _collection(docs)
+    n = len(docs)
     active = [i for i, w in zip(pq_items, pq_weights) if w > 0]
     tables = [
-        _doc_table(corpus, _text_of(i, corpus, query_counts), mu, coll, coll_len)
+        _doc_table(docs, _text_of(i, docs, query_counts), mu, coll, coll_len)
         for i in active
     ]
     tops = [set(t.top(alpha)) for t in tables]
-    q_table = _doc_table(corpus, query_counts, mu, coll, coll_len)
+    q_table = _doc_table(docs, query_counts, mu, coll, coll_len)
     out = {}
     for d in range(n):
         rank = n + 1
@@ -158,14 +167,14 @@ def vdoc_scores(pq_items, pq_weights, alpha: int, corpus: Corpus, mu: float,
 def mcdoc_scores(pq_items, pq_weights, alpha: int, m: int, corpus: Corpus,
                  mu: float, query_counts) -> list[tuple[int, float]]:
     """Per-document sum over its repertoire of weighted normalized credits."""
-    _check_scale(corpus)
-    coll, coll_len = _collection(corpus)
-    n = len(corpus.documents)
+    docs = _documents(corpus)
+    coll, coll_len = _collection(docs)
+    n = len(docs)
     out = {d: 0.0 for d in range(n)}
     for item, w in zip(pq_items, pq_weights):
         if w <= 0:
             continue
-        table = _doc_table(corpus, _text_of(item, corpus, query_counts),
+        table = _doc_table(docs, _text_of(item, docs, query_counts),
                            mu, coll, coll_len)
         norm = sum(table[d] for d in sorted(table.top(m)))
         top_alpha = set(table.top(alpha))
@@ -179,12 +188,10 @@ def mccluster_scores(pq_items, pq_weights, alpha_cluster: int, beta: int,
                      cluster_members: Sequence[Sequence[int]], corpus: Corpus,
                      mu: float, first_round: bool, query_counts) -> list[tuple[int, float]]:
     """Literal two-phase evaluation over explicit cluster member lists."""
-    from .lm import QUERY_ID
-
-    _check_scale(corpus)
-    coll, coll_len = _collection(corpus)
+    docs = _documents(corpus)
+    coll, coll_len = _collection(docs)
     mu_f = Fraction(mu)
-    n = len(corpus.documents)
+    n = len(docs)
     n_clusters = len(cluster_members)
 
     cluster_counts = []
@@ -193,9 +200,9 @@ def mccluster_scores(pq_items, pq_weights, alpha_cluster: int, beta: int,
         counts: dict[str, int] = {}
         length = 0
         for d in members:
-            for term, c in corpus.documents[d].term_counts.items():
+            for term, c in docs[d].term_counts.items():
                 counts[term] = counts.get(term, 0) + c
-            length += corpus.documents[d].length
+            length += docs[d].length
         cluster_counts.append(counts)
         cluster_lengths.append(length)
 
@@ -213,7 +220,7 @@ def mccluster_scores(pq_items, pq_weights, alpha_cluster: int, beta: int,
         cand = clusters_containing(item)
         if not cand:
             continue
-        text = _text_of(item, corpus, query_counts)
+        text = _text_of(item, docs, query_counts)
         table = _Table(
             {c: _product_exact(cluster_counts[c], cluster_lengths[c], text,
                                mu_f, coll, coll_len) for c in cand},
@@ -227,8 +234,8 @@ def mccluster_scores(pq_items, pq_weights, alpha_cluster: int, beta: int,
         if cscores[c] == 0.0:
             continue
         table = _Table(
-            {d: _product_exact(corpus.documents[d].term_counts,
-                               corpus.documents[d].length, cluster_counts[c],
+            {d: _product_exact(docs[d].term_counts,
+                               docs[d].length, cluster_counts[c],
                                mu_f, coll, coll_len)
              for d in cluster_members[c]},
             cluster_lengths[c])
@@ -289,12 +296,10 @@ def iterated_truncation(pairs, n: int) -> list[tuple[int, float]]:
 def rocchio_scores(query_terms: Sequence[str], corpus: Corpus, k1: int, t: int,
                    gamma: float, ) -> list[tuple[int, float]]:
     """Straight vector arithmetic: build every vector as an explicit dict."""
-    import math
-
-    _check_scale(corpus)
-    n = len(corpus.documents)
+    docs = _documents(corpus)
+    n = len(docs)
     df: dict[str, int] = {}
-    for doc in corpus.documents:
+    for doc in docs:
         for term in doc.term_counts:
             df[term] = df.get(term, 0) + 1
 
@@ -313,7 +318,7 @@ def rocchio_scores(query_terms: Sequence[str], corpus: Corpus, k1: int, t: int,
     def inner(u: dict, v: dict) -> float:
         return sum(u[w] * v[w] for w in sorted(u) if w in v)
 
-    initial = {d.doc_id: inner(q_vec, doc_vector(d)) for d in corpus.documents}
+    initial = {d.doc_id: inner(q_vec, doc_vector(d)) for d in docs}
     feedback = _top(initial, min(k1, n))
     if t == 0 or gamma == 0.0:
         return [(d, initial[d]) for d in _top(initial, n)]
@@ -322,7 +327,7 @@ def rocchio_scores(query_terms: Sequence[str], corpus: Corpus, k1: int, t: int,
     # one division, so mathematically tied terms compare exactly equal
     term_tfs: dict[str, list[int]] = {}
     for d in feedback:
-        for term, tf in corpus.documents[d].term_counts.items():
+        for term, tf in docs[d].term_counts.items():
             term_tfs.setdefault(term, []).append(tf)
     centroid = {
         term: sum(weight(tf, term) for tf in sorted(tfs)) / len(feedback)
@@ -335,23 +340,21 @@ def rocchio_scores(query_terms: Sequence[str], corpus: Corpus, k1: int, t: int,
     expanded = dict(q_vec)
     for term in extra:
         expanded[term] = gamma * centroid[term]
-    final = {d.doc_id: inner(expanded, doc_vector(d)) for d in corpus.documents}
+    final = {d.doc_id: inner(expanded, doc_vector(d)) for d in docs}
     return [(d, final[d]) for d in _top(final, n)]
 
 
 def relevance_model_scores(query_terms: Sequence[str], corpus: Corpus, k1: int,
                            lambda_r: float, clip_k: int, mu: float) -> list[tuple[int, float]]:
     """Direct mixture construction and full-vocabulary KL evaluation."""
-    import math
-
-    _check_scale(corpus)
-    coll, coll_len = _collection(corpus)
+    docs = _documents(corpus)
+    coll, coll_len = _collection(docs)
     q_counts: dict[str, int] = {}
     for term in query_terms:
         if term in coll:
             q_counts[term] = q_counts.get(term, 0) + 1
-    table = _doc_table(corpus, q_counts, mu, coll, coll_len)
-    feedback = table.top(min(k1, len(corpus.documents)))
+    table = _doc_table(docs, q_counts, mu, coll, coll_len)
+    feedback = table.top(min(k1, len(docs)))
 
     def p_lambda(doc, term):
         return ((1 - lambda_r) * doc.term_counts.get(term, 0) / doc.length
@@ -359,7 +362,7 @@ def relevance_model_scores(query_terms: Sequence[str], corpus: Corpus, k1: int,
 
     raw = []
     for d in feedback:
-        doc = corpus.documents[d]
+        doc = docs[d]
         v = 1.0
         for term, cnt in sorted(q_counts.items()):
             v *= p_lambda(doc, term) ** cnt
@@ -370,7 +373,7 @@ def relevance_model_scores(query_terms: Sequence[str], corpus: Corpus, k1: int,
     vocab = sorted(coll)
     rel = {}
     for term in vocab:
-        rel[term] = sum(pi * p_lambda(corpus.documents[d], term)
+        rel[term] = sum(pi * p_lambda(docs[d], term)
                         for pi, d in zip(pis, feedback))
     total = sum(rel[w] for w in vocab)
     rel = {w: p / total for w, p in rel.items()}
@@ -381,7 +384,7 @@ def relevance_model_scores(query_terms: Sequence[str], corpus: Corpus, k1: int,
         rel = {w: rel[w] / total for w in kept}
 
     out = {}
-    for doc in corpus.documents:
+    for doc in docs:
         kl = 0.0
         for term in sorted(rel):
             p_r = rel[term]

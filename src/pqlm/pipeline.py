@@ -150,6 +150,6 @@ def format_run_lines(query_id: str, ranking: ScoredRanking, corpus: Corpus,
                      tag: str) -> list[str]:
     """TREC run rows: qid Q0 docno rank score tag, fixed 6-decimal scores."""
     return [
-        f"{query_id} Q0 {corpus.documents[int(d)].docno} {rank} {score:.6f} {tag}"
+        f"{query_id} Q0 {corpus.docnos[int(d)]} {rank} {score:.6f} {tag}"
         for rank, (d, score) in enumerate(ranking.entries, start=1)
     ]

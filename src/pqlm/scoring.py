@@ -15,13 +15,13 @@ reused by every later query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
 from .clustering import ClusterIndex, cluster_membership
-from .corpus import Corpus
-from .lm import QUERY_ID, _frozen, log_rendition, ranked_order, top_k, top_renderers
+from .corpus import Corpus, _frozen
+from .lm import QUERY_ID, log_rendition, ranked_order, top_k, top_renderers
 
 
 @dataclass
@@ -93,15 +93,6 @@ class ScoredRanking:
         )
 
 
-def _pq_counts(item: int, corpus: Corpus, query_counts) -> Mapping[str, int]:
-    if item == QUERY_ID:
-        if query_counts is None:
-            raise ValueError("pseudo-query list references the query but no "
-                             "query counts were provided")
-        return query_counts
-    return corpus.documents[item].term_counts
-
-
 def _top_rendered(item: int, k: int, corpus: Corpus, mu: float,
                   query_p: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Top-k rendering documents of one pseudo-query, best first, and their
@@ -126,7 +117,7 @@ def _top_rendered(item: int, k: int, corpus: Corpus, mu: float,
     hit = corpus._rendered.get(key)
     if hit is None:
         hit = corpus._rendered[key] = _frozen(
-            *top_renderers(corpus, corpus.documents[item].term_counts, k, mu))
+            *top_renderers(corpus, corpus.text(item), k, mu))
     return hit
 
 
@@ -187,9 +178,9 @@ def score_mcdoc(pq: PseudoQueryList, alpha: int, m: int, corpus: Corpus,
 
 
 def log_rendition_clusters(cluster_index: ClusterIndex, corpus: Corpus,
-                           x_counts: Mapping[str, int], mu: float) -> np.ndarray:
+                           text: tuple[np.ndarray, np.ndarray], mu: float) -> np.ndarray:
     """:func:`~pqlm.lm.log_rendition` against every cluster model."""
-    return log_rendition(cluster_index, corpus, x_counts, mu)
+    return log_rendition(cluster_index, corpus, text, mu)
 
 
 def _cluster_credits(item: int, k: int, corpus: Corpus, cluster_index: ClusterIndex,
@@ -207,9 +198,11 @@ def _cluster_credits(item: int, k: int, corpus: Corpus, cluster_index: ClusterIn
         cand = cluster_membership(cluster_index, item, first_round)
         hit = _frozen(np.zeros(0, dtype=int), np.zeros(0))
         if len(cand):
-            logp = log_rendition_clusters(
-                cluster_index, corpus, _pq_counts(item, corpus, query_counts),
-                cluster_index.mu)
+            if item == QUERY_ID and query_counts is None:
+                raise ValueError("pseudo-query list references the query but no "
+                                 "query counts were provided")
+            text = query_counts if item == QUERY_ID else corpus.text(item)
+            logp = log_rendition_clusters(cluster_index, corpus, text, cluster_index.mu)
             probs = np.exp(logp[cand])
             norm = float(probs.sum())
             order = top_k(probs, k)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -22,10 +24,32 @@ def random_mu(rng) -> float:
     return float(rng.uniform(0.5, 50.0))
 
 
+def as_text(corpus, counts):
+    """A term -> count mapping as the kernel reads a text: (term ids
+    ascending, counts)."""
+    items = sorted((corpus.vocabulary[t], c) for t, c in counts.items())
+    return np.array([t for t, _ in items], dtype=np.int32), np.array([c for _, c in items])
+
+
+def doc_counts(corpus, d):
+    """Document d's text row as a term -> count dict."""
+    ids, counts = corpus.text(d)
+    return {corpus._terms[t]: c for t, c in zip(ids.tolist(), counts.tolist())}
+
+
+def collection_counts(corpus):
+    """Term -> count over the whole collection, recounted from the rows."""
+    total = Counter()
+    for d in range(corpus.n_docs):
+        total.update(doc_counts(corpus, d))
+    return dict(total)
+
+
 def query_probs(corpus, counts, mu):
-    """Rendition probability of a text per doc id, via the kernel: the
-    query vector that the iterative scorers and drift take."""
-    return np.exp(log_rendition_docs(corpus, counts, mu))
+    """Rendition probability of a text (a term -> count mapping) per doc
+    id, via the kernel: the query vector that the iterative scorers and
+    drift take."""
+    return np.exp(log_rendition_docs(corpus, as_text(corpus, counts), mu))
 
 
 def term_probs(corpus, term, mu):

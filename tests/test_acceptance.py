@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import query_probs, random_corpus, term_probs
+from conftest import as_text, doc_counts, query_probs, random_corpus, term_probs
 from pqlm import (
     DriftTechnique,
     PreprocessOptions,
@@ -199,7 +199,7 @@ def test_criterion_2_oracle_equivalence():
             ac = int(rng.integers(1, n + 1))
             beta = int(rng.integers(1, delta + 1))
             got = score_mccluster(PseudoQueryList(items, weights), ac, beta,
-                                  corpus, clusters, first, q_counts)
+                                  corpus, clusters, first, as_text(corpus, q_counts))
             want = oracles.mccluster_scores(items, weights, ac, beta, members,
                                             corpus, mu, first, q_counts)
             ok = _pairs_match(got, want)
@@ -278,8 +278,9 @@ def test_criterion_3_lm_invariants():
                             for w in corpus.vocabulary)
             else:
                 cid = int(rng.integers(0, len(clusters)))
-                total = sum(math.exp(log_rendition_clusters(clusters, corpus, {w: 1}, mu)[cid])
-                            for w in corpus.vocabulary)
+                total = sum(math.exp(log_rendition_clusters(
+                    clusters, corpus, as_text(corpus, {w: 1}), mu)[cid])
+                    for w in corpus.vocabulary)
             pairs_checked += 1
             if abs(total - 1.0) > 1e-9:
                 ok = False
@@ -306,13 +307,13 @@ def test_criterion_3_lm_invariants():
         while checked < 100:
             corpus = random_corpus(rng)
             mu = float(rng.uniform(0.5, 2000.0))
-            x = corpus.documents[int(rng.integers(0, corpus.n_docs))].term_counts
+            x = doc_counts(corpus, int(rng.integers(0, corpus.n_docs)))
             xlen = sum(x.values())
             cand = sorted(
                 rng.choice(corpus.n_docs,
                            size=int(rng.integers(2, corpus.n_docs + 1)),
                            replace=False).tolist())
-            probs = np.exp(log_rendition_docs(corpus, x, mu))
+            probs = np.exp(log_rendition_docs(corpus, as_text(corpus, x), mu))
             p = {t: term_probs(corpus, t, mu) for t in x}
             gm, kl = [], []
             for d in cand:
@@ -439,7 +440,7 @@ def _run_ap89_protocol(docs_glob: str, topics_path: str, qrels_path: str):
             continue
         query = corpus.preprocess_query(qid, title)
         ranking = lm_baseline(query, corpus, 2000.0, 1000)
-        run[qid] = [corpus.documents[int(d)].docno for d in ranking.doc_ids]
+        run[qid] = [corpus.docnos[int(d)] for d in ranking.doc_ids]
     qrels = Qrels.parse(Path(qrels_path).read_text())
     return evaluate_run(run, qrels, 1000)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_corpus, random_mu
+from conftest import as_text, collection_counts, doc_counts, random_corpus, random_mu
 from pqlm import (
     PreprocessOptions,
     build_corpus,
@@ -25,12 +25,12 @@ def query_for(corpus, rng, n_terms=2):
 def reference_relevance_model(query_counts, corpus, feedback, lambda_r, clip_k):
     """The per-term dict loop that estimate_relevance_model vectorises."""
     def smoothed(doc, term):
-        return ((1.0 - lambda_r) * doc.term_counts.get(term, 0) / doc.length
+        return ((1.0 - lambda_r) * doc.get(term, 0) / sum(doc.values())
                 + lambda_r * corpus.collection_prob(term))
 
     likelihood = []
     for d in feedback:
-        doc = corpus.documents[d]
+        doc = doc_counts(corpus, d)
         val = 1.0
         for term, cnt in sorted(query_counts.items()):
             val *= smoothed(doc, term) ** cnt
@@ -38,8 +38,8 @@ def reference_relevance_model(query_counts, corpus, feedback, lambda_r, clip_k):
     posterior = [v / sum(likelihood) for v in likelihood]
     probs = {}
     for pi, d in zip(posterior, feedback):
-        doc = corpus.documents[d]
-        support = doc.term_counts if lambda_r == 0.0 else corpus.collection_counts
+        doc = doc_counts(corpus, d)
+        support = doc if lambda_r == 0.0 else collection_counts(corpus)
         for term in sorted(support):
             probs[term] = probs.get(term, 0.0) + pi * smoothed(doc, term)
     probs = dict(sorted(probs.items()))
@@ -61,7 +61,7 @@ class TestLmBaseline:
         q = query_for(corpus, rng)
         base = lm_baseline(q, corpus, mu, 5)
         counts = {t: q.terms.count(t) for t in set(q.terms)}
-        top = ranked_order(np.exp(log_rendition_docs(corpus, counts, mu)))[:5]
+        top = ranked_order(np.exp(log_rendition_docs(corpus, as_text(corpus, counts), mu)))[:5]
         assert base.doc_ids.tolist() == top.tolist()
 
     def test_identical_documents_adjacent_lower_id_first(self):
@@ -105,9 +105,9 @@ class TestRocchio:
             PreprocessOptions())
         # k1=1 picks A; heaviest non-query centroid term of A decides
         idf = {t: math.log(3 / len(corpus.postings(t)[0]))
-               for t in corpus.collection_counts}
+               for t in corpus.vocabulary}
         weights = {t: (1 + math.log(c)) * idf[t]
-                   for t, c in corpus.documents[0].term_counts.items()
+                   for t, c in doc_counts(corpus, 0).items()
                    if t != "q"}
         heaviest = max(sorted(weights), key=lambda t: weights[t])
         assert heaviest == "w"
@@ -116,13 +116,14 @@ class TestRocchio:
         q_w = (1 + math.log(1)) * idf["q"]
         added_w = 0.5 * weights["w"]
         expected = {}
-        for doc in corpus.documents:
+        for d in range(corpus.n_docs):
+            doc = doc_counts(corpus, d)
             score = 0.0
-            if "q" in doc.term_counts:
-                score += q_w * (1 + math.log(doc.term_counts["q"])) * idf["q"]
-            if "w" in doc.term_counts:
-                score += added_w * (1 + math.log(doc.term_counts["w"])) * idf["w"]
-            expected[doc.doc_id] = score
+            if "q" in doc:
+                score += q_w * (1 + math.log(doc["q"])) * idf["q"]
+            if "w" in doc:
+                score += added_w * (1 + math.log(doc["w"])) * idf["w"]
+            expected[d] = score
         for d, s in got.entries:
             assert s == pytest.approx(expected[d], rel=1e-12)
 
@@ -157,10 +158,10 @@ class TestRocchio:
 
 class TestRelevanceModel:
     def test_k1_one_is_single_smoothed_model(self, tiny_corpus):
-        rel = estimate_relevance_model({"a": 1}, tiny_corpus, [0], 0.3, 0)
-        doc = tiny_corpus.documents[0]
-        for term in tiny_corpus.collection_counts:
-            expected = (0.7 * doc.term_counts.get(term, 0) / doc.length
+        rel = estimate_relevance_model(as_text(tiny_corpus, {"a": 1}), tiny_corpus, [0], 0.3, 0)
+        doc = doc_counts(tiny_corpus, 0)
+        for term in tiny_corpus.vocabulary:
+            expected = (0.7 * doc.get(term, 0) / sum(doc.values())
                         + 0.3 * tiny_corpus.collection_prob(term))
             assert rel.probs[term] == pytest.approx(expected, rel=1e-9)
 
@@ -180,19 +181,20 @@ class TestRelevanceModel:
             holders = corpus.postings(term)[0].tolist()
             feedback = holders[:3] if lambda_r == 0.0 else [2, 0, 1]
             counts = {term: int(rng.integers(1, 3))}
-            got = estimate_relevance_model(counts, corpus, feedback, lambda_r, clip_k)
+            got = estimate_relevance_model(as_text(corpus, counts), corpus, feedback,
+                                           lambda_r, clip_k)
             assert got.probs == reference_relevance_model(
                 counts, corpus, feedback, lambda_r, clip_k)
             if lambda_r == 0.0 and clip_k == 0:
                 assert set(got.probs) == set().union(
-                    *(corpus.documents[d].term_counts for d in feedback))
+                    *(doc_counts(corpus, d) for d in feedback))
 
     @pytest.mark.parametrize("lambda_r", [0.0, 0.5])
     def test_clip_tie_keeps_the_lower_term_id(self, lambda_r):
         # b and a tie exactly: equal counts in the feedback document and in
         # the collection
         corpus = build_corpus([("A", "c b a c"), ("B", "d")], PreprocessOptions())
-        rel = estimate_relevance_model({"c": 1}, corpus, [0], lambda_r, 2)
+        rel = estimate_relevance_model(as_text(corpus, {"c": 1}), corpus, [0], lambda_r, 2)
         assert set(rel.probs) == {"a", "c"}
         assert rel.probs == reference_relevance_model({"c": 1}, corpus, [0], lambda_r, 2)
 
@@ -202,9 +204,9 @@ class TestRelevanceModel:
             corpus = random_corpus(rng, n_docs=6)
             q = query_for(corpus, rng)
             counts = {t: q.terms.count(t) for t in set(q.terms)}
-            full = estimate_relevance_model(counts, corpus, [0, 1, 2], 0.4, 0)
+            full = estimate_relevance_model(as_text(corpus, counts), corpus, [0, 1, 2], 0.4, 0)
             assert sum(full.probs.values()) == pytest.approx(1.0, abs=1e-9)
-            clipped = estimate_relevance_model(counts, corpus, [0, 1, 2], 0.4, 3)
+            clipped = estimate_relevance_model(as_text(corpus, counts), corpus, [0, 1, 2], 0.4, 3)
             assert sum(clipped.probs.values()) == pytest.approx(1.0, abs=1e-9)
             assert clipped.support_size <= 3
 

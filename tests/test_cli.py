@@ -84,7 +84,7 @@ class TestIndex:
         from pqlm import Corpus
 
         corpus = Corpus.load(out)
-        assert [d.docno for d in corpus.documents] == ["L0", "L1"]
+        assert corpus.docnos == ["L0", "L1"]
 
 
 class TestArtifactCommands:
@@ -1018,6 +1018,53 @@ gamma = 0.5
                      "--alpha1", "1", "3"]) == 0
         lines = (tmp_path / "out" / "sweep_roc.csv").read_text().splitlines()
         assert len(lines) == 3
+
+
+class TestSpecSystems:
+    """A system's name becomes a run file's name and its values numbers:
+    a bad one is a line-numbered or system-named data error that `run` and
+    `sweep` report before writing anything."""
+
+    @staticmethod
+    def _command(command, spec, system):
+        if command == "run":
+            return main(["run", str(spec)])
+        return main(["sweep", str(spec), "--system", system, "--alpha1", "2"])
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("name", ["../escaped", "sub/b", "sub\\b"])
+    def test_name_with_a_path_separator_writes_nothing(self, tmp_path, capsys, command, name):
+        # the good baseline system comes first
+        spec = baseline_spec(tmp_path, f"""
+[system]
+name = {name}
+method = rocchio
+""")
+        line = spec.read_text().splitlines().index(f"name = {name}") + 1
+        _assert_data_error(self._command(command, spec, name), capsys,
+                           f"spec line {line}: system name {name!r} contains whitespace "
+                           "or a path separator")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("method, key, value, noun", [
+        ("mcdoc", "alpha", "1.5", "an integer"),
+        ("mcdoc", "mu", "x", "a number"),
+        ("mcdoc", "lambda", "half", "a number"),
+        ("rocchio", "t", "2.0", "an integer"),
+        ("relevance_model", "lambda_r", "0,5", "a number"),
+    ])
+    def test_value_of_the_wrong_type_names_system_and_key(self, tmp_path, capsys, command,
+                                                          method, key, value, noun):
+        spec = baseline_spec(tmp_path, f"""
+[system]
+name = m
+method = {method}
+{key} = {value}
+""")
+        _assert_data_error(self._command(command, spec, "m"), capsys,
+                           f"system 'm': {key} {value!r} is not {noun}")
+        assert not (tmp_path / "out").exists()
 
 
 class TestThreadsEnvVar:

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import random_corpus, random_mu
+from conftest import doc_counts, random_corpus, random_mu
 from pqlm import (
     QUERY_ID,
     ClusterIndex,
@@ -31,8 +31,7 @@ class TestBuild:
             mu = random_mu(rng)
             index = build_clusters(corpus, 1, neighbors_for(corpus, 3, mu))
             for seed in range(9):
-                x = corpus.documents[seed].term_counts
-                scores = np.exp(log_rendition_docs(corpus, x, mu))
+                scores = np.exp(log_rendition_docs(corpus, corpus.text(seed), mu))
                 best = min(range(9), key=lambda r: (-scores[r], r))
                 assert index.members[seed] == (best,)
 
@@ -76,9 +75,8 @@ class TestBuild:
         merged = [Counter() for _ in index.members]
         for fresh, row in zip(merged, index.members):
             for d in row:
-                fresh.update(corpus.documents[d].term_counts)
-        assert index.lengths().tolist() == [
-            sum(corpus.documents[d].length for d in row) for row in index.members]
+                fresh.update(doc_counts(corpus, d))
+        assert index.lengths().tolist() == [sum(m.values()) for m in merged]
         for term in corpus.vocabulary:
             ids, counts = index.postings(term)
             assert dict(zip(ids.tolist(), counts.tolist())) == {

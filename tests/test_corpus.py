@@ -1,10 +1,15 @@
 import io
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pqlm.porter
 
+from conftest import collection_counts, doc_counts
+from pqlm import oracles
 from pqlm import (
     Corpus,
     ParseError,
@@ -65,7 +70,7 @@ class TestStemMemo:
         excluded: list[str] = []
         corpus = build_corpus(docs, opts, excluded)
         assert stem_calls == Counter(["running", "runners", "run", "jumps"])
-        assert [d.term_counts for d in corpus.documents] == [
+        assert [doc_counts(corpus, d) for d in range(corpus.n_docs)] == [
             {"run": 2, "runner": 1}, {"run": 2, "jump": 1}]
         assert excluded == ["d2"]
 
@@ -106,10 +111,11 @@ class TestParseTrec:
 class TestBuildCorpus:
     def test_counting(self, opts):
         corpus = build_corpus([("A", "a a b"), ("B", "b c")], opts)
-        assert corpus.collection_counts == {"a": 2, "b": 2, "c": 1}
+        assert collection_counts(corpus) == {"a": 2, "b": 2, "c": 1}
+        assert corpus._collection_probs.tolist() == [0.4, 0.4, 0.2]
         assert corpus.collection_length == 5
-        assert [d.docno for d in corpus.documents] == ["A", "B"]
-        assert [d.doc_id for d in corpus.documents] == [0, 1]
+        assert corpus.docnos == ["A", "B"]
+        assert corpus.text(1)[0].tolist() == [1, 2] and corpus.text(1)[1].tolist() == [1, 1]
 
     def test_empty_document_excluded(self, opts):
         excluded = []
@@ -129,14 +135,40 @@ class TestBuildCorpus:
 
         for _ in range(20):
             corpus = random_corpus(rng)
-            assert sum(corpus.collection_counts.values()) == corpus.collection_length
-            for doc in corpus.documents:
-                assert sum(doc.term_counts.values()) == doc.length
-                assert doc.length >= 1
+            assert sum(collection_counts(corpus).values()) == corpus.collection_length
+            for d in range(corpus.n_docs):
+                assert sum(doc_counts(corpus, d).values()) == corpus.lengths()[d]
+                assert corpus.lengths()[d] >= 1
 
     def test_term_ids_lexicographic(self, opts):
         corpus = build_corpus([("A", "zebra apple mango")], opts)
         assert corpus.vocabulary == {"apple": 0, "mango": 1, "zebra": 2}
+
+
+_DOCUMENTS = st.lists(st.lists(st.sampled_from(["a", "b", "bb", "c", "d", "e", "ab", "z"]),
+                                min_size=1, max_size=12), min_size=1, max_size=10)
+
+
+class TestTextRows:
+    """Each document's text is one row of term ids and counts; the postings
+    are the rows' transpose."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_DOCUMENTS)
+    def test_rows_and_postings_are_the_dict_view(self, documents):
+        corpus = build_corpus([(f"D{i}", " ".join(words)) for i, words in enumerate(documents)],
+                              PreprocessOptions())
+        view = oracles._documents(corpus)
+        for d, doc in enumerate(view):
+            ids, counts = corpus.text(d)
+            assert np.all(np.diff(ids) > 0)
+            assert counts.sum() == corpus.lengths()[d] == len(documents[d])
+            assert doc.term_counts == Counter(documents[d])
+            assert not ids.flags.writeable and not counts.flags.writeable
+        for term in corpus.vocabulary:
+            ids, counts = corpus.postings(term)
+            assert list(zip(ids.tolist(), counts.tolist())) == [
+                (doc.doc_id, doc.term_counts[term]) for doc in view if term in doc.term_counts]
 
 
 class TestPersistence:
@@ -153,8 +185,8 @@ class TestPersistence:
         assert path.read_bytes() == first
         assert reloaded.content_hash == corpus.content_hash
         assert reloaded.options == corpus.options
-        assert [d.term_counts for d in reloaded.documents] \
-            == [d.term_counts for d in corpus.documents]
+        for d in range(corpus.n_docs):
+            assert doc_counts(reloaded, d) == doc_counts(corpus, d)
 
     def test_reingest_is_deterministic(self, opts):
         docs = [("A", "x y z"), ("B", "y y")]

@@ -16,11 +16,12 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_corpus, random_mu
+from conftest import as_text, doc_counts, random_corpus, random_mu
 from pqlm import (
     ClusterIndex,
     Corpus,
@@ -31,6 +32,7 @@ from pqlm import (
     build_corpus,
     format_run_lines,
     lm_baseline,
+    parse_trec,
     precompute_neighbors,
     relevance_model_rank,
     rocchio_rank,
@@ -38,10 +40,22 @@ from pqlm import (
     singleton_cluster_index,
 )
 from pqlm import lm, oracles, pipeline, scoring
+from pqlm.baselines import estimate_relevance_model
 from pqlm.corpus import Query
 from pqlm.lm import log_rendition, log_rendition_docs
 
+DATA = Path(__file__).parent / "data"
+
 GOLDEN_SHA256 = "b1cffddc03ddcd2ab30a1a6cf31bd516f0503030abc6f0168d000db72c9314f0"
+# sha256 of the pqlm-index-v1 bytes of golden_corpus() and of
+# tests/data/micro.trec (default options), and of the neighbour (k_max 6)
+# and cluster (delta 5) files of golden_corpus() at mu = MU
+INDEX_SHA256 = {
+    "golden": "143c37955891e0f384bf102831d5aeca0c88d1cf0dc169db2b086e6997727067",
+    "micro": "d0234987d5de67754d1998fc0db64378eb3eb3fba9ccfa09e21b4359bac0416e",
+    "neighbors": "39844b9512fb23f7dfb7a2eb30a0c5cb02d7549ef7354058fa71dc9ddba2b4b1",
+    "clusters": "8e2537996f77478a2411c6e15350722180a4cfea6115f4236a524b22607d03ea",
+}
 
 
 def literal_log_rendition(corpus, x_counts, mu):
@@ -49,17 +63,17 @@ def literal_log_rendition(corpus, x_counts, mu):
     out = np.zeros(corpus.n_docs)
     xlen = float(sum(x_counts.values()))
     base = 0.0
+    tables = [doc_counts(corpus, d) for d in range(corpus.n_docs)]
     for term, cnt in sorted(x_counts.items()):
         p_coll = corpus.collection_prob(term)
         background = math.log(mu * p_coll)
         base += cnt * background
-        ids = [d.doc_id for d in corpus.documents if term in d.term_counts]
-        counts = np.array([corpus.documents[d].term_counts[term] for d in ids],
-                          dtype=float)
+        ids = [d for d, table in enumerate(tables) if term in table]
+        counts = np.array([tables[d][term] for d in ids], dtype=float)
         if ids:
             out[ids] += cnt * (np.log(counts + mu * p_coll) - background)
     out += base
-    lengths = np.array([d.length for d in corpus.documents], dtype=float)
+    lengths = np.array([sum(table.values()) for table in tables], dtype=float)
     out -= xlen * np.log(lengths + mu)
     out /= xlen
     return out
@@ -73,7 +87,7 @@ class TestKernel:
             mu = random_mu(rng)
             terms = [str(t) for t in rng.choice(sorted(corpus.vocabulary), size=5)]
             text = {t: terms.count(t) for t in set(terms)}
-            scores = np.exp(log_rendition_docs(corpus, text, mu))
+            scores = np.exp(log_rendition_docs(corpus, as_text(corpus, text), mu))
             for d, expected in oracles.lm_baseline_scores(text, corpus, mu):
                 assert scores[d] == pytest.approx(expected, rel=1e-12)
 
@@ -85,7 +99,7 @@ class TestKernel:
             terms = [str(t) for t in rng.choice(sorted(corpus.vocabulary), size=9)]
             text = {t: terms.count(t) for t in set(terms)}
             assert max(text.values()) > 1
-            assert np.array_equal(log_rendition_docs(corpus, text, mu),
+            assert np.array_equal(log_rendition_docs(corpus, as_text(corpus, text), mu),
                                   literal_log_rendition(corpus, text, mu))
 
     def test_bit_equal_to_literal_reference_for_float_counts(self):
@@ -96,22 +110,42 @@ class TestKernel:
             mu = random_mu(rng)
             weights = rng.dirichlet(np.ones(len(corpus.vocabulary)))
             text = {t: float(w) for t, w in zip(sorted(corpus.vocabulary), weights)}
-            assert np.array_equal(log_rendition_docs(corpus, text, mu),
+            assert np.array_equal(log_rendition_docs(corpus, as_text(corpus, text), mu),
                                   literal_log_rendition(corpus, text, mu))
 
+    def test_relevance_model_is_bit_equal_to_literal_reference(self):
+        # a clipped model lists its terms in rank order, and its length is
+        # summed in that order, not in term-id order
+        corpus, topics = golden_corpus()
+        rank_ordered = []
+        for qid, text in topics:
+            query = corpus.preprocess_query(qid, text)
+            counts = corpus.query_counts(query)
+            feedback = lm.top_renderers(corpus, counts, 5, MU)[0].tolist()
+            for clip_k in (0, 7, 30):
+                rel = estimate_relevance_model(counts, corpus, feedback, 0.5, clip_k)
+                expected = rel.entropy() + literal_log_rendition(corpus, rel.probs, MU)
+                ranking = relevance_model_rank(query, corpus, 5, 0.5, clip_k, MU, corpus.n_docs)
+                assert np.array_equal(ranking.scores, expected[ranking.doc_ids])
+                rank_ordered.append(list(rel.probs) != sorted(rel.probs))
+        assert any(rank_ordered)
+
     def test_out_of_vocabulary_term(self, tiny_corpus):
-        with pytest.raises(ValueError, match="'zzz' is not in the corpus vocabulary"):
-            log_rendition_docs(tiny_corpus, {"a": 1, "zzz": 1}, 1.0)
+        # the vocabulary holds term ids 0..2
+        for bad_id in (3, -1):
+            text = np.array([0, bad_id], dtype=np.int32), np.array([1, 1])
+            with pytest.raises(ValueError, match=f"term id {bad_id} is not in the corpus"):
+                log_rendition_docs(tiny_corpus, text, 1.0)
 
     @pytest.mark.parametrize("mu", [0.0, -1.0])
     def test_non_positive_mu(self, tiny_corpus, mu):
         with pytest.raises(ValueError, match="requires mu > 0"):
-            log_rendition_docs(tiny_corpus, {"a": 1}, mu)
+            log_rendition_docs(tiny_corpus, as_text(tiny_corpus, {"a": 1}), mu)
 
     @pytest.mark.parametrize("text", [{}, {"a": 0}])
     def test_empty_text(self, tiny_corpus, text):
         with pytest.raises(ValueError, match="empty sequence"):
-            log_rendition_docs(tiny_corpus, text, 1.0)
+            log_rendition_docs(tiny_corpus, as_text(tiny_corpus, text), 1.0)
 
     def test_postings_of_unknown_term_are_empty(self, tiny_corpus):
         for owner in (tiny_corpus, singleton_cluster_index(tiny_corpus, 1.0)):
@@ -139,10 +173,11 @@ class TestCorpusStatistics:
             return build(self)
 
         monkeypatch.setattr(Corpus, "_build_postings", counted_build)
-        assert corpus.lengths().tolist() == [d.length for d in corpus.documents]
+        lengths = [sum(doc_counts(corpus, d).values()) for d in range(corpus.n_docs)]
+        assert corpus.lengths().tolist() == lengths
         clusters = ClusterIndex([(d, (d + 1) % corpus.n_docs) for d in range(corpus.n_docs)],
                                 corpus, MU, 2)
-        assert clusters.lengths()[0] == corpus.documents[0].length + corpus.documents[1].length
+        assert clusters.lengths()[0] == lengths[0] + lengths[1]
         assert builds == []
         corpus.postings("w0")
         assert builds == [corpus]
@@ -181,29 +216,30 @@ class TestDeviationMemo:
         owner = self.owners(corpus)[owner_kind]
         mu = 7.5
         memo = owner._deviations[mu] = _CountingMemo()
-        text = corpus.documents[0].term_counts
+        text = corpus.text(0)
         first = log_rendition(owner, corpus, text, mu)
-        assert memo.stores == len(text)
+        n_terms = len(text[0])
+        assert memo.stores == n_terms
         second = log_rendition(owner, corpus, text, mu)
-        assert memo.stores == len(text)
+        assert memo.stores == n_terms
         assert np.array_equal(first, second)
         # another mu has its own entries
         log_rendition(owner, corpus, text, 2 * mu)
-        assert memo.stores == len(text) and len(owner._deviations[2 * mu]) == len(text)
+        assert memo.stores == n_terms and len(owner._deviations[2 * mu]) == n_terms
 
     def test_memo_hits_stay_bit_equal_to_literal_reference(self):
         rng = np.random.default_rng(41)
         corpus = random_corpus(rng, n_docs=12)
         for mu in (0.5, 30.0, 0.5):
-            for doc in corpus.documents:
-                assert np.array_equal(log_rendition_docs(corpus, doc.term_counts, mu),
-                                      literal_log_rendition(corpus, doc.term_counts, mu))
+            for d in range(corpus.n_docs):
+                assert np.array_equal(log_rendition_docs(corpus, corpus.text(d), mu),
+                                      literal_log_rendition(corpus, doc_counts(corpus, d), mu))
 
     def test_entries_are_read_only_and_one_float_per_posting(self):
         corpus = random_corpus(np.random.default_rng(43), n_docs=10)
         for owner in self.owners(corpus).values():
-            for doc in corpus.documents:
-                log_rendition(owner, corpus, doc.term_counts, 2.0)
+            for d in range(corpus.n_docs):
+                log_rendition(owner, corpus, corpus.text(d), 2.0)
             assert list(owner._deviations) == [2.0]
             for term, (background, deviations) in owner._deviations[2.0].items():
                 assert background == math.log(2.0 * corpus.collection_prob(term))
@@ -279,6 +315,25 @@ def test_golden_run_bytes():
     assert hashlib.sha256(golden_run_bytes()).hexdigest() == GOLDEN_SHA256
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_golden_index_bytes(tmp_path):
+    corpus, _ = golden_corpus()
+    micro = build_corpus(parse_trec((DATA / "micro.trec").read_bytes()), PreprocessOptions())
+    corpus.save(tmp_path / "index.json")
+    reloaded = Corpus.load(tmp_path / "index.json")
+    for name, owner in (("golden", corpus), ("golden", reloaded), ("micro", micro)):
+        assert _sha256(owner.serialize()) == INDEX_SHA256[name]
+        assert owner.content_hash == INDEX_SHA256[name]
+    neighbors = precompute_neighbors(reloaded, 6, MU)
+    neighbors.save(tmp_path / "neighbors.json")
+    build_clusters(reloaded, 5, neighbors).save(tmp_path / "clusters.json")
+    for name in ("neighbors", "clusters"):
+        assert _sha256((tmp_path / f"{name}.json").read_bytes()) == INDEX_SHA256[name]
+
+
 # -- the term index under threads -----------------------------------------
 
 
@@ -311,13 +366,13 @@ def test_cluster_postings_match_member_counts():
     merged = [Counter() for _ in clusters.members]
     for counts, row in zip(merged, clusters.members):
         for d in row:
-            counts.update(corpus.documents[d].term_counts)
+            counts.update(doc_counts(corpus, d))
     for term in ("t2v1", "w0", "w399"):
         ids, counts = clusters.postings(term)
         expected = [(cid, m[term]) for cid, m in enumerate(merged) if term in m]
         assert list(zip(ids.tolist(), counts.tolist())) == expected
     assert clusters.lengths().tolist() == [
-        sum(corpus.documents[d].length for d in row) for row in clusters.members]
+        sum(sum(doc_counts(corpus, d).values()) for d in row) for row in clusters.members]
 
 
 # -- memoised document pseudo-queries -------------------------------------
@@ -326,6 +381,11 @@ METHODS = ("vdoc", "mcdoc", "mccluster")
 KERNELS = {"vdoc": (lm, "log_rendition_docs"), "mcdoc": (lm, "log_rendition_docs"),
            "mccluster": (scoring, "log_rendition_clusters")}
 MU2 = 1500.0
+
+
+def _key(text):
+    """A text's (ids, counts) as a hashable value."""
+    return tuple(tuple(a.tolist()) for a in text)
 
 
 def golden_setup():
@@ -353,13 +413,15 @@ def test_document_pseudo_query_scored_once_across_queries(method, monkeypatch):
         round2.append(set(first.doc_ids[first.scores > 0].tolist()))
     assert round2[0] & round2[1]
 
-    texts = {id(d.term_counts): d.doc_id for d in corpus.documents}
+    # every document text of the golden corpus is distinct
+    texts = {_key(corpus.text(d)): d for d in range(corpus.n_docs)}
+    assert len(texts) == corpus.n_docs
     calls = Counter()
     module, name = KERNELS[method]
     kernel = getattr(module, name)
 
     def counting(*args):
-        calls[texts.get(id(args[-2]))] += 1  # args[-2] is the scored text
+        calls[texts.get(_key(args[-2]))] += 1  # args[-2] is the scored text
         return kernel(*args)
 
     monkeypatch.setattr(module, name, counting)
@@ -383,18 +445,19 @@ def test_document_pseudo_query_scored_once_across_queries(method, monkeypatch):
 def test_query_scored_once_per_run(method, drift, scored, monkeypatch):
     # round 1, vdoc's unmatched documents and drift all read one query vector
     corpus, queries, clusters = golden_setup()
-    documents = {id(d.term_counts) for d in corpus.documents}
+    documents = {_key(corpus.text(d)) for d in range(corpus.n_docs)}
     calls = []
     for module in (pipeline, lm):
         def counting(*args, kernel=module.log_rendition_docs):
-            if id(args[-2]) not in documents:  # args[-2] is the scored text
-                calls.append(args[-2])
+            if _key(args[-2]) not in documents:  # args[-2] is the scored text
+                calls.append(_key(args[-2]))
             return kernel(*args)
         monkeypatch.setattr(module, "log_rendition_docs", counting)
     for q in queries:
         calls.clear()
         run_retrieval(q, dataclasses.replace(golden_config(method), drift=drift), corpus, clusters)
-        assert calls == [corpus.query_counts(q)] * scored, f"{len(calls)} kernel calls on {q.query_id}"
+        assert calls == [_key(corpus.query_counts(q))] * scored, \
+            f"{len(calls)} kernel calls on {q.query_id}"
 
 
 def test_memo_entries_own_their_memory_and_hold_at_most_k():

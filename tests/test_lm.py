@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_corpus, random_mu, term_probs
+from conftest import as_text, collection_counts, doc_counts, random_corpus, random_mu, term_probs
 from pqlm import (
     NeighborIndex,
     PreprocessOptions,
@@ -20,13 +20,13 @@ from pqlm.scoring import _top_rendered
 
 def renditions(corpus, text, mu):
     """Rendition probability of a text (a count mapping) under every document."""
-    return np.exp(log_rendition_docs(corpus, text, mu))
+    return np.exp(log_rendition_docs(corpus, as_text(corpus, text), mu))
 
 
 def oracle_term_prob(corpus, d, term, mu):
-    doc = corpus.documents[d]
-    return oracles.dirichlet_prob(term, doc.term_counts, doc.length, mu,
-                                  corpus.collection_counts, corpus.collection_length)
+    doc = doc_counts(corpus, d)
+    return oracles.dirichlet_prob(term, doc, sum(doc.values()), mu,
+                                  collection_counts(corpus), corpus.collection_length)
 
 
 class TestDirichlet:
@@ -89,7 +89,7 @@ class TestRendition:
         for _ in range(100):
             corpus = random_corpus(rng)
             mu = random_mu(rng)
-            x = corpus.documents[int(rng.integers(0, corpus.n_docs))].term_counts
+            x = doc_counts(corpus, int(rng.integers(0, corpus.n_docs)))
             xlen = sum(x.values())
             gm = renditions(corpus, x, mu)
             p = {term: term_probs(corpus, term, mu) for term in x}
@@ -120,7 +120,7 @@ class TestTopRenderers:
         for _ in range(20):
             corpus = random_corpus(rng, n_docs=10)
             mu = random_mu(rng)
-            x = corpus.documents[int(rng.integers(0, 10))].term_counts
+            x = doc_counts(corpus, int(rng.integers(0, 10)))
             scores = renditions(corpus, x, mu)
             expected = sorted(range(10), key=lambda d: (-scores[d], d))[:3]
             assert ranked_order(scores)[:3].tolist() == expected
@@ -130,8 +130,7 @@ class TestTopRenderers:
         rev = build_corpus([("d1", "b c"), ("d0", "a a b")], PreprocessOptions())
         a = ranked_order(renditions(tiny_corpus, {"b": 1}, 1.0))[:2]
         b = ranked_order(renditions(rev, {"b": 1}, 1.0))[:2]
-        assert [tiny_corpus.documents[d].docno for d in a] == \
-            [rev.documents[d].docno for d in b]
+        assert [tiny_corpus.docnos[d] for d in a] == [rev.docnos[d] for d in b]
 
 
 # few distinct values make heavy ties; the rest are any floats, NaN included
@@ -177,7 +176,7 @@ class TestRepertoire:
             neighbors = precompute_neighbors(corpus, k, mu)
             reps = {r: {x for x in docs if r in neighbors.top(x, k)} for r in docs}
             for x in docs:
-                x_counts = corpus.documents[x].term_counts
+                x_counts = doc_counts(corpus, x)
                 tops = ranked_order(renditions(corpus, x_counts, mu))[:k].tolist()
                 for r in docs:
                     assert (x in reps[r]) == (r in tops)
@@ -191,7 +190,7 @@ class TestNeighbors:
             mu = random_mu(rng)
             idx = precompute_neighbors(corpus, 1, mu)
             for d in range(8):
-                x = corpus.documents[d].term_counts
+                x = doc_counts(corpus, d)
                 scores = renditions(corpus, x, mu)
                 best = min(range(8), key=lambda r: (-scores[r], r))
                 assert idx.top(d, 1) == [best]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import query_probs, random_corpus, random_mu
+from conftest import as_text, query_probs, random_corpus, random_mu
 from pqlm import (
     QUERY_ID,
     PreprocessOptions,
@@ -63,8 +63,8 @@ class TestVDoc:
             alpha = 3
             ranking = score_vdoc(PseudoQueryList([0, 1], [1.0, 0.5]), alpha,
                                  corpus, mu, query_probs(corpus, {"a": 1}, mu))
-            x = corpus.documents[0].term_counts
-            firsts = set(ranked_order(np.exp(log_rendition_docs(corpus, x, mu)))[:alpha].tolist())
+            firsts = set(ranked_order(np.exp(log_rendition_docs(corpus, corpus.text(0), mu)))
+                         [:alpha].tolist())
             position = {d: i for i, d in enumerate(ranking.doc_ids.tolist())}
             worst_first = max(position[d] for d in firsts)
             best_other = min(position[d] for d in range(8) if d not in firsts)
@@ -184,7 +184,7 @@ class TestMcCluster:
             mu = random_mu(rng)
             index = singleton_cluster_index(corpus, mu)
             ranking = score_mccluster(PseudoQueryList.initial(), corpus.n_docs, 3,
-                                      corpus, index, True, {"a": 1, "b": 2})
+                                      corpus, index, True, as_text(corpus, {"a": 1, "b": 2}))
             base = lm_baseline(Query("q", ["a", "b", "b"]), corpus, mu, corpus.n_docs)
             assert ranking.doc_ids.tolist() == base.doc_ids.tolist()
             # proportionality: scores differ from rendition probs by one factor
@@ -211,7 +211,7 @@ class TestMcCluster:
             members = [list(row) for row in index.members]
             q = {"a": 1, "b": 1}
             r1 = score_mccluster(PseudoQueryList.initial(), 1, 2, corpus,
-                                 index, True, q)
+                                 index, True, as_text(corpus, q))
             want1 = oracles.mccluster_scores([QUERY_ID], [1.0], 1, 2, members,
                                              corpus, 1.0, True, q)
             assert_rankings_close(r1, want1)
@@ -221,7 +221,7 @@ class TestMcCluster:
             items = r1.doc_ids[positive].tolist()
             weights = (r1.scores[positive] / r1.scores[0]).tolist()
             r2 = score_mccluster(PseudoQueryList(items, weights), 1, 2,
-                                 corpus, index, False, q)
+                                 corpus, index, False, as_text(corpus, q))
             want2 = oracles.mccluster_scores(items, weights, 1, 2, members,
                                              corpus, 1.0, False, q)
             assert_rankings_close(r2, want2)
