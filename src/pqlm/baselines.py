@@ -1,7 +1,7 @@
 """Reference retrieval systems: the plain language-model ranking,
 pseudo-feedback Rocchio, and the (optionally clipped) relevance model.
 
-Per-query cost, for N documents, depth n and a V-term vocabulary: the LM
+Per-query cost, for N documents, depth n and V distinct corpus terms: the LM
 ranking is one rendition pass, O(|q| + sum of the query terms' df + N +
 n log n); Rocchio is two tf.idf inner-product passes, with idf for the query
 and feedback terms only; the relevance model is an LM ranking for its
@@ -59,8 +59,8 @@ def _tfidf_weight(tf: int, idf: float) -> float:
 
 
 def _idf(corpus: Corpus, term_ids) -> dict[int, float]:
-    # every vocabulary term occurs in some document, so df >= 1
-    return {t: math.log(corpus.n_docs / len(corpus.postings(corpus._terms[t])[0]))
+    # every term id occurs in some document, so df >= 1
+    return {t: math.log(corpus.n_docs / len(corpus.postings(t)[0]))
             for t in term_ids}
 
 
@@ -89,7 +89,7 @@ def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,
         for term, wq in sorted(vec.items()):
             if wq == 0.0:
                 continue
-            ids, counts = corpus.postings(corpus._terms[term])
+            ids, counts = corpus.postings(term)
             scores[ids] += wq * (1.0 + np.log(counts)) * idf[term]
         return scores
 
@@ -125,9 +125,9 @@ def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,
 
 @dataclass
 class RelevanceDistribution:
-    """Sparse term distribution estimated from feedback documents."""
+    """Sparse term-id distribution estimated from feedback documents."""
 
-    probs: dict[str, float]
+    probs: dict[int, float]
 
     def __post_init__(self):
         total = sum(self.probs.values())
@@ -154,7 +154,7 @@ def estimate_relevance_model(query_counts: tuple[np.ndarray, np.ndarray], corpus
     p(w | d) = (1 - lambda_r) * mle(w | d) + lambda_r * mle(w | collection),
     and the mixture weights are the (uniform-prior) posteriors of the
     feedback documents given the query under the same smoothed models.
-    The support is the whole vocabulary when lambda_r > 0 and exactly the
+    The support is every term id when lambda_r > 0 and exactly the
     union of the feedback documents' terms when lambda_r == 0.  When
     clip_k > 0 only the clip_k most probable terms survive (ties to the
     lower term id) and the distribution is renormalized.
@@ -202,8 +202,7 @@ def estimate_relevance_model(query_counts: tuple[np.ndarray, np.ndarray], corpus
         kept = top_k(probs, clip_k)
         ids, probs = ids[kept], probs[kept]
         probs = probs / sum(probs.tolist())
-    return RelevanceDistribution(dict(zip(map(corpus._terms.__getitem__, ids.tolist()),
-                                          probs.tolist())))
+    return RelevanceDistribution(dict(zip(ids.tolist(), probs.tolist())))
 
 
 def relevance_model_rank(query: Query, corpus: Corpus, k1: int, lambda_r: float,
@@ -223,7 +222,7 @@ def relevance_model_rank(query: Query, corpus: Corpus, k1: int, lambda_r: float,
     # -KL(R || d) = H(R) + sum_w p_R(w) log p_dir(w | d): the cross-entropy
     # term is a rendition score of the fractional-count text p_R, whose
     # length is summed in the model's own (rank, when clipped) order
-    ids = np.fromiter(map(corpus.vocabulary.__getitem__, rel.probs), np.int32, len(rel.probs))
+    ids = np.fromiter(rel.probs, np.int32, len(rel.probs))
     order = np.argsort(ids)
     text = ids[order], np.fromiter(rel.probs.values(), float, len(ids))[order]
     cross = log_rendition_docs(corpus, text, mu, sum(rel.probs.values()))

@@ -344,7 +344,7 @@ def _run_points(spec_path, spec, corpus, topics, qrels, points, threads: int):
         configured[run_path] = (_system_tag(system.name, point),
                                 *_configure(spec, spec_path, corpus, system, point,
                                             cluster_indexes))
-    queries = _queries(corpus, topics, qrels)
+    queries = _queries(corpus, topics, qrels, _rel(spec_path, spec.topics))
     outdir.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for run_path, (tag, score, depth) in configured.items():
@@ -360,20 +360,25 @@ def _run_points(spec_path, spec, corpus, topics, qrels, points, threads: int):
             yield run_path, len(lines), report
 
 
-def _queries(corpus, topics, qrels):
+def _queries(corpus, topics, qrels, topics_path):
     """Preprocessed topics; a topic with no term in the corpus vocabulary
-    has nothing to rank by, so it is skipped with one stderr line.  With
-    qrels, the runs are evaluated, so some query must be in them."""
-    out = []
+    has nothing to rank by, so it is skipped with one stderr line.  Some
+    topic must be left to rank, and with qrels, the runs are evaluated, so
+    some query must be in them; either error is the only line printed."""
+    out, skipped = [], []
     for qid, title in topics:
         q = corpus.preprocess_query(qid, title)
-        if not any(t in corpus.vocabulary for t in q.terms):
+        if any(t in corpus.vocabulary for t in q.terms):
+            out.append(q)
+        else:
             why = "no term in the corpus vocabulary" if q.terms else "empty after preprocessing"
-            print(f"skipping query {qid}: {why}", file=sys.stderr)
-            continue
-        out.append(q)
+            skipped.append(f"skipping query {qid}: {why}")
+    if not out:
+        raise ParseError(f"{topics_path}: no topic has a term in the corpus vocabulary")
     if qrels is not None and not qrels.judges_any(q.query_id for q in out):
         raise ParseError("no query of the spec is in the qrels")
+    for line in skipped:
+        print(line, file=sys.stderr)
     return out
 
 
@@ -394,13 +399,19 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # a run's report row is named by its file stem
+    names = [Path(path).stem for path in args.runs]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ParseError(f"{args.runs[names.index(name)]} and {args.runs[i]}: "
+                             f"two run files named {name!r}")
     qrels = _parse_file(Qrels.parse, args.qrels)
     reports = {}
-    for path in args.runs:
+    for name, path in zip(names, args.runs):
         run = _parse_file(parse_run, path)
         if not qrels.judges_any(run):
             raise ParseError(f"{path}: no query of the run is in the qrels")
-        reports[Path(path).stem] = evaluate_run(run, qrels, args.depth)
+        reports[name] = evaluate_run(run, qrels, args.depth)
     print(format_report(reports))
     for name, rep in reports.items():
         if rep.excluded:

@@ -32,6 +32,7 @@ class ClusterIndex:
     def __init__(self, members, corpus: Corpus, mu: float, delta: int):
         self.members: list[tuple[int, ...]] = [tuple(sorted(row)) for row in members]
         self._corpus = corpus
+        self._collection_probs = corpus._collection_probs
         self.corpus_hash = corpus.content_hash
         self.mu = mu
         self.delta = delta
@@ -42,8 +43,8 @@ class ClusterIndex:
         self._holder_ptr = np.zeros(corpus.n_docs + 1, dtype=np.int64)
         np.cumsum(np.bincount(docs, minlength=corpus.n_docs), out=self._holder_ptr[1:])
         self._lengths = np.bincount(owners, corpus.lengths()[docs], minlength=len(self.members))
-        self._postings: dict[str, tuple] = {}
-        # mu -> term -> (background, deviations), as on the corpus
+        self._postings: dict[int, tuple] = {}
+        # mu -> term id -> (background, deviations), as on the corpus
         self._deviations: dict[float, dict] = {}
         self._member_scores: dict[int, tuple] = {}
         # (doc id, alpha_cluster) -> phase-1 cluster credits of that
@@ -57,12 +58,13 @@ class ClusterIndex:
         """Cluster lengths: the sums of their members' lengths."""
         return self._lengths
 
-    def postings(self, term: str):
-        """(cluster ids ascending, counts) of one term: its document postings
-        summed per holding cluster, O(df * clusters per doc + clusters)."""
-        hit = self._postings.get(term)
+    def postings(self, t: int):
+        """(cluster ids ascending, counts) of term id `t`, which the corpus
+        checks: its document postings summed per holding cluster,
+        O(df * clusters per doc + clusters)."""
+        hit = self._postings.get(t)
         if hit is None:
-            doc_ids, counts = self._corpus.postings(term)
+            doc_ids, counts = self._corpus.postings(t)
             starts = self._holder_ptr[doc_ids]
             sizes = self._holder_ptr[doc_ids + 1] - starts
             offsets = np.cumsum(sizes) - sizes
@@ -72,7 +74,7 @@ class ClusterIndex:
             # int32 ids, as in the document postings
             ids = np.flatnonzero(sums).astype(np.int32)
             # bincount makes integer zeros when no cluster holds the term
-            hit = self._postings[term] = (ids, sums[ids].astype(float, copy=False))
+            hit = self._postings[t] = (ids, sums[ids].astype(float, copy=False))
         return hit
 
     def member_rendition(self, cluster_id: int, corpus: Corpus):

@@ -140,8 +140,8 @@ class Corpus:
                                   / self.collection_length)
         _frozen(self._lengths, self._collection_probs)
         self._csr, self._csr_lock = None, threading.Lock()
-        self._postings: dict[str, tuple] = {}
-        # mu -> term -> (background, read-only per-posting deviations),
+        self._postings: dict[int, tuple] = {}
+        # mu -> term id -> (background, read-only per-posting deviations),
         # filled by lm.log_rendition
         self._deviations: dict[float, dict] = {}
         # (doc id, mu, k) -> top-k renderers of that document's text, filled
@@ -171,18 +171,19 @@ class Corpus:
         row = slice(indptr[doc_id], indptr[doc_id + 1])
         return ids[row], counts[row]
 
-    def postings(self, term: str):
-        """(doc_ids, counts) of one term: O(df) views into the CSR postings;
-        empty when the term is unknown."""
-        hit = self._postings.get(term)
+    def postings(self, t: int):
+        """(doc_ids, counts) of term id `t`: O(df) views into the CSR postings.
+        The one vocabulary check: an unknown id is a ValueError, once per id."""
+        hit = self._postings.get(t)
         if hit is None:
+            if not 0 <= t < len(self._terms):
+                raise ValueError(f"term id {t} is not in the corpus vocabulary")
             with self._csr_lock:
                 if self._csr is None:
                     self._csr = self._build_postings()
             indptr, ids, counts = self._csr
-            t = self.vocabulary.get(term)
-            span = slice(0, 0) if t is None else slice(indptr[t], indptr[t + 1])
-            hit = self._postings[term] = (ids[span], counts[span])
+            span = slice(indptr[t], indptr[t + 1])
+            hit = self._postings[t] = (ids[span], counts[span])
         return hit
 
     def _build_postings(self) -> tuple[np.ndarray, ...]:
@@ -236,7 +237,11 @@ class Corpus:
 
     @classmethod
     def load(cls, path) -> "Corpus":
-        payload = read_payload(path, INDEX_FORMAT)
+        """The index at `path`.  Its content hash is that of the bytes read,
+        which for an index pqlm wrote (canonical JSON) is the hash of
+        :meth:`serialize`, so no reload serialises the corpus again.  For a
+        file pqlm did not write, artifacts match only those exact bytes."""
+        payload, digest = read_payload(path, INDEX_FORMAT)
         try:
             options = PreprocessOptions.from_dict(payload["options"])
             entries = [(e["docno"], e["counts"]) for e in payload["documents"]]
@@ -259,7 +264,9 @@ class Corpus:
             if not valid or collection_length >= 2**53:
                 raise ParseError(f"{path}: document {docno!r} needs positive integer counts "
                                  "that keep the collection length below 2**53")
-        return cls(entries, options)
+        corpus = cls(entries, options)
+        corpus._hash = digest
+        return corpus
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -274,13 +281,15 @@ def canonical_json(payload) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode() + b"\n"
 
 
-def read_payload(path, fmt: str) -> dict:
-    """The JSON object in an artifact file, which must declare format `fmt`."""
+def read_payload(path, fmt: str) -> tuple[dict, str]:
+    """The JSON object in an artifact file, which must declare format `fmt`,
+    and the sha256 of the file's bytes."""
     with open(path, "rb") as fh:
-        payload = json.loads(fh.read())
+        data = fh.read()
+    payload = json.loads(data)
     if not isinstance(payload, dict) or payload.get("format") != fmt:
         raise ParseError(f"{path}: not a {fmt} file")
-    return payload
+    return payload, hashlib.sha256(data).hexdigest()
 
 
 def save_doc_id_rows(path, fmt: str, owner, width_key: str, rows_key: str) -> None:
@@ -297,7 +306,7 @@ def load_doc_id_rows(path, fmt: str, corpus: Corpus, width_key: str, rows_key: s
     """(mu, row length, rows) of a :func:`save_doc_id_rows` file, held to
     what it writes for `corpus`: a positive finite mu and one row (a `noun`)
     per document of row length distinct doc ids.  Errors name the file."""
-    payload = read_payload(path, fmt)
+    payload = read_payload(path, fmt)[0]
     n = corpus.n_docs
     try:
         mu, width, rows = payload["mu"], payload[width_key], payload[rows_key]

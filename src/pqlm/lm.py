@@ -31,18 +31,19 @@ QUERY_ID = -1
 NEIGHBORS_FORMAT = "pqlm-neighbors-v1"
 
 
-def log_rendition(owner, corpus: Corpus, text: tuple[np.ndarray, np.ndarray], mu: float,
+def log_rendition(owner, text: tuple[np.ndarray, np.ndarray], mu: float,
                   length: float | None = None) -> np.ndarray:
     """Log geometric-mean rendition scores of one text, (term ids ascending,
     counts), against every renderer of `owner` (the corpus or a cluster
-    index); requires a finite mu > 0.  `length` is ``sum(counts)`` summed
-    in another order, when the caller's order differs.
+    index: its postings, which refuse an unknown id, collection probabilities
+    and lengths); requires a finite mu > 0.  `length` is ``sum(counts)``
+    summed in another order, when the caller's order differs.
 
     Only renderers holding a text term deviate from the background
     log(mu * p_coll).  A term's background and its deviations
     ``log(c + mu * p_coll) - log(mu * p_coll)``, one per posting, depend
     only on the owner, the term and mu: the logarithms are taken on the
-    term's first use and kept read-only in ``owner._deviations[mu][term]``,
+    term's first use and kept read-only in ``owner._deviations[mu][t]``,
     at most one float64 per posting per mu.  Each call weights the gathered
     deviations by the text counts and ``bincount`` sums them per renderer in
     term-id (sorted term) order from 0.0.  O(|x| + sum of the text terms' df).
@@ -56,17 +57,14 @@ def log_rendition(owner, corpus: Corpus, text: tuple[np.ndarray, np.ndarray], mu
     memo = owner._deviations.setdefault(mu, {})
     ids, deviations, base = [], [], 0.0
     for t, cnt in zip(term_ids, cnts):
-        if not 0 <= t < len(corpus._terms):
-            raise ValueError(f"term id {t} is not in the corpus vocabulary")
-        term = corpus._terms[t]
-        renderers, counts = owner.postings(term)
-        entry = memo.get(term)
+        renderers, counts = owner.postings(t)
+        entry = memo.get(t)
         if entry is None:
-            p_coll = float(corpus._collection_probs[t])
+            p_coll = float(owner._collection_probs[t])
             background = math.log(mu * p_coll)
             deviation = np.log(counts + mu * p_coll) - background
             deviation.flags.writeable = False
-            entry = memo[term] = (background, deviation)
+            entry = memo[t] = (background, deviation)
         background, deviation = entry
         base += cnt * background
         ids.append(renderers)
@@ -83,7 +81,7 @@ def log_rendition(owner, corpus: Corpus, text: tuple[np.ndarray, np.ndarray], mu
 def log_rendition_docs(corpus: Corpus, text: tuple[np.ndarray, np.ndarray], mu: float,
                        length: float | None = None) -> np.ndarray:
     """:func:`log_rendition` against every document."""
-    return log_rendition(corpus, corpus, text, mu, length)
+    return log_rendition(corpus, text, mu, length)
 
 
 def ranked_order(scores: np.ndarray) -> np.ndarray:

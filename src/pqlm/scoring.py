@@ -145,10 +145,10 @@ def score_vdoc(pq: PseudoQueryList, alpha: int, corpus: Corpus, mu: float,
     for item, _w in pq.active():
         rank += 1
         top, probs = _top_rendered(item, alpha, corpus, mu, query_p)
-        for d, p in zip(top.tolist(), probs.tolist()):
-            if matched_rank[d] == n + 1:
-                matched_rank[d] = rank
-                matched_p[d] = p
+        # the ids of one list are distinct: its unmatched ones match here
+        first = matched_rank[top] == n + 1
+        matched_rank[top[first]] = rank
+        matched_p[top[first]] = probs[first]
     scores = (matched_p + 2.0 * np.where(matched_rank <= n, n - matched_rank + 1, 0)) \
         / (1.0 + 2.0 * n)
     return ScoredRanking.from_dense(scores)
@@ -177,10 +177,10 @@ def score_mcdoc(pq: PseudoQueryList, alpha: int, m: int, corpus: Corpus,
     return ScoredRanking.from_dense(scores)
 
 
-def log_rendition_clusters(cluster_index: ClusterIndex, corpus: Corpus,
-                           text: tuple[np.ndarray, np.ndarray], mu: float) -> np.ndarray:
-    """:func:`~pqlm.lm.log_rendition` against every cluster model."""
-    return log_rendition(cluster_index, corpus, text, mu)
+def log_rendition_clusters(cluster_index: ClusterIndex,
+                           text: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """:func:`~pqlm.lm.log_rendition` against every cluster model at the index's mu."""
+    return log_rendition(cluster_index, text, cluster_index.mu)
 
 
 def _cluster_credits(item: int, k: int, corpus: Corpus, cluster_index: ClusterIndex,
@@ -202,7 +202,7 @@ def _cluster_credits(item: int, k: int, corpus: Corpus, cluster_index: ClusterIn
                 raise ValueError("pseudo-query list references the query but no "
                                  "query counts were provided")
             text = query_counts if item == QUERY_ID else corpus.text(item)
-            logp = log_rendition_clusters(cluster_index, corpus, text, cluster_index.mu)
+            logp = log_rendition_clusters(cluster_index, text)
             probs = np.exp(logp[cand])
             norm = float(probs.sum())
             order = top_k(probs, k)

@@ -36,8 +36,7 @@ from pqlm import oracles
 from pqlm.cli import main as cli_main
 from pqlm.corpus import Query, parse_topics, parse_trec
 from pqlm.evaluation import Qrels, evaluate_run, parse_run, _exact_p, _midranks, _normal_p
-from pqlm.lm import QUERY_ID, log_rendition_docs
-from pqlm.scoring import log_rendition_clusters
+from pqlm.lm import QUERY_ID, log_rendition, log_rendition_docs
 
 DATA = Path(__file__).parent / "data"
 
@@ -278,8 +277,7 @@ def test_criterion_3_lm_invariants():
                             for w in corpus.vocabulary)
             else:
                 cid = int(rng.integers(0, len(clusters)))
-                total = sum(math.exp(log_rendition_clusters(
-                    clusters, corpus, as_text(corpus, {w: 1}), mu)[cid])
+                total = sum(math.exp(log_rendition(clusters, as_text(corpus, {w: 1}), mu)[cid])
                     for w in corpus.vocabulary)
             pairs_checked += 1
             if abs(total - 1.0) > 1e-9:

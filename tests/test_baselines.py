@@ -23,7 +23,8 @@ def query_for(corpus, rng, n_terms=2):
 
 
 def reference_relevance_model(query_counts, corpus, feedback, lambda_r, clip_k):
-    """The per-term dict loop that estimate_relevance_model vectorises."""
+    """The per-term dict loop that estimate_relevance_model vectorises,
+    keyed by term id."""
     def smoothed(doc, term):
         return ((1.0 - lambda_r) * doc.get(term, 0) / sum(doc.values())
                 + lambda_r * corpus.collection_prob(term))
@@ -50,7 +51,7 @@ def reference_relevance_model(query_counts, corpus, feedback, lambda_r, clip_k):
         kept = dict(ranked[:clip_k])
         total = sum(kept.values())
         probs = {w: p / total for w, p in kept.items()}
-    return probs
+    return {corpus.vocabulary[w]: p for w, p in probs.items()}
 
 
 class TestLmBaseline:
@@ -104,8 +105,8 @@ class TestRocchio:
             [("A", "q q w w w z"), ("B", "q z"), ("C", "z z")],
             PreprocessOptions())
         # k1=1 picks A; heaviest non-query centroid term of A decides
-        idf = {t: math.log(3 / len(corpus.postings(t)[0]))
-               for t in corpus.vocabulary}
+        idf = {t: math.log(3 / len(corpus.postings(i)[0]))
+               for t, i in corpus.vocabulary.items()}
         weights = {t: (1 + math.log(c)) * idf[t]
                    for t, c in doc_counts(corpus, 0).items()
                    if t != "q"}
@@ -148,7 +149,7 @@ class TestRocchio:
                             lambda self, term: looked_up.append(term) or postings(self, term))
         # k1=1: the feedback document is A, the lower id of a tie with B
         rocchio_rank(Query("q", ["q"]), corpus, k1=1, t=1, gamma=0.5, n=4)
-        assert looked_up and set(looked_up) <= {"q", "w"}
+        assert looked_up and set(looked_up) <= {corpus.vocabulary[t] for t in "qw"}
 
     def test_k1_clamped(self, tiny_corpus):
         out = rocchio_rank(Query("q", ["a"]), tiny_corpus, k1=99, t=1,
@@ -163,7 +164,7 @@ class TestRelevanceModel:
         for term in tiny_corpus.vocabulary:
             expected = (0.7 * doc.get(term, 0) / sum(doc.values())
                         + 0.3 * tiny_corpus.collection_prob(term))
-            assert rel.probs[term] == pytest.approx(expected, rel=1e-9)
+            assert rel.probs[tiny_corpus.vocabulary[term]] == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("lambda_r", [0.0, 0.3, 0.5])
     @pytest.mark.parametrize("clip_k", [0, 1, 3, 20, 10_000])
@@ -178,7 +179,7 @@ class TestRelevanceModel:
             term = str(rng.choice(sorted(corpus.vocabulary)))
             # at lambda_r = 0 every feedback document must hold the query
             # term, or its terms get probability 0
-            holders = corpus.postings(term)[0].tolist()
+            holders = corpus.postings(corpus.vocabulary[term])[0].tolist()
             feedback = holders[:3] if lambda_r == 0.0 else [2, 0, 1]
             counts = {term: int(rng.integers(1, 3))}
             got = estimate_relevance_model(as_text(corpus, counts), corpus, feedback,
@@ -187,7 +188,7 @@ class TestRelevanceModel:
                 counts, corpus, feedback, lambda_r, clip_k)
             if lambda_r == 0.0 and clip_k == 0:
                 assert set(got.probs) == set().union(
-                    *(doc_counts(corpus, d) for d in feedback))
+                    *(corpus.text(d)[0].tolist() for d in feedback))
 
     @pytest.mark.parametrize("lambda_r", [0.0, 0.5])
     def test_clip_tie_keeps_the_lower_term_id(self, lambda_r):
@@ -195,7 +196,7 @@ class TestRelevanceModel:
         # the collection
         corpus = build_corpus([("A", "c b a c"), ("B", "d")], PreprocessOptions())
         rel = estimate_relevance_model(as_text(corpus, {"c": 1}), corpus, [0], lambda_r, 2)
-        assert set(rel.probs) == {"a", "c"}
+        assert set(rel.probs) == {corpus.vocabulary[t] for t in "ac"}
         assert rel.probs == reference_relevance_model({"c": 1}, corpus, [0], lambda_r, 2)
 
     def test_distribution_normalized_before_and_after_clipping(self):
@@ -250,9 +251,9 @@ class TestRelevanceModel:
 
     def test_invalid_distribution_rejected(self):
         with pytest.raises(ValueError, match="sums to"):
-            RelevanceDistribution({"a": 0.5})
+            RelevanceDistribution({0: 0.5})
         with pytest.raises(ValueError, match="non-positive"):
-            RelevanceDistribution({"a": 1.5, "b": -0.5})
+            RelevanceDistribution({0: 1.5, 1: -0.5})
 
     def test_feedback_doc_usually_ranked_first_at_low_lambda(self, capsys):
         # informational: KL to a mixture need not be minimized by its source

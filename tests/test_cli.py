@@ -587,6 +587,31 @@ T = 2
         _assert_data_error(main(["run", str(spec)]), capsys, needle)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("topics_text", [
+        "", "<top>\n<num> Number: 999\n<title> zebra quokka\n</top>\n",
+    ], ids=["empty", "out-of-vocabulary"])
+    def test_topics_without_a_rankable_query_write_nothing(self, tmp_path, capsys, command,
+                                                           topics_text):
+        topics = tmp_path / "topics.txt"
+        topics.write_text(topics_text)
+        # sweep needs qrels; run is checked without them, where nothing else stops it
+        qrels = f"qrels = {DATA / 'micro.qrels'}\n" if command == "sweep" else ""
+        spec = write_spec(tmp_path, f"""\
+corpus = {DATA / 'micro.trec'}
+topics = {topics}
+{qrels}output = out
+
+[system]
+name = roc
+method = rocchio
+""")
+        argv = {"run": ["run", str(spec)],
+                "sweep": ["sweep", str(spec), "--system", "roc", "--alpha1", "2"]}[command]
+        _assert_data_error(main(argv), capsys,
+                           f"{topics}: no topic has a term in the corpus vocabulary")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("old, new, needle", [
         ("Number: 902", "Number: 901", "duplicate topic number '901'"),
         ("<num> Number: 902", "", "topic block without <num>"),
@@ -939,6 +964,15 @@ class TestEvalCommand:
         files[target].write_bytes(files[target].read_bytes() + b"\xff\n")
         code = main(["eval", "--qrels", str(files["qrels"]), str(files["run"])])
         _assert_data_error(code, capsys, f"{files[target]}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_two_run_files_with_one_stem_are_data_error(self, tmp_path, capsys):
+        # the report names each run by its stem: one would replace the other
+        runs = [tmp_path / "a" / "x.run", tmp_path / "b" / "x.run"]
+        for run, doc in zip(runs, ("M01", "M02")):
+            run.parent.mkdir()
+            run.write_text(f"901 Q0 {doc} 1 0.5 t\n")
+        code = main(["eval", "--qrels", str(DATA / "micro.qrels"), *map(str, runs)])
+        _assert_data_error(code, capsys, f"{runs[0]} and {runs[1]}: two run files named 'x'")
 
     def test_non_integer_rank_names_its_line(self, tmp_path, capsys):
         run = tmp_path / "r.run"

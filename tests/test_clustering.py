@@ -50,7 +50,7 @@ class TestBuild:
         assert index.members == [(0,), (0,), (2,)]
         assert cluster_membership(index, 1, False).tolist() == []
         for term in ("x", "y"):
-            ids, counts = index.postings(term)
+            ids, counts = index.postings(corpus.vocabulary[term])
             assert ids.tolist() == [0, 1] and counts.tolist() == [1.0, 1.0]
         counters: dict = {}
         ranking = score_mccluster(PseudoQueryList([1], [1.0]), 1, 1, corpus, index,
@@ -77,8 +77,8 @@ class TestBuild:
             for d in row:
                 fresh.update(doc_counts(corpus, d))
         assert index.lengths().tolist() == [sum(m.values()) for m in merged]
-        for term in corpus.vocabulary:
-            ids, counts = index.postings(term)
+        for term, t in corpus.vocabulary.items():
+            ids, counts = index.postings(t)
             assert dict(zip(ids.tolist(), counts.tolist())) == {
                 cid: m[term] for cid, m in enumerate(merged) if term in m}
 

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 from collections import Counter
 
 import numpy as np
@@ -12,6 +14,7 @@ from conftest import collection_counts, doc_counts
 from pqlm import oracles
 from pqlm import (
     Corpus,
+    NeighborIndex,
     ParseError,
     PreprocessOptions,
     Query,
@@ -21,6 +24,7 @@ from pqlm import (
     parse_lines,
     parse_topics,
     parse_trec,
+    precompute_neighbors,
     relevance_model_rank,
     rocchio_rank,
     run_retrieval,
@@ -165,10 +169,14 @@ class TestTextRows:
             assert counts.sum() == corpus.lengths()[d] == len(documents[d])
             assert doc.term_counts == Counter(documents[d])
             assert not ids.flags.writeable and not counts.flags.writeable
-        for term in corpus.vocabulary:
-            ids, counts = corpus.postings(term)
+        for term, t in corpus.vocabulary.items():
+            ids, counts = corpus.postings(t)
             assert list(zip(ids.tolist(), counts.tolist())) == [
                 (doc.doc_id, doc.term_counts[term]) for doc in view if term in doc.term_counts]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 class TestPersistence:
@@ -187,6 +195,29 @@ class TestPersistence:
         assert reloaded.options == corpus.options
         for d in range(corpus.n_docs):
             assert doc_counts(reloaded, d) == doc_counts(corpus, d)
+
+    def test_loaded_hash_is_the_hash_of_the_bytes_read(self, tmp_path, opts, monkeypatch):
+        corpus = build_corpus([("A", "x y z"), ("B", "y y")], opts)
+        canonical = tmp_path / "index.json"
+        corpus.save(canonical)
+        expected = corpus.content_hash
+
+        def serialize(self):
+            raise AssertionError("a load serialised the corpus")
+
+        monkeypatch.setattr(Corpus, "serialize", serialize)
+        loaded = Corpus.load(canonical)
+        assert loaded.content_hash == expected == _sha256(canonical.read_bytes())
+        # an index pqlm did not write: the same content in other bytes is
+        # another corpus to the artifacts, which match only the bytes read
+        pretty = tmp_path / "pretty.json"
+        pretty.write_text(json.dumps(json.loads(canonical.read_text()), indent=1))
+        other = Corpus.load(pretty)
+        assert other.content_hash == _sha256(pretty.read_bytes()) != expected
+        precompute_neighbors(other, 1, 1.0).save(tmp_path / "nbrs.json")
+        assert NeighborIndex.load(tmp_path / "nbrs.json", Corpus.load(pretty)).k_max == 1
+        with pytest.raises(ValueError, match="built for a different corpus"):
+            NeighborIndex.load(tmp_path / "nbrs.json", loaded)
 
     def test_reingest_is_deterministic(self, opts):
         docs = [("A", "x y z"), ("B", "y y")]

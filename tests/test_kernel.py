@@ -124,18 +124,25 @@ class TestKernel:
             feedback = lm.top_renderers(corpus, counts, 5, MU)[0].tolist()
             for clip_k in (0, 7, 30):
                 rel = estimate_relevance_model(counts, corpus, feedback, 0.5, clip_k)
-                expected = rel.entropy() + literal_log_rendition(corpus, rel.probs, MU)
+                named = {corpus._terms[t]: p for t, p in rel.probs.items()}
+                expected = rel.entropy() + literal_log_rendition(corpus, named, MU)
                 ranking = relevance_model_rank(query, corpus, 5, 0.5, clip_k, MU, corpus.n_docs)
                 assert np.array_equal(ranking.scores, expected[ranking.doc_ids])
                 rank_ordered.append(list(rel.probs) != sorted(rel.probs))
         assert any(rank_ordered)
 
     def test_out_of_vocabulary_term(self, tiny_corpus):
-        # the vocabulary holds term ids 0..2
-        for bad_id in (3, -1):
-            text = np.array([0, bad_id], dtype=np.int32), np.array([1, 1])
-            with pytest.raises(ValueError, match=f"term id {bad_id} is not in the corpus"):
-                log_rendition_docs(tiny_corpus, text, 1.0)
+        # the vocabulary holds term ids 0..2; the corpus's postings refuse
+        # the others, for itself, for a cluster index and for the kernel
+        for owner in (tiny_corpus, singleton_cluster_index(tiny_corpus, 1.0)):
+            for bad_id in (3, -1):
+                message = f"term id {bad_id} is not in the corpus vocabulary"
+                with pytest.raises(ValueError, match=message):
+                    owner.postings(bad_id)
+                text = np.array([0, bad_id], dtype=np.int32), np.array([1, 1])
+                with pytest.raises(ValueError, match=message):
+                    log_rendition(owner, text, 1.0)
+            assert set(owner._postings) == {0}
 
     @pytest.mark.parametrize("mu", [0.0, -1.0])
     def test_non_positive_mu(self, tiny_corpus, mu):
@@ -148,15 +155,16 @@ class TestKernel:
             log_rendition_docs(tiny_corpus, as_text(tiny_corpus, text), 1.0)
 
     def test_postings_of_unknown_term_are_empty(self, tiny_corpus):
-        for owner in (tiny_corpus, singleton_cluster_index(tiny_corpus, 1.0)):
-            ids, counts = owner.postings("zzz")
-            assert len(ids) == len(counts) == 0
-            assert counts.dtype == np.float64
+        # no cluster holds d1, the only document with "c"
+        clusters = ClusterIndex([(0,), (0,)], tiny_corpus, 1.0, 1)
+        ids, counts = clusters.postings(tiny_corpus.vocabulary["c"])
+        assert len(ids) == len(counts) == 0
+        assert counts.dtype == np.float64
 
     def test_postings_list_each_holder_once_in_id_order(self, tiny_corpus):
-        ids, counts = tiny_corpus.postings("b")
+        ids, counts = tiny_corpus.postings(tiny_corpus.vocabulary["b"])
         assert ids.tolist() == [0, 1] and counts.tolist() == [1.0, 1.0]
-        ids, counts = tiny_corpus.postings("a")
+        ids, counts = tiny_corpus.postings(tiny_corpus.vocabulary["a"])
         assert ids.tolist() == [0] and counts.tolist() == [2.0]
 
 
@@ -179,7 +187,7 @@ class TestCorpusStatistics:
                                 corpus, MU, 2)
         assert clusters.lengths()[0] == lengths[0] + lengths[1]
         assert builds == []
-        corpus.postings("w0")
+        corpus.postings(corpus.vocabulary["w0"])
         assert builds == [corpus]
 
     def test_collection_vector_equals_collection_prob(self, tmp_path):
@@ -217,14 +225,14 @@ class TestDeviationMemo:
         mu = 7.5
         memo = owner._deviations[mu] = _CountingMemo()
         text = corpus.text(0)
-        first = log_rendition(owner, corpus, text, mu)
+        first = log_rendition(owner, text, mu)
         n_terms = len(text[0])
         assert memo.stores == n_terms
-        second = log_rendition(owner, corpus, text, mu)
+        second = log_rendition(owner, text, mu)
         assert memo.stores == n_terms
         assert np.array_equal(first, second)
         # another mu has its own entries
-        log_rendition(owner, corpus, text, 2 * mu)
+        log_rendition(owner, text, 2 * mu)
         assert memo.stores == n_terms and len(owner._deviations[2 * mu]) == n_terms
 
     def test_memo_hits_stay_bit_equal_to_literal_reference(self):
@@ -239,12 +247,12 @@ class TestDeviationMemo:
         corpus = random_corpus(np.random.default_rng(43), n_docs=10)
         for owner in self.owners(corpus).values():
             for d in range(corpus.n_docs):
-                log_rendition(owner, corpus, corpus.text(d), 2.0)
+                log_rendition(owner, corpus.text(d), 2.0)
             assert list(owner._deviations) == [2.0]
-            for term, (background, deviations) in owner._deviations[2.0].items():
-                assert background == math.log(2.0 * corpus.collection_prob(term))
+            for t, (background, deviations) in owner._deviations[2.0].items():
+                assert background == math.log(2.0 * corpus.collection_prob(corpus._terms[t]))
                 assert deviations.dtype == np.float64
-                assert len(deviations) == len(owner.postings(term)[0])
+                assert len(deviations) == len(owner.postings(t)[0])
                 assert not deviations.flags.writeable
                 with pytest.raises(ValueError):
                     deviations[:] = 0.0
@@ -368,7 +376,7 @@ def test_cluster_postings_match_member_counts():
         for d in row:
             counts.update(doc_counts(corpus, d))
     for term in ("t2v1", "w0", "w399"):
-        ids, counts = clusters.postings(term)
+        ids, counts = clusters.postings(corpus.vocabulary[term])
         expected = [(cid, m[term]) for cid, m in enumerate(merged) if term in m]
         assert list(zip(ids.tolist(), counts.tolist())) == expected
     assert clusters.lengths().tolist() == [
@@ -421,7 +429,7 @@ def test_document_pseudo_query_scored_once_across_queries(method, monkeypatch):
     kernel = getattr(module, name)
 
     def counting(*args):
-        calls[texts.get(_key(args[-2]))] += 1  # args[-2] is the scored text
+        calls[texts.get(_key(args[1]))] += 1  # args[1] is the scored text
         return kernel(*args)
 
     monkeypatch.setattr(module, name, counting)
