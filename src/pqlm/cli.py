@@ -167,6 +167,10 @@ def cmd_index(args) -> int:
                                args.drop_length_one)
     excluded: list[str] = []
     corpus = build_corpus(_read_documents(args.inputs, args.format), opts, excluded)
+    # an index without documents has no collection model to score against
+    if not corpus.n_docs:
+        raise ParseError(f"{' '.join(args.inputs)}: no document has a term left after "
+                         "preprocessing; no index written")
     corpus.save(args.output)
     print(f"{corpus.n_docs} documents, {len(corpus.vocabulary)} terms, "
           f"{corpus.collection_length} tokens -> {args.output}")
@@ -333,8 +337,11 @@ def _run_points(spec_path, spec, corpus, topics, qrels, points, threads: int):
     write its run file and yield the file's path, its row count and, with
     qrels, the report of its rows cut at the point's depth N.
 
-    Every point, with its cluster index and its run file, is checked before
-    any is scored, so a bad point leaves no run files of the points before it."""
+    The topics and qrels are checked first, then every point with its
+    cluster index and its run file, before any is scored: a bad point
+    leaves no run files of the points before it, and bad topics or qrels
+    cost no neighbour pass or cluster build."""
+    queries, skipped = _queries(corpus, topics, qrels, _rel(spec_path, spec.topics))
     outdir = Path(_rel(spec_path, spec.output))
     configured, cluster_indexes = {}, {}
     for system, point, name in points:
@@ -344,7 +351,8 @@ def _run_points(spec_path, spec, corpus, topics, qrels, points, threads: int):
         configured[run_path] = (_system_tag(system.name, point),
                                 *_configure(spec, spec_path, corpus, system, point,
                                             cluster_indexes))
-    queries = _queries(corpus, topics, qrels, _rel(spec_path, spec.topics))
+    for line in skipped:
+        print(line, file=sys.stderr)
     outdir.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for run_path, (tag, score, depth) in configured.items():
@@ -361,10 +369,11 @@ def _run_points(spec_path, spec, corpus, topics, qrels, points, threads: int):
 
 
 def _queries(corpus, topics, qrels, topics_path):
-    """Preprocessed topics; a topic with no term in the corpus vocabulary
-    has nothing to rank by, so it is skipped with one stderr line.  Some
-    topic must be left to rank, and with qrels, the runs are evaluated, so
-    some query must be in them; either error is the only line printed."""
+    """Preprocessed topics, and one stderr line for each topic skipped
+    because no term of it is in the corpus vocabulary, for the caller to
+    print once the spec has passed every check.  Some topic must be left to
+    rank, and with qrels, the runs are evaluated, so some query must be in
+    them."""
     out, skipped = [], []
     for qid, title in topics:
         q = corpus.preprocess_query(qid, title)
@@ -377,9 +386,7 @@ def _queries(corpus, topics, qrels, topics_path):
         raise ParseError(f"{topics_path}: no topic has a term in the corpus vocabulary")
     if qrels is not None and not qrels.judges_any(q.query_id for q in out):
         raise ParseError("no query of the spec is in the qrels")
-    for line in skipped:
-        print(line, file=sys.stderr)
-    return out
+    return out, skipped
 
 
 def cmd_run(args) -> int:

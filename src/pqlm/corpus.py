@@ -14,7 +14,6 @@ import logging
 import re
 import sys
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -86,7 +85,7 @@ def _tokenize(text: str, opts: PreprocessOptions, stems: dict[str, str]) -> list
     build stems each distinct token once."""
     tokens = _TOKEN_RE.findall(text)
     if opts.lowercase:
-        tokens = [t.lower() for t in tokens]
+        tokens = list(map(str.lower, tokens))
     if opts.stoplist:
         tokens = [t for t in tokens if t not in opts.stoplist]
     if opts.drop_length_one:
@@ -94,7 +93,7 @@ def _tokenize(text: str, opts: PreprocessOptions, stems: dict[str, str]) -> list
     if opts.stemmer == "porter":
         for t in set(tokens).difference(stems):
             stems[t] = porter.stem(t)
-        tokens = [stems[t] for t in tokens]
+        tokens = list(map(stems.__getitem__, tokens))
     return tokens
 
 
@@ -117,22 +116,17 @@ class Corpus:
     lock: int32 doc ids and float64 counts, another 12 bytes a posting.
     """
 
-    def __init__(self, documents: list[tuple[str, dict[str, int]]], options: PreprocessOptions):
-        self.docnos, tables = [d for d, _ in documents], [c for _, c in documents]
-        self.options = options
+    def __init__(self, docnos: list[str], terms: tuple[str, ...],
+                 rows: tuple[np.ndarray, np.ndarray, np.ndarray], options: PreprocessOptions):
+        """`terms` sorted, and `rows` (indptr, int32 term ids, int64
+        counts): row d, ``ids[indptr[d]:indptr[d + 1]]``, holds ascending
+        ids of `terms` with positive counts."""
+        self.docnos, self.options = docnos, options
         # lexicographic term ids: deterministic and reload-stable
-        self._terms = tuple(sorted(set().union(*tables)))
-        self.vocabulary = {t: i for i, t in enumerate(self._terms)}
-        n, v = len(tables), len(self._terms)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, tables), np.int64, n), out=indptr[1:])
-        # a row in sorted-term order is in ascending term-id order
-        keys = [sorted(t) for t in tables]
-        ids = np.fromiter(map(self.vocabulary.__getitem__, chain.from_iterable(keys)),
-                          np.int32, indptr[-1])
-        values = chain.from_iterable(map(t.__getitem__, k) for t, k in zip(tables, keys))
-        counts = np.fromiter(values, np.int64, len(ids))
-        self._rows = _frozen(indptr, ids, counts)
+        self._terms = terms
+        self.vocabulary = {t: i for i, t in enumerate(terms)}
+        n, v = len(docnos), len(terms)
+        indptr, ids, counts = self._rows = _frozen(*rows)
         self.collection_length = int(counts.sum())
         self._lengths = np.bincount(np.repeat(np.arange(n), np.diff(indptr)), weights=counts,
                                     minlength=n)
@@ -264,9 +258,24 @@ class Corpus:
             if not valid or collection_length >= 2**53:
                 raise ParseError(f"{path}: document {docno!r} needs positive integer counts "
                                  "that keep the collection length below 2**53")
-        corpus = cls(entries, options)
+        corpus = cls([d for d, _ in entries], *_dict_rows([c for _, c in entries]), options)
         corpus._hash = digest
         return corpus
+
+
+def _dict_rows(tables: list[dict[str, int]]) -> tuple[tuple, tuple[np.ndarray, ...]]:
+    """(sorted terms, rows) of term -> count tables, a key sort per table:
+    the tables of a canonical index file are sorted already."""
+    terms = tuple(sorted(set().union(*tables)))
+    vocabulary = {t: i for i, t in enumerate(terms)}
+    indptr = np.zeros(len(tables) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, tables), np.int64, len(tables)), out=indptr[1:])
+    # a row in sorted-term order is in ascending term-id order
+    keys = [sorted(t) for t in tables]
+    ids = np.fromiter(map(vocabulary.__getitem__, chain.from_iterable(keys)), np.int32,
+                      indptr[-1])
+    values = chain.from_iterable(map(t.__getitem__, k) for t, k in zip(tables, keys))
+    return terms, (indptr, ids, np.fromiter(values, np.int64, len(ids)))
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -344,8 +353,10 @@ def build_corpus(
     maximum-likelihood model.
     """
     seen: set[str] = set()
-    documents: list[tuple[str, dict[str, int]]] = []
+    docnos: list[str] = []
     stems: dict[str, str] = {}
+    first_seen = _FirstSeen()
+    ids, counts = [], []
     for docno, text in docs:
         if not _is_docno(docno):
             raise ParseError(f"docno {docno!r} is empty or contains whitespace")
@@ -358,8 +369,32 @@ def build_corpus(
             if excluded is not None:
                 excluded.append(docno)
             continue
-        documents.append((docno, dict(Counter(tokens))))
-    return Corpus(documents, opts)
+        row = np.fromiter(map(first_seen.__getitem__, tokens), np.int32, len(tokens))
+        row_ids, row_counts = np.unique(row, return_counts=True)
+        docnos.append(docno)
+        ids.append(row_ids)
+        counts.append(row_counts)
+    # one remap of the first-seen ids to lexicographic ones, then one sort of
+    # all rows by (document, term id)
+    terms = tuple(sorted(first_seen))
+    lexicographic = np.empty(len(terms), dtype=np.int32)
+    lexicographic[np.fromiter(map(first_seen.__getitem__, terms), np.int64, len(terms))] = \
+        np.arange(len(terms))
+    indptr = np.zeros(len(docnos) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, ids), np.int64, len(ids)), out=indptr[1:])
+    none = [np.zeros(0, dtype=np.int64)]
+    flat = lexicographic[np.concatenate(ids or none)]
+    order = np.argsort(np.repeat(np.arange(len(docnos)), np.diff(indptr)) * len(terms) + flat)
+    rows = (indptr, flat[order], np.concatenate(counts or none)[order])
+    return Corpus(docnos, terms, rows, opts)
+
+
+class _FirstSeen(dict):
+    """Token -> id in first-seen order: a missing token gets the next id."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = i = len(self)
+        return i
 
 
 # -- input file formats -------------------------------------------------

@@ -71,6 +71,23 @@ class TestIndex:
                            "is empty or contains whitespace")
         assert not out.exists()
 
+    @pytest.mark.parametrize("texts, stoplist", [
+        (["", ""], False),
+        (["<DOC><DOCNO>A</DOCNO><TEXT>the and the</TEXT></DOC>"], True),
+    ], ids=["empty-files", "all-stopwords"])
+    def test_index_without_documents_is_data_error(self, tmp_path, capsys, texts, stoplist):
+        docs = [tmp_path / f"d{i}.trec" for i in range(len(texts))]
+        for doc, text in zip(docs, texts):
+            doc.write_text(text)
+        out = tmp_path / "i.json"
+        argv = ["index", *map(str, docs), "-o", str(out)]
+        if stoplist:
+            (tmp_path / "stop.txt").write_text("the\nand\n")
+            argv += ["--stoplist", str(tmp_path / "stop.txt")]
+        _assert_data_error(main(argv), capsys,
+                           f"{' '.join(map(str, docs))}: no document has a term left")
+        assert not out.exists()
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["index"]) == 1
         assert main(["frobnicate"]) == 1
@@ -610,6 +627,42 @@ method = rocchio
                 "sweep": ["sweep", str(spec), "--system", "roc", "--alpha1", "2"]}[command]
         _assert_data_error(main(argv), capsys,
                            f"{topics}: no topic has a term in the corpus vocabulary")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("topics_text, qrels_text, needle", [
+        ("", None, "no topic has a term in the corpus vocabulary"),
+        (None, "777 0 M01 1\n", "no query of the spec is in the qrels"),
+    ], ids=["empty-topics", "qrels-judging-no-query"])
+    def test_topics_and_qrels_checked_before_any_neighbour_pass(
+            self, tmp_path, capsys, monkeypatch, topics_text, qrels_text, needle):
+        import pqlm.cli
+
+        calls = []
+        for name in ("precompute_neighbors", "build_clusters"):
+            wrapped = getattr(pqlm.cli, name)
+            monkeypatch.setattr(pqlm.cli, name, lambda *a, name=name, wrapped=wrapped, **kw:
+                                calls.append(name) or wrapped(*a, **kw))
+        spec = baseline_spec(tmp_path, "[system]\nname = mc\nmethod = mccluster\ndelta = 3\n")
+        if topics_text is not None:
+            (tmp_path / "topics.txt").write_text(topics_text)
+            spec.write_text(spec.read_text().replace(str(DATA / "micro_topics.txt"),
+                                                     str(tmp_path / "topics.txt")))
+        if qrels_text is not None:
+            (tmp_path / "qrels.txt").write_text(qrels_text)
+            spec.write_text(spec.read_text().replace(str(DATA / "micro.qrels"),
+                                                     str(tmp_path / "qrels.txt")))
+        _assert_data_error(main(["run", str(spec)]), capsys, needle)
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_point_error_is_the_only_line(self, tmp_path, capsys):
+        # a skipped topic's line is printed only once every point has passed
+        topics = tmp_path / "topics.txt"
+        topics.write_text((DATA / "micro_topics.txt").read_text()
+                          + "\n<top>\n<num> Number: 999\n<title> zebra quokka\n</top>\n")
+        spec = baseline_spec(tmp_path, "[system]\nname = bad\nmethod = rocchio\nk1 = 0\n")
+        spec.write_text(spec.read_text().replace(str(DATA / "micro_topics.txt"), str(topics)))
+        _assert_data_error(main(["run", str(spec)]), capsys, "k1 must be")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("old, new, needle", [

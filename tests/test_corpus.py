@@ -78,6 +78,22 @@ class TestStemMemo:
             {"run": 2, "runner": 1}, {"run": 2, "jump": 1}]
         assert excluded == ["d2"]
 
+    def test_seeded_build_stems_each_distinct_non_stop_token_once(self, stem_calls):
+        # repeated tokens within and across documents, case variants and
+        # stopwords: one build stems each distinct non-stop token once
+        rng = np.random.default_rng(15)
+        words = [f"{w}{s}" for w in ("run", "connect", "happy", "relate")
+                 for s in ("", "s", "ing", "ed", "ational", "ness")]
+        words += [w.upper() for w in words[::3]] + ["The", "of", "AND"]
+        docs = [(f"d{i}", " ".join(rng.choice(words, size=int(rng.integers(1, 30)))))
+                for i in range(60)]
+        stoplist = {"the", "of", "and"}
+        opts = PreprocessOptions(stemmer="porter", stoplist=stoplist)
+        build_corpus(docs, opts)
+        distinct = {t.lower() for _, text in docs for t in text.split()} - stoplist
+        assert sum(stem_calls.values()) == len(distinct)
+        assert set(stem_calls) == distinct
+
     def test_tokenize_stems_each_distinct_token_once_per_call(self, stem_calls):
         opts = PreprocessOptions(stemmer="porter")
         for _ in range(2):

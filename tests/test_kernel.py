@@ -48,14 +48,17 @@ DATA = Path(__file__).parent / "data"
 
 GOLDEN_SHA256 = "b1cffddc03ddcd2ab30a1a6cf31bd516f0503030abc6f0168d000db72c9314f0"
 # sha256 of the pqlm-index-v1 bytes of golden_corpus() and of
-# tests/data/micro.trec (default options), and of the neighbour (k_max 6)
-# and cluster (delta 5) files of golden_corpus() at mu = MU
+# tests/data/micro.trec (default options, and Porter with MICRO_STOPLIST),
+# and of the neighbour (k_max 6) and cluster (delta 5) files of
+# golden_corpus() at mu = MU
 INDEX_SHA256 = {
     "golden": "143c37955891e0f384bf102831d5aeca0c88d1cf0dc169db2b086e6997727067",
     "micro": "d0234987d5de67754d1998fc0db64378eb3eb3fba9ccfa09e21b4359bac0416e",
+    "micro-porter": "a82907473d8e83f7bafa26ec17cd3ef52b140aaa03d446a19f1097e38e63cb46",
     "neighbors": "39844b9512fb23f7dfb7a2eb30a0c5cb02d7549ef7354058fa71dc9ddba2b4b1",
     "clusters": "8e2537996f77478a2411c6e15350722180a4cfea6115f4236a524b22607d03ea",
 }
+MICRO_STOPLIST = {"the", "and", "in", "from", "into", "about"}
 
 
 def literal_log_rendition(corpus, x_counts, mu):
@@ -329,10 +332,14 @@ def _sha256(data: bytes) -> str:
 
 def test_golden_index_bytes(tmp_path):
     corpus, _ = golden_corpus()
-    micro = build_corpus(parse_trec((DATA / "micro.trec").read_bytes()), PreprocessOptions())
+    micro_docs = parse_trec((DATA / "micro.trec").read_bytes())
+    micro = build_corpus(micro_docs, PreprocessOptions())
+    stemmed = build_corpus(micro_docs, PreprocessOptions(stemmer="porter",
+                                                         stoplist=MICRO_STOPLIST))
     corpus.save(tmp_path / "index.json")
     reloaded = Corpus.load(tmp_path / "index.json")
-    for name, owner in (("golden", corpus), ("golden", reloaded), ("micro", micro)):
+    for name, owner in (("golden", corpus), ("golden", reloaded), ("micro", micro),
+                        ("micro-porter", stemmed)):
         assert _sha256(owner.serialize()) == INDEX_SHA256[name]
         assert owner.content_hash == INDEX_SHA256[name]
     neighbors = precompute_neighbors(reloaded, 6, MU)
