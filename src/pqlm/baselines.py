@@ -136,10 +136,6 @@ class RelevanceDistribution:
         if any(p <= 0.0 for p in self.probs.values()):
             raise ValueError("relevance distribution has non-positive entries")
 
-    @property
-    def support_size(self) -> int:
-        return len(self.probs)
-
     def entropy(self) -> float:
         return -sum(p * math.log(p) for _, p in sorted(self.probs.items()))
 

@@ -348,9 +348,10 @@ def build_corpus(
 ) -> Corpus:
     """Index (docno, text) pairs; doc ids follow input order.
 
-    Documents that tokenize to nothing are excluded (their docnos are
-    appended to `excluded` when given) since a length-0 document has no
-    maximum-likelihood model.
+    Documents that tokenize to nothing are excluded, since a length-0
+    document has no maximum-likelihood model.  Their docnos are appended to
+    `excluded` when it is given, and logged as warnings only when it is not,
+    so a caller that reports the list names each of them once.
     """
     seen: set[str] = set()
     docnos: list[str] = []
@@ -365,8 +366,9 @@ def build_corpus(
         seen.add(docno)
         tokens = _tokenize(text, opts, stems)
         if not tokens:
-            log.warning("document %s is empty after preprocessing; excluded", docno)
-            if excluded is not None:
+            if excluded is None:
+                log.warning("document %s is empty after preprocessing; excluded", docno)
+            else:
                 excluded.append(docno)
             continue
         row = np.fromiter(map(first_seen.__getitem__, tokens), np.int32, len(tokens))

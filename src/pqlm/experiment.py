@@ -2,8 +2,8 @@
 [system] sections.
 
 The format is diff-friendly on purpose (one parameter per line, repeated
-`corpus` keys accumulate) and round-trips losslessly through
-parse/serialize so a run's provenance can be reconstructed from its spec.
+`corpus` keys accumulate), and a parsed spec holds every key it was given,
+so a run's provenance can be reconstructed from its spec.
 """
 
 from __future__ import annotations
@@ -111,22 +111,3 @@ def _set_global(spec: ExperimentSpec, key: str, value: str, lineno: int) -> None
         setattr(spec, key, parse_bool(value))
     else:
         setattr(spec, key, value)
-
-
-def serialize_spec(spec: ExperimentSpec) -> str:
-    lines: list[str] = []
-    for key in _GLOBAL_KEYS:
-        value = getattr(spec, key)
-        for item in value if isinstance(value, list) else [value]:
-            if isinstance(item, bool):
-                item = "true" if item else "false"
-            if item is not None:
-                lines.append(f"{key} = {item}")
-    for system in spec.systems:
-        lines.append("")
-        lines.append("[system]")
-        lines.append(f"name = {system.name}")
-        lines.append(f"method = {system.method}")
-        for key, values in system.params.items():
-            lines.append(f"{key} = {' '.join(values)}")
-    return "\n".join(lines) + "\n"

@@ -6,6 +6,9 @@ current round) and produce a deterministic total order over documents.
 Computation is repertoire-driven: each pseudo-query's top-renderer list is
 computed once and inverted into per-document credits, which matches the
 per-document definitions exactly while touching only active pseudo-queries.
+The sums of ``mcdoc`` and of each ``mccluster`` phase are one ``bincount``
+over the concatenated lists (:func:`_credit_sums`): it adds in input order
+from 0.0, so every score is the same float sum as one ``+=`` per list.
 A document pseudo-query is its own text, so its top renderers do not depend
 on the query that surfaced it: each document pseudo-query is scored once per
 run (per mu and list length), memoised on the corpus or cluster index, and
@@ -154,26 +157,46 @@ def score_vdoc(pq: PseudoQueryList, alpha: int, corpus: Corpus, mu: float,
     return ScoredRanking.from_dense(scores)
 
 
+def _credit_sums(n: int, ids: list[np.ndarray], credits: list[np.ndarray],
+                 weights, norms=None) -> np.ndarray:
+    """Length-n sums of ``weights[j] * (credits[j] / norms[j])`` at ``ids[j]``.
+
+    One ``np.bincount`` over the concatenated lists, which adds in input
+    order from 0.0 and makes each product with the same IEEE operations, so
+    every sum is bit-equal to one ``out[ids[j]] += ...`` per list j in list
+    order (the ids of one list are distinct).  ``norms=None`` divides by
+    nothing.
+    """
+    if not ids:
+        return np.zeros(n)
+    sizes = [len(a) for a in ids]
+    credit = np.concatenate(credits)
+    if norms is not None:
+        credit = credit / np.repeat(norms, sizes)
+    return np.bincount(np.concatenate(ids), np.repeat(weights, sizes) * credit,
+                       minlength=n)
+
+
 def score_mcdoc(pq: PseudoQueryList, alpha: int, m: int, corpus: Corpus,
                 mu: float, query_p: np.ndarray | None = None) -> ScoredRanking:
     """Credit each document for every pseudo-query it is a top renderer of.
 
     score(d) = sum over pseudo-queries q in d's repertoire of
     w(q) * p(q | d) / N(q), where N(q) sums the rendition probabilities of
-    q's top-m renderers.  Accumulation follows pseudo-query rank order so
-    results are bit-stable.  Round 1 reads the query's p(q | d) off
-    ``query_p``, which holds one value per document and must be smoothed
-    with the same ``mu``.
+    q's top-m renderers.  The sums are one :func:`_credit_sums` over the
+    active pseudo-queries' top-alpha lists in rank order, so results are
+    bit-stable.  Round 1 reads the query's p(q | d) off ``query_p``, which
+    holds one value per document and must be smoothed with the same ``mu``.
     """
     if not 1 <= alpha < m:
         raise ValueError(f"need 1 <= alpha < m, got alpha={alpha}, m={m}")
     if query_p is not None and np.shape(query_p) != (corpus.n_docs,):
         raise ValueError(f"query_p needs one value per document ({corpus.n_docs})")
-    scores = np.zeros(corpus.n_docs)
-    for item, w in pq.active():
-        pool, probs = _top_rendered(item, m, corpus, mu, query_p)
-        norm = float(probs.sum())
-        scores[pool[:alpha]] += w * (probs[:alpha] / norm)
+    active = list(pq.active())
+    pools = [_top_rendered(item, m, corpus, mu, query_p) for item, _w in active]
+    scores = _credit_sums(corpus.n_docs, [pool[:alpha] for pool, _ in pools],
+                          [probs[:alpha] for _, probs in pools], [w for _, w in active],
+                          [float(probs.sum()) for _, probs in pools])
     return ScoredRanking.from_dense(scores)
 
 
@@ -223,24 +246,31 @@ def score_mccluster(pq: PseudoQueryList, alpha_cluster: int, beta: int, corpus: 
     normalized over all clusters containing the pseudo-query.  Phase 2
     converts cluster scores into document scores by crediting each document
     for every scored cluster it is a top-beta renderer of, restricted to
-    the clusters it belongs to.
+    the clusters it belongs to.  Each phase is one :func:`_credit_sums`,
+    over the pseudo-queries in rank order and then over the scored
+    clusters in ascending id order.  ``instrumentation`` gets the
+    (pseudo-query, cluster) and (cluster, document) pairs credited, in
+    that order.
     """
-    if instrumentation is not None:
-        instrumentation.setdefault("cluster_credits", [])
-        instrumentation.setdefault("doc_credits", [])
-    cscores = np.zeros(len(cluster_index))
-    for item, w in pq.active():
-        chosen, credit = _cluster_credits(item, alpha_cluster, corpus, cluster_index,
-                                          first_round, query_counts)
-        cscores[chosen] += w * credit
-        if instrumentation is not None:
-            instrumentation["cluster_credits"].extend((item, int(c)) for c in chosen)
+    active = list(pq.active())
+    credits = [_cluster_credits(item, alpha_cluster, corpus, cluster_index, first_round,
+                                query_counts) for item, _w in active]
+    chosen = [ids for ids, _ in credits]
+    cscores = _credit_sums(len(cluster_index), chosen, [credit for _, credit in credits],
+                           [w for _, w in active])
 
-    dscores = np.zeros(corpus.n_docs)
-    for cid in np.nonzero(cscores)[0]:
-        members, probs, norm = cluster_index.member_rendition(int(cid), corpus)
-        top = members[:beta]
-        dscores[top] += cscores[cid] * (probs[:beta] / norm)
-        if instrumentation is not None:
-            instrumentation["doc_credits"].extend((int(cid), int(d)) for d in top)
+    cids = np.flatnonzero(cscores)
+    ranked = [cluster_index.member_rendition(cid, corpus) for cid in cids.tolist()]
+    tops = [members[:beta] for members, _, _ in ranked]
+    dscores = _credit_sums(corpus.n_docs, tops, [probs[:beta] for _, probs, _ in ranked],
+                           cscores[cids], [norm for _, _, norm in ranked])
+    if instrumentation is not None:
+        instrumentation.setdefault("cluster_credits", []).extend(
+            _pairs([item for item, _w in active], chosen))
+        instrumentation.setdefault("doc_credits", []).extend(_pairs(cids.tolist(), tops))
     return ScoredRanking.from_dense(dscores)
+
+
+def _pairs(heads: list[int], lists: list[np.ndarray]) -> list[tuple[int, int]]:
+    """(heads[j], x) for each x of lists[j], in order."""
+    return [(head, x) for head, ids in zip(heads, lists) for x in ids.tolist()]

@@ -209,7 +209,7 @@ class TestRelevanceModel:
             assert sum(full.probs.values()) == pytest.approx(1.0, abs=1e-9)
             clipped = estimate_relevance_model(as_text(corpus, counts), corpus, [0, 1, 2], 0.4, 3)
             assert sum(clipped.probs.values()) == pytest.approx(1.0, abs=1e-9)
-            assert clipped.support_size <= 3
+            assert len(clipped.probs) <= 3
 
     def test_clipping_beyond_vocab_is_noop(self):
         rng = np.random.default_rng(233)

@@ -88,6 +88,33 @@ class TestIndex:
                            f"{' '.join(map(str, docs))}: no document has a term left")
         assert not out.exists()
 
+    @pytest.mark.parametrize("texts, code, stdout", [
+        (["the and the"], 2, ""),
+        (["the and the", "solar the"], 0,
+         "1 documents, 1 terms, 1 tokens -> {out}\nexcluded 1 empty documents: D0\n"),
+    ], ids=["none-left", "one-left"])
+    def test_empty_documents_reported_once(self, tmp_path, texts, code, stdout):
+        # in a fresh interpreter: pytest's log capture would hide what
+        # Python's last-resort handler writes to stderr
+        import subprocess
+        import sys
+
+        doc = tmp_path / "d.trec"
+        doc.write_text("".join(f"<DOC><DOCNO>D{i}</DOCNO><TEXT>{text}</TEXT></DOC>"
+                               for i, text in enumerate(texts)))
+        (tmp_path / "stop.txt").write_text("the\nand\n")
+        out = tmp_path / "i.json"
+        proc = subprocess.run([sys.executable, "-m", "pqlm.cli", "index", str(doc), "-o",
+                               str(out), "--stoplist", str(tmp_path / "stop.txt")],
+                              capture_output=True, text=True)
+        assert proc.returncode == code
+        assert proc.stdout == stdout.format(out=out)
+        if code:
+            assert re.fullmatch(r"pqlm: [^\n]*no document has a term left[^\n]*\n",
+                                proc.stderr), proc.stderr
+        else:
+            assert proc.stderr == ""
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["index"]) == 1
         assert main(["frobnicate"]) == 1

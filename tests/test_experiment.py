@@ -1,7 +1,31 @@
+from dataclasses import fields
+
 import pytest
 
 from pqlm.corpus import ParseError
-from pqlm.experiment import ExperimentSpec, SystemSpec, parse_spec, serialize_spec
+from pqlm.experiment import ExperimentSpec, SystemSpec, parse_spec
+
+
+def serialize_spec(spec: ExperimentSpec) -> str:
+    """The spec text that parse_spec reads back as `spec`."""
+    lines: list[str] = []
+    for f in fields(ExperimentSpec):
+        if f.name == "systems":
+            continue
+        value = getattr(spec, f.name)
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, bool):
+                item = "true" if item else "false"
+            if item is not None:
+                lines.append(f"{f.name} = {item}")
+    for system in spec.systems:
+        lines.append("")
+        lines.append("[system]")
+        lines.append(f"name = {system.name}")
+        lines.append(f"method = {system.method}")
+        for key, values in system.params.items():
+            lines.append(f"{key} = {' '.join(values)}")
+    return "\n".join(lines) + "\n"
 
 SAMPLE = """\
 # experiment provenance

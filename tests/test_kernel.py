@@ -41,8 +41,10 @@ from pqlm import (
 )
 from pqlm import lm, oracles, pipeline, scoring
 from pqlm.baselines import estimate_relevance_model
+from pqlm.clustering import cluster_membership
 from pqlm.corpus import Query
 from pqlm.lm import log_rendition, log_rendition_docs
+from pqlm.scoring import PseudoQueryList, ScoredRanking
 
 DATA = Path(__file__).parent / "data"
 
@@ -347,6 +349,71 @@ def test_golden_index_bytes(tmp_path):
     build_clusters(reloaded, 5, neighbors).save(tmp_path / "clusters.json")
     for name in ("neighbors", "clusters"):
         assert _sha256((tmp_path / f"{name}.json").read_bytes()) == INDEX_SHA256[name]
+
+
+# -- raw score bits ---------------------------------------------------------
+
+# sha256 of doc_ids.tobytes() + scores.tobytes() of score_mcdoc and
+# score_mccluster on golden_corpus(), each case over the four queries in
+# order; the run digests above see six decimals of a score, these every bit
+RAW_SHA256 = {
+    "mcdoc round 1": "dd8f4f351319b0c30b04caa5f0b491ae013ff8de701dcdc78e5f238b1084917f",
+    "mcdoc round 2": "d28318c5e0e5561196167245bb746340caedb1fbe601735a7ff0230a7a4b2789",
+    "mcdoc wide": "b87846ed600099570c4aa9bfeefbbf8132317a04dbbfb2564b7510658d2199b6",
+    "mccluster beta 3 round 1": "c08d6f91b7e55bac0c34146f41c761c7e5325e4ffe5afec04bf96f69a2196bfd",
+    "mccluster beta 3 round 2": "e03435671406e090b4988337466e3a35343802413cb3b372ab71c5eba004c9b5",
+    "mccluster beta 3 wide": "832a3df06a68cec6d9120163350806e42ab24758bf4473d0a44ba1916a56c998",
+    "mccluster beta 8 round 1": "4a967d2abc2f7f42bb0f147b728cb07eeba8a7317200dd5547d5b9287e7178b1",
+    "mccluster beta 8 round 2": "6f81634d56b703efee231e89301414eea78c823b09b547529756c05f13e71ac3",
+    "mccluster beta 8 wide": "7d9d740f2ea1ada27520d40986c1095d72ecf3cb8b07d6dfc9ec98afb948c416",
+    "mccluster no doc 7 round 1": "32bf14a78edcd29089d267826aff0f4e4802dc4198b8c62b26fd51e2ebae8e3e",
+    "mccluster no doc 7 round 2": "707e1b55d5e1db13ad361d70b6a57c02d004f03b3da9310b2e4adca6f6ea877a",
+    "mccluster no doc 7 wide": "f8e5f976020e910c41a7e350d97ca4d346e867a1706884d29b9cd10548eded55",
+}
+
+
+def raw_score_cases():
+    """(case, ScoredRanking) of both iterative sums, rounds 1 and 2, per query.
+
+    Round 2 takes the pseudo-queries of its own round 1, and "wide" takes
+    every document, weighted by its rendition of the query.  The cluster
+    indexes are the delta-5 clusters at beta 3 and at beta 8 (more than any
+    cluster holds), and those clusters without document 7, which is then in
+    no cluster while every wide list holds it.
+    """
+    corpus, queries, clusters = golden_setup()
+    hole = 7
+    holey = ClusterIndex([[d for d in row if d != hole] for row in clusters.members],
+                         corpus, MU, 5)
+    assert len(cluster_membership(clusters, hole, False)) and \
+        not len(cluster_membership(holey, hole, False))
+    for q in queries:
+        counts = corpus.query_counts(q)
+        query_p = np.exp(log_rendition_docs(corpus, counts, MU))
+        wide = pipeline._next_pseudo_queries(ScoredRanking.from_dense(query_p))
+        assert hole in wide.items
+        first = scoring.score_mcdoc(PseudoQueryList.initial(), 6, 8, corpus, MU, query_p)
+        yield "mcdoc round 1", first
+        yield "mcdoc round 2", scoring.score_mcdoc(pipeline._next_pseudo_queries(first),
+                                                   4, 8, corpus, MU, query_p)
+        yield "mcdoc wide", scoring.score_mcdoc(wide, 4, 8, corpus, MU, query_p)
+        for label, index, beta in (("beta 3", clusters, 3), ("beta 8", clusters, 8),
+                                   ("no doc 7", holey, 5)):
+            first = scoring.score_mccluster(PseudoQueryList.initial(), 6, beta, corpus,
+                                            index, True, counts)
+            yield f"mccluster {label} round 1", first
+            for name, pq in (("round 2", pipeline._next_pseudo_queries(first)),
+                             ("wide", wide)):
+                yield f"mccluster {label} {name}", scoring.score_mccluster(
+                    pq, 2, beta, corpus, index, False)
+
+
+def test_raw_score_bits():
+    digests: dict = {}
+    for case, r in raw_score_cases():
+        digests.setdefault(case, hashlib.sha256()).update(
+            r.doc_ids.tobytes() + r.scores.tobytes())
+    assert {case: h.hexdigest() for case, h in digests.items()} == RAW_SHA256
 
 
 # -- the term index under threads -----------------------------------------

@@ -16,7 +16,7 @@ from pqlm import (
     score_vdoc,
     singleton_cluster_index,
 )
-from pqlm import oracles
+from pqlm import oracles, scoring
 from pqlm.corpus import Query
 from pqlm.lm import log_rendition_docs, ranked_order
 
@@ -234,6 +234,7 @@ class TestMcCluster:
             pq = PseudoQueryList([0, 4], [1.0, 0.7])
             score_mccluster(pq, 2, 2, corpus, index, False,
                             instrumentation=counters)
+            assert counters["cluster_credits"] and counters["doc_credits"]
             for item, cid in counters["cluster_credits"]:
                 assert item in index.members[cid]
             for cid, d in counters["doc_credits"]:
@@ -257,3 +258,60 @@ class TestMcCluster:
                                corpus, index, False)
         assert one.doc_ids.tolist() == half.doc_ids.tolist()
         np.testing.assert_allclose(half.scores, one.scores * 0.5, rtol=1e-12)
+
+
+# -- the sums against one += per list ---------------------------------------
+
+
+def loop_mcdoc(pq, alpha, m, corpus, mu, query_p=None):
+    """score_mcdoc's sums as one ``+=`` per pseudo-query, in rank order."""
+    scores = np.zeros(corpus.n_docs)
+    for item, w in pq.active():
+        pool, probs = scoring._top_rendered(item, m, corpus, mu, query_p)
+        scores[pool[:alpha]] += w * (probs[:alpha] / float(probs.sum()))
+    return scores
+
+
+def loop_mccluster(pq, alpha_cluster, beta, corpus, index, first_round, query_counts=None):
+    """score_mccluster's two phases as one ``+=`` per pseudo-query, then one
+    per scored cluster in ascending id order."""
+    cscores = np.zeros(len(index))
+    for item, w in pq.active():
+        chosen, credit = scoring._cluster_credits(item, alpha_cluster, corpus, index,
+                                                  first_round, query_counts)
+        cscores[chosen] += w * credit
+    dscores = np.zeros(corpus.n_docs)
+    for cid in np.flatnonzero(cscores).tolist():
+        members, probs, norm = index.member_rendition(cid, corpus)
+        dscores[members[:beta]] += cscores[cid] * (probs[:beta] / norm)
+    return dscores
+
+
+def random_pseudo_queries(rng, n):
+    """Distinct documents with random nonincreasing weights, some zero."""
+    k = int(rng.integers(1, n + 1))
+    items = rng.choice(n, size=k, replace=False).tolist()
+    weights = sorted(rng.uniform(0.0, 1.0, size=k).tolist(), reverse=True)
+    zeros = int(rng.integers(0, k))
+    return PseudoQueryList(items, weights[:k - zeros] + [0.0] * zeros)
+
+
+def test_sums_bit_equal_to_one_add_per_list():
+    rng = np.random.default_rng(131)
+    for _ in range(30):
+        corpus = random_corpus(rng, n_docs=int(rng.integers(4, 15)))
+        n, mu = corpus.n_docs, random_mu(rng)
+        query = as_text(corpus, {"a": 1, "b": 2})
+        query_p = np.exp(log_rendition_docs(corpus, query, mu))
+        delta = int(rng.integers(1, n + 1))
+        index = build_clusters(corpus, delta, precompute_neighbors(corpus, delta, mu))
+        alpha = int(rng.integers(1, n))
+        m = int(rng.integers(alpha + 1, n + 2))
+        beta = int(rng.integers(1, n + 1))  # may exceed the clusters' sizes
+        for pq in (PseudoQueryList.initial(), random_pseudo_queries(rng, n)):
+            first = pq.items == [QUERY_ID]
+            assert score_mcdoc(pq, alpha, m, corpus, mu, query_p) == \
+                ScoredRanking.from_dense(loop_mcdoc(pq, alpha, m, corpus, mu, query_p))
+            assert score_mccluster(pq, alpha, beta, corpus, index, first, query) == \
+                ScoredRanking.from_dense(loop_mccluster(pq, alpha, beta, corpus, index,
+                                                        first, query))
