@@ -39,9 +39,9 @@ for seed, (row, length) in enumerate(zip(clusters.members, clusters.lengths())):
     print(f"  seed {name(seed):7s} members {[name(m) for m in row]}  length={length:g}")
 
 print("\nwhich clusters contain wind-1?",
-      sorted(name(c) for c in cluster_membership(clusters, 3, False)))
+      sorted(name(c) for c in cluster_membership(clusters, 3)))
 print("the round-1 query belongs to every cluster:",
-      len(cluster_membership(clusters, QUERY_ID, True)), "of",
+      len(cluster_membership(clusters, QUERY_ID)), "of",
       len(clusters))
 
 # the repertoire of r: every text that has r among its top-k renderers

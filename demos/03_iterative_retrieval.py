@@ -15,8 +15,6 @@ from pqlm import (
     precompute_neighbors,
     run_retrieval,
 )
-from pqlm.corpus import Query
-from pqlm.pipeline import RoundTrace
 
 DOCS = [
     ("sun-1", "solar panels convert sunlight into electric power"),
@@ -67,12 +65,14 @@ for drift in (
                     N=8, drift=drift)
     show(drift.kind, run_retrieval(query, cfg, corpus))
 
-print("\nround-by-round trace (mcdoc, iterated truncation):")
-trace: list[RoundTrace] = []
-cfg = RunConfig(method="mcdoc", alpha=3, alpha1=4, m=7, T=3, mu=50.0, N=8,
-                drift=DriftTechnique("iterated_truncation", N=4))
-run_retrieval(query, cfg, corpus, trace=trace)
-for t in trace:
-    tops = ", ".join(f"{name(d)}:{s:.4f}" for d, s in t.top10[:4])
-    print(f"  round {t.round_index}: {t.pseudo_query_count} pseudo-queries; "
-          f"top: {tops}")
+print("\nround by round (mcdoc, iterated truncation): round t is the T=t run")
+drift = DriftTechnique("iterated_truncation", N=4)
+pseudo_queries = 1  # round 1 scores the query alone
+for t in (1, 2, 3):
+    cfg = RunConfig(method="mcdoc", alpha=3, alpha1=4, m=7, T=t, mu=50.0,
+                    N=corpus.n_docs, drift=drift)
+    ranking = run_retrieval(query, cfg, corpus)
+    tops = ", ".join(f"{name(d)}:{s:.4f}" for d, s in ranking.entries[:4])
+    print(f"  round {t}: {pseudo_queries} pseudo-queries; top: {tops}")
+    # the next round's pseudo-queries are this round's positive-scored documents
+    pseudo_queries = int((ranking.scores > 0).sum())

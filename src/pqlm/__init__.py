@@ -30,7 +30,7 @@ from .evaluation import (
     wilcoxon_two_sided,
 )
 from .lm import QUERY_ID, NeighborIndex, precompute_neighbors
-from .pipeline import RoundTrace, RunConfig, format_run_lines, run_retrieval
+from .pipeline import RunConfig, format_run_lines, run_retrieval
 from .scoring import PseudoQueryList, ScoredRanking, score_mccluster, score_mcdoc, score_vdoc
 
 __version__ = "0.1.0"
@@ -47,7 +47,6 @@ __all__ = [
     "PseudoQueryList",
     "Qrels",
     "Query",
-    "RoundTrace",
     "RunConfig",
     "ScoredRanking",
     "average_precision",

@@ -26,7 +26,7 @@ _ARG_RANGES = {
     "N": (lambda v: v >= 1, ">= 1"),
     "k1": (lambda v: v >= 1, ">= 1"),
     "t": (lambda v: v >= 0, ">= 0"),
-    "gamma": (lambda v: v >= 0, ">= 0"),
+    "gamma": (lambda v: 0 <= v < math.inf, "a finite number >= 0"),
     "lambda_r": (lambda v: 0 < v < 1, "strictly between 0 and 1"),
     "clip_k": (lambda v: v >= 0, ">= 0"),
     "mu": (lambda v: 0 < v < math.inf, "a positive finite number"),

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -65,6 +66,20 @@ system section keys (RunConfig fields) and defaults:
   N              retrieval depth (default 1000)
 """ + "".join(f"{method} keys and defaults: {', '.join(f'{k}={v}' for k, v in keys.items())}\n"
               for method, (_, keys) in _BASELINES.items())
+
+
+class _OncePerMessage(logging.Handler):
+    """Writes each distinct message once, as ``pqlm: <message>``, to the current
+    ``sys.stderr``; ``handle`` holds the handler's lock around ``emit``."""
+
+    def __init__(self):
+        super().__init__()
+        self._seen: set[str] = set()
+
+    def emit(self, record: logging.LogRecord) -> None:
+        if (message := record.getMessage()) not in self._seen:
+            self._seen.add(message)
+            sys.stderr.write(f"pqlm: {message}\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -473,11 +488,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    logger, handler = logging.getLogger("pqlm"), _OncePerMessage()
+    if not logger.handlers:  # a handler of its own takes the command's records
+        logger.addHandler(handler)
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, ValueError, OSError) as exc:
         print(f"pqlm: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

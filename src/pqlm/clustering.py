@@ -147,12 +147,9 @@ def singleton_cluster_index(corpus: Corpus, mu: float) -> ClusterIndex:
     return ClusterIndex([(d,) for d in range(corpus.n_docs)], corpus, mu, 1)
 
 
-def cluster_membership(cluster_index: ClusterIndex, text_id: int,
-                       first_round: bool) -> np.ndarray:
-    """Clusters a text belongs to, ids ascending; the round-1 query is in all."""
+def cluster_membership(cluster_index: ClusterIndex, text_id: int) -> np.ndarray:
+    """Clusters a text belongs to, ids ascending; the query is in all."""
     if text_id == QUERY_ID:
-        if not first_round:
-            raise ValueError("the query is not a round-2+ pseudo-query")
         return np.arange(len(cluster_index))
     if not 0 <= text_id < len(cluster_index):
         raise ValueError(f"text id {text_id} outside the corpus")

@@ -63,13 +63,6 @@ class RunConfig:
         return 40 if corpus.n_docs > 1000 else 10
 
 
-@dataclass
-class RoundTrace:
-    round_index: int
-    pseudo_query_count: int
-    top10: list[tuple[int, float]]
-
-
 def _next_pseudo_queries(ranking: ScoredRanking) -> PseudoQueryList:
     """Round scores become the next round's weights, max-normalized.
 
@@ -104,14 +97,15 @@ def check_cluster_index(cluster_index: ClusterIndex | None, config: RunConfig,
 
 
 def run_retrieval(query: Query, config: RunConfig, corpus: Corpus,
-                  cluster_index: ClusterIndex | None = None,
-                  trace: list[RoundTrace] | None = None) -> ScoredRanking:
+                  cluster_index: ClusterIndex | None = None) -> ScoredRanking:
     """Execute T rounds of pseudo-query processing for one query.
 
     The query is scored once, as ``query_p`` (its rendition probability per
     doc id): round 1 of vdoc and mcdoc, vdoc's unmatched documents and the
     interpolation and re-rank drift corrections read that one vector.
     mccluster with a drift technique that reads no query vector skips it.
+    Round t's ranking is the run's with T=t, N=n_docs and the drift only if
+    it acts after every round (``none`` otherwise): see a round by running to it.
     """
     query_counts = corpus.query_counts(query)
 
@@ -137,10 +131,8 @@ def run_retrieval(query: Query, config: RunConfig, corpus: Corpus,
         else:
             alpha_cluster = config.alpha1 if first else config.alpha_cluster
             ranking = score_mccluster(pq, alpha_cluster, config.beta, corpus,
-                                      cluster_index, first, query_counts)
+                                      cluster_index, query_counts)
         ranking = config.drift.apply(ranking, query_p, final=False)
-        if trace is not None:
-            trace.append(RoundTrace(t, len(pq.items), ranking.truncate(10).entries))
         if t < config.T:
             pq = _next_pseudo_queries(ranking)
     return config.drift.apply(ranking, query_p, final=True).truncate(config.N)

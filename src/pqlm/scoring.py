@@ -44,6 +44,8 @@ class PseudoQueryList:
             raise ValueError("items and weights differ in length")
         if not self.items:
             raise ValueError("empty pseudo-query list")
+        if QUERY_ID in self.items and len(self.items) > 1:
+            raise ValueError("the query is a pseudo-query only alone, in round 1")
         prev = 1.0
         for w in self.weights:
             if not 0.0 <= w <= 1.0:
@@ -206,8 +208,8 @@ def log_rendition_clusters(cluster_index: ClusterIndex,
     return log_rendition(cluster_index, text, cluster_index.mu)
 
 
-def _cluster_credits(item: int, k: int, corpus: Corpus, cluster_index: ClusterIndex,
-                     first_round: bool, query_counts) -> tuple[np.ndarray, np.ndarray]:
+def _cluster_credits(item: int, k: int, cluster_index: ClusterIndex,
+                     query_counts) -> tuple[np.ndarray, np.ndarray]:
     """Phase-1 credits of one pseudo-query: its top-k clusters among those
     containing it, best first, and their rendition probabilities divided by
     the sum over all containing clusters (both empty if none contains it).
@@ -218,13 +220,13 @@ def _cluster_credits(item: int, k: int, corpus: Corpus, cluster_index: ClusterIn
     key = (item, k)
     hit = cluster_index._credits.get(key) if item != QUERY_ID else None
     if hit is None:
-        cand = cluster_membership(cluster_index, item, first_round)
+        cand = cluster_membership(cluster_index, item)
         hit = _frozen(np.zeros(0, dtype=int), np.zeros(0))
         if len(cand):
             if item == QUERY_ID and query_counts is None:
                 raise ValueError("pseudo-query list references the query but no "
                                  "query counts were provided")
-            text = query_counts if item == QUERY_ID else corpus.text(item)
+            text = query_counts if item == QUERY_ID else cluster_index._corpus.text(item)
             logp = log_rendition_clusters(cluster_index, text)
             probs = np.exp(logp[cand])
             norm = float(probs.sum())
@@ -236,8 +238,7 @@ def _cluster_credits(item: int, k: int, corpus: Corpus, cluster_index: ClusterIn
 
 
 def score_mccluster(pq: PseudoQueryList, alpha_cluster: int, beta: int, corpus: Corpus,
-                    cluster_index: ClusterIndex, first_round: bool,
-                    query_counts=None, instrumentation: dict | None = None) -> ScoredRanking:
+                    cluster_index: ClusterIndex, query_counts=None) -> ScoredRanking:
     """Two-phase cluster scoring, both phases smoothed with the index's mu.
 
     Phase 1 credits each cluster for every pseudo-query it is a top
@@ -248,29 +249,17 @@ def score_mccluster(pq: PseudoQueryList, alpha_cluster: int, beta: int, corpus: 
     for every scored cluster it is a top-beta renderer of, restricted to
     the clusters it belongs to.  Each phase is one :func:`_credit_sums`,
     over the pseudo-queries in rank order and then over the scored
-    clusters in ascending id order.  ``instrumentation`` gets the
-    (pseudo-query, cluster) and (cluster, document) pairs credited, in
-    that order.
+    clusters in ascending id order.
     """
     active = list(pq.active())
-    credits = [_cluster_credits(item, alpha_cluster, corpus, cluster_index, first_round,
-                                query_counts) for item, _w in active]
-    chosen = [ids for ids, _ in credits]
-    cscores = _credit_sums(len(cluster_index), chosen, [credit for _, credit in credits],
-                           [w for _, w in active])
+    credits = [_cluster_credits(item, alpha_cluster, cluster_index, query_counts)
+               for item, _w in active]
+    cscores = _credit_sums(len(cluster_index), [ids for ids, _ in credits],
+                           [credit for _, credit in credits], [w for _, w in active])
 
     cids = np.flatnonzero(cscores)
     ranked = [cluster_index.member_rendition(cid, corpus) for cid in cids.tolist()]
-    tops = [members[:beta] for members, _, _ in ranked]
-    dscores = _credit_sums(corpus.n_docs, tops, [probs[:beta] for _, probs, _ in ranked],
+    dscores = _credit_sums(corpus.n_docs, [members[:beta] for members, _, _ in ranked],
+                           [probs[:beta] for _, probs, _ in ranked],
                            cscores[cids], [norm for _, _, norm in ranked])
-    if instrumentation is not None:
-        instrumentation.setdefault("cluster_credits", []).extend(
-            _pairs([item for item, _w in active], chosen))
-        instrumentation.setdefault("doc_credits", []).extend(_pairs(cids.tolist(), tops))
     return ScoredRanking.from_dense(dscores)
-
-
-def _pairs(heads: list[int], lists: list[np.ndarray]) -> list[tuple[int, int]]:
-    """(heads[j], x) for each x of lists[j], in order."""
-    return [(head, x) for head, ids in zip(heads, lists) for x in ids.tolist()]

@@ -198,7 +198,7 @@ def test_criterion_2_oracle_equivalence():
             ac = int(rng.integers(1, n + 1))
             beta = int(rng.integers(1, delta + 1))
             got = score_mccluster(PseudoQueryList(items, weights), ac, beta,
-                                  corpus, clusters, first, as_text(corpus, q_counts))
+                                  corpus, clusters, as_text(corpus, q_counts))
             want = oracles.mccluster_scores(items, weights, ac, beta, members,
                                             corpus, mu, first, q_counts)
             ok = _pairs_match(got, want)

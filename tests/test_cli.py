@@ -583,6 +583,42 @@ N = 1000
         assert main(["run", str(spec)]) == 0
         assert (tmp_path / "out" / "clustered.run").exists()
 
+    def test_neighbors_file_in_the_spec(self, tmp_path, capsys):
+        index, nbrs, clusters = (tmp_path / f"{name}.json" for name in "inc")
+        assert main(["index", str(DATA / "micro.trec"), "-o", str(index)]) == 0
+        assert main(["neighbors", "--index", str(index), "-o", str(nbrs),
+                     "--k-max", "2"]) == 0
+        assert main(["cluster", "--index", str(index), "--neighbors", str(nbrs),
+                     "-o", str(clusters), "--delta", "2"]) == 0
+        runs = {}
+        for key, path, delta in (("clusters", clusters, 2), ("neighbors", nbrs, 2),
+                                 ("neighbors", nbrs, 3)):
+            spec = write_spec(tmp_path, f"""\
+index = {index}
+{key} = {path}
+topics = {DATA / 'micro_topics.txt'}
+output = {key}-{delta}
+
+[system]
+name = clustered
+method = mccluster
+alpha1 = 4
+alpha_cluster = 2
+beta = 2
+delta = {delta}
+T = 2
+""")
+            capsys.readouterr()
+            code = main(["run", str(spec)])
+            if delta == 2:
+                assert code == 0
+                runs[key] = {p.name: p.read_bytes()
+                             for p in (tmp_path / f"{key}-{delta}").glob("*.run")}
+        # the spec's neighbour file builds the clusters that `pqlm cluster` writes
+        assert len(runs["clusters"]) == 1 and runs["neighbors"] == runs["clusters"]
+        _assert_data_error(code, capsys, "delta=3 exceeds precomputed k_max=2; recompute")
+        assert not (tmp_path / "neighbors-3").exists()
+
     def test_query_without_vocabulary_terms_is_skipped(self, tmp_path, capsys):
         topics = tmp_path / "topics.txt"
         topics.write_text((DATA / "micro_topics.txt").read_text()
@@ -721,6 +757,7 @@ method = rocchio
         ("rocchio", "k1", "0"), ("rocchio", "t", "-1"), ("rocchio", "gamma", "-0.5"),
         ("relevance_model", "lambda_r", "1"), ("relevance_model", "lambda_r", "0"),
         ("relevance_model", "clip_k", "-1"), ("relevance_model", "mu", "-inf"),
+        ("rocchio", "gamma", "inf"),
     ])
     def test_bad_feedback_value_writes_no_run_file(self, tmp_path, capsys, method, key, value):
         # the good baseline system comes first: no run file may be written for it
@@ -1201,6 +1238,96 @@ class TestThreadsEnvVar:
         assert _default_threads() == 1
         monkeypatch.delenv("PQLM_THREADS")
         assert _default_threads() == 1
+
+
+class TestLogRecords:
+    """Library warnings reach stderr once per command each, as one
+    `pqlm: ` line, unless the pqlm logger has a handler of its own."""
+
+    def _cli(self, *argv):
+        # a fresh interpreter: pytest's log capture sits on the root logger
+        import subprocess
+        import sys
+
+        return subprocess.run([sys.executable, "-m", "pqlm.cli", *map(str, argv)],
+                              capture_output=True, text=True)
+
+    def _oov_spec(self, tmp_path):
+        topics = tmp_path / "topics.txt"
+        topics.write_text("<top>\n<num> Number: 901\n<title> solar zzzunseen\n</top>\n")
+        spec = baseline_spec(tmp_path, "[system]\nname = iter\nmethod = mcdoc\n"
+                                       "alpha = 2 3\nm = 4\nT = 2\n")
+        spec.write_text(spec.read_text().replace(str(DATA / "micro_topics.txt"), str(topics)))
+        return spec
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_warning_printed_once_per_command(self, tmp_path, threads):
+        proc = self._cli("run", self._oov_spec(tmp_path), "--threads", threads)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("wrote ") == 3
+        assert proc.stderr == "pqlm: query 901: 1 out-of-vocabulary terms dropped\n"
+
+    def test_clamped_k_max(self, tmp_path):
+        index = tmp_path / "index.json"
+        assert self._cli("index", DATA / "micro.trec", "-o", index).returncode == 0
+        proc = self._cli("neighbors", "--index", index, "-o", tmp_path / "n.json",
+                         "--k-max", "999")
+        assert proc.returncode == 0
+        assert proc.stderr == "pqlm: k_max=999 exceeds corpus size 8; clamped\n"
+
+    def test_handler_of_the_logger_gets_every_record(self, tmp_path, capsys):
+        import logging
+
+        records = []
+        collect = logging.Handler()
+        collect.emit = records.append
+        logger = logging.getLogger("pqlm")
+        logger.addHandler(collect)
+        propagate, logger.propagate = logger.propagate, False
+        try:
+            assert main(["run", str(self._oov_spec(tmp_path))]) == 0
+        finally:
+            logger.propagate = propagate
+            logger.removeHandler(collect)
+        # one record per system point, and none on stderr
+        assert [r.getMessage() for r in records] == \
+            ["query 901: 1 out-of-vocabulary terms dropped"] * 3
+        assert capsys.readouterr().err == ""
+        assert logger.handlers == []
+
+    def test_threads_print_each_message_once(self):
+        import logging
+        import sys
+        import threading
+
+        from pqlm.cli import _OncePerMessage
+
+        handler, err = _OncePerMessage(), io.StringIO()
+        # every thread logs the same messages in the same order, so each
+        # message's first record is contested
+        records = [logging.LogRecord("pqlm.x", logging.WARNING, "", 0, "message %d",
+                                     (i,), None) for i in range(2000)]
+        start = threading.Barrier(8)
+
+        def log_all():
+            start.wait(timeout=30)
+            for r in records:
+                handler.handle(r)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with contextlib.redirect_stderr(err):
+                workers = [threading.Thread(target=log_all) for _ in range(8)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert sorted(err.getvalue().splitlines()) == \
+            sorted(f"pqlm: message {i}" for i in range(2000))
 
 
 class TestConsoleScript:

@@ -48,14 +48,14 @@ class TestBuild:
             [("A", "x y"), ("B", "x y"), ("C", "z w")], PreprocessOptions())
         index = build_clusters(corpus, 1, neighbors_for(corpus, 1, 1.0))
         assert index.members == [(0,), (0,), (2,)]
-        assert cluster_membership(index, 1, False).tolist() == []
+        assert cluster_membership(index, 1).tolist() == []
         for term in ("x", "y"):
             ids, counts = index.postings(corpus.vocabulary[term])
             assert ids.tolist() == [0, 1] and counts.tolist() == [1.0, 1.0]
-        counters: dict = {}
-        ranking = score_mccluster(PseudoQueryList([1], [1.0]), 1, 1, corpus, index,
-                                  False, instrumentation=counters)
-        assert counters["cluster_credits"] == [] and not ranking.scores.any()
+        ranking = score_mccluster(PseudoQueryList([1], [1.0]), 1, 1, corpus, index)
+        # B is in no cluster, so it credits none (its memoised phase-1
+        # credits are empty) and no document scores
+        assert not ranking.scores.any()
         for credits in index._credits[(1, 1)]:
             assert len(credits) == 0 and credits.base is None
 
@@ -64,7 +64,7 @@ class TestBuild:
         corpus = random_corpus(rng, n_docs=10)
         index = build_clusters(corpus, 3, neighbors_for(corpus, 4, 2.0))
         for d in range(corpus.n_docs):
-            holders = cluster_membership(index, d, False)
+            holders = cluster_membership(index, d)
             assert holders.tolist() == [cid for cid, row in enumerate(index.members)
                                         if d in row]
 
@@ -146,21 +146,22 @@ class TestMemberRendition:
 class TestMembership:
     def test_query_round_one_belongs_to_all(self, tiny_corpus):
         index = singleton_cluster_index(tiny_corpus, 1.0)
-        assert cluster_membership(index, QUERY_ID, True).tolist() == [0, 1]
+        assert cluster_membership(index, QUERY_ID).tolist() == [0, 1]
 
-    def test_query_round_two_is_an_error(self, tiny_corpus):
-        index = singleton_cluster_index(tiny_corpus, 1.0)
-        with pytest.raises(ValueError, match="round-2"):
-            cluster_membership(index, QUERY_ID, False)
+    def test_query_round_two_is_an_error(self):
+        # the query is a pseudo-query only alone, as round 1's
+        for items in ([0, QUERY_ID], [QUERY_ID, 1]):
+            with pytest.raises(ValueError, match="only alone, in round 1"):
+                PseudoQueryList(items, [1.0, 0.5])
 
     def test_doc_in_own_cluster_only(self, tiny_corpus):
         index = singleton_cluster_index(tiny_corpus, 1.0)
-        assert cluster_membership(index, 0, False).tolist() == [0]
+        assert cluster_membership(index, 0).tolist() == [0]
 
     def test_out_of_range(self, tiny_corpus):
         index = singleton_cluster_index(tiny_corpus, 1.0)
         with pytest.raises(ValueError, match="outside the corpus"):
-            cluster_membership(index, 7, False)
+            cluster_membership(index, 7)
 
 
 class TestPersistence:

@@ -385,8 +385,8 @@ def raw_score_cases():
     hole = 7
     holey = ClusterIndex([[d for d in row if d != hole] for row in clusters.members],
                          corpus, MU, 5)
-    assert len(cluster_membership(clusters, hole, False)) and \
-        not len(cluster_membership(holey, hole, False))
+    assert len(cluster_membership(clusters, hole)) and \
+        not len(cluster_membership(holey, hole))
     for q in queries:
         counts = corpus.query_counts(q)
         query_p = np.exp(log_rendition_docs(corpus, counts, MU))
@@ -400,12 +400,12 @@ def raw_score_cases():
         for label, index, beta in (("beta 3", clusters, 3), ("beta 8", clusters, 8),
                                    ("no doc 7", holey, 5)):
             first = scoring.score_mccluster(PseudoQueryList.initial(), 6, beta, corpus,
-                                            index, True, counts)
+                                            index, counts)
             yield f"mccluster {label} round 1", first
             for name, pq in (("round 2", pipeline._next_pseudo_queries(first)),
                              ("wide", wide)):
                 yield f"mccluster {label} {name}", scoring.score_mccluster(
-                    pq, 2, beta, corpus, index, False)
+                    pq, 2, beta, corpus, index)
 
 
 def test_raw_score_bits():

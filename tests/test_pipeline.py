@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,17 +7,20 @@ from conftest import query_probs, random_corpus, random_mu
 from pqlm import (
     DriftTechnique,
     PreprocessOptions,
+    PseudoQueryList,
     RunConfig,
     build_clusters,
     build_corpus,
     lm_baseline,
     precompute_neighbors,
     run_retrieval,
+    score_mcdoc,
     singleton_cluster_index,
 )
 from pqlm import oracles
 from pqlm.corpus import Query
-from pqlm.pipeline import RoundTrace, format_run_lines
+from pqlm.lm import log_rendition_docs
+from pqlm.pipeline import _next_pseudo_queries, format_run_lines
 
 
 def query_for(corpus, rng, n_terms=2):
@@ -136,19 +141,25 @@ class TestPipelineBehavior:
             assert len(set(out.doc_ids.tolist())) == len(out)
             assert (np.diff(out.scores) <= 0).all()
 
-    def test_trace_records_rounds_and_pq_sizes(self):
+    def test_rounds_seen_through_t_runs(self):
+        # round t of a run is the run with T=t: round 1 scores the query
+        # alone, and round t + 1 the pseudo-queries of the T=t run
         rng = np.random.default_rng(191)
         corpus = random_corpus(rng, n_docs=9)
         q = query_for(corpus, rng)
-        cfg = RunConfig(method="mcdoc", alpha=2, m=5, T=3, mu=4.0, N=9,
-                        drift=DriftTechnique("iterated_truncation", N=4))
-        trace: list[RoundTrace] = []
-        run_retrieval(q, cfg, corpus, trace=trace)
-        assert [t.round_index for t in trace] == [1, 2, 3]
-        assert trace[0].pseudo_query_count == 1
-        # iterated truncation caps the surviving pool at its cutoff
-        assert all(t.pseudo_query_count <= 4 for t in trace[1:])
-        assert all(len(t.top10) <= 10 for t in trace)
+        drift = DriftTechnique("iterated_truncation", N=4)
+        runs = [run_retrieval(q, RunConfig(method="mcdoc", alpha=2, m=5, T=t, mu=4.0, N=9,
+                                           drift=drift), corpus) for t in (1, 2, 3)]
+        query_p = np.exp(log_rendition_docs(corpus, corpus.query_counts(q), 4.0))
+        pq = PseudoQueryList.initial()
+        assert len(pq.items) == 1
+        for t, run in enumerate(runs, start=1):
+            if t > 1:
+                pq = _next_pseudo_queries(runs[t - 2])
+                # iterated truncation caps the surviving pool at its cutoff
+                assert len(pq.items) <= 4
+            assert run == drift.apply(score_mcdoc(pq, 2, 5, corpus, 4.0, query_p),
+                                      query_p, final=False)
 
     def test_iterated_rerank_restricts_pool_and_output(self):
         rng = np.random.default_rng(193)
@@ -156,10 +167,11 @@ class TestPipelineBehavior:
         q = query_for(corpus, rng)
         cfg = RunConfig(method="mcdoc", alpha=6, m=13, T=2, mu=3.0, N=12,
                         drift=DriftTechnique("iterated_rerank", N=5))
-        trace: list[RoundTrace] = []
-        out = run_retrieval(q, cfg, corpus, trace=trace)
+        out = run_retrieval(q, cfg, corpus)
         assert len(out) <= 5
-        assert trace[1].pseudo_query_count <= 5
+        # round 2's pseudo-queries are the documents of the T=1 run
+        round1 = run_retrieval(q, dataclasses.replace(cfg, T=1), corpus)
+        assert len(_next_pseudo_queries(round1).items) <= 5
 
     def test_oov_terms_dropped_with_diagnostic(self, tiny_corpus, caplog):
         cfg = RunConfig(method="mcdoc", alpha=1, m=2, T=1, mu=1.0, N=2)

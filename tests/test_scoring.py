@@ -9,6 +9,7 @@ from pqlm import (
     ScoredRanking,
     build_clusters,
     build_corpus,
+    cluster_membership,
     lm_baseline,
     precompute_neighbors,
     score_mccluster,
@@ -184,7 +185,7 @@ class TestMcCluster:
             mu = random_mu(rng)
             index = singleton_cluster_index(corpus, mu)
             ranking = score_mccluster(PseudoQueryList.initial(), corpus.n_docs, 3,
-                                      corpus, index, True, as_text(corpus, {"a": 1, "b": 2}))
+                                      corpus, index, as_text(corpus, {"a": 1, "b": 2}))
             base = lm_baseline(Query("q", ["a", "b", "b"]), corpus, mu, corpus.n_docs)
             assert ranking.doc_ids.tolist() == base.doc_ids.tolist()
             # proportionality: scores differ from rendition probs by one factor
@@ -198,8 +199,7 @@ class TestMcCluster:
         corpus = build_corpus(
             [("A", "x x"), ("B", "x y"), ("C", "z z")], PreprocessOptions())
         index = singleton_cluster_index(corpus, 1.0)
-        ranking = score_mccluster(PseudoQueryList([0], [1.0]), 1, 1, corpus,
-                                  index, False)
+        ranking = score_mccluster(PseudoQueryList([0], [1.0]), 1, 1, corpus, index)
         scores = dict(ranking.entries)
         assert sum(1 for s in scores.values() if s > 0) == 1
 
@@ -211,7 +211,7 @@ class TestMcCluster:
             members = [list(row) for row in index.members]
             q = {"a": 1, "b": 1}
             r1 = score_mccluster(PseudoQueryList.initial(), 1, 2, corpus,
-                                 index, True, as_text(corpus, q))
+                                 index, as_text(corpus, q))
             want1 = oracles.mccluster_scores([QUERY_ID], [1.0], 1, 2, members,
                                              corpus, 1.0, True, q)
             assert_rankings_close(r1, want1)
@@ -221,7 +221,7 @@ class TestMcCluster:
             items = r1.doc_ids[positive].tolist()
             weights = (r1.scores[positive] / r1.scores[0]).tolist()
             r2 = score_mccluster(PseudoQueryList(items, weights), 1, 2,
-                                 corpus, index, False, as_text(corpus, q))
+                                 corpus, index, as_text(corpus, q))
             want2 = oracles.mccluster_scores(items, weights, 1, 2, members,
                                              corpus, 1.0, False, q)
             assert_rankings_close(r2, want2)
@@ -230,32 +230,29 @@ class TestMcCluster:
         rng = np.random.default_rng(109)
         for _ in range(10):
             corpus, index = two_doc_cluster_setup(rng, n_docs=6, delta=3, mu=2.0)
-            counters: dict = {}
             pq = PseudoQueryList([0, 4], [1.0, 0.7])
-            score_mccluster(pq, 2, 2, corpus, index, False,
-                            instrumentation=counters)
-            assert counters["cluster_credits"] and counters["doc_credits"]
-            for item, cid in counters["cluster_credits"]:
-                assert item in index.members[cid]
-            for cid, d in counters["doc_credits"]:
-                assert d in index.members[cid]
+            ranking = score_mccluster(pq, 2, 2, corpus, index)
+            # a pseudo-query credits only clusters it is in, and a cluster
+            # only its members
+            holding = {cid for cid, row in enumerate(index.members) if {0, 4} & set(row)}
+            scored = ranking.doc_ids[ranking.scores > 0].tolist()
+            assert holding and scored
+            for d in scored:
+                assert holding & set(cluster_membership(index, d).tolist())
 
     def test_weight_zero_neutral(self):
         rng = np.random.default_rng(113)
         corpus, index = two_doc_cluster_setup(rng, n_docs=5, delta=2, mu=1.5)
-        a = score_mccluster(PseudoQueryList([0, 2], [0.9, 0.3]), 1, 2,
-                            corpus, index, False)
+        a = score_mccluster(PseudoQueryList([0, 2], [0.9, 0.3]), 1, 2, corpus, index)
         b = score_mccluster(PseudoQueryList([0, 2, 3], [0.9, 0.3, 0.0]), 1, 2,
-                            corpus, index, False)
+                            corpus, index)
         assert a == b
 
     def test_weight_scale_equivariance(self):
         rng = np.random.default_rng(127)
         corpus, index = two_doc_cluster_setup(rng, n_docs=6, delta=2, mu=2.0)
-        one = score_mccluster(PseudoQueryList([0, 3], [1.0, 0.6]), 2, 2,
-                              corpus, index, False)
-        half = score_mccluster(PseudoQueryList([0, 3], [0.5, 0.3]), 2, 2,
-                               corpus, index, False)
+        one = score_mccluster(PseudoQueryList([0, 3], [1.0, 0.6]), 2, 2, corpus, index)
+        half = score_mccluster(PseudoQueryList([0, 3], [0.5, 0.3]), 2, 2, corpus, index)
         assert one.doc_ids.tolist() == half.doc_ids.tolist()
         np.testing.assert_allclose(half.scores, one.scores * 0.5, rtol=1e-12)
 
@@ -272,13 +269,12 @@ def loop_mcdoc(pq, alpha, m, corpus, mu, query_p=None):
     return scores
 
 
-def loop_mccluster(pq, alpha_cluster, beta, corpus, index, first_round, query_counts=None):
+def loop_mccluster(pq, alpha_cluster, beta, corpus, index, query_counts=None):
     """score_mccluster's two phases as one ``+=`` per pseudo-query, then one
     per scored cluster in ascending id order."""
     cscores = np.zeros(len(index))
     for item, w in pq.active():
-        chosen, credit = scoring._cluster_credits(item, alpha_cluster, corpus, index,
-                                                  first_round, query_counts)
+        chosen, credit = scoring._cluster_credits(item, alpha_cluster, index, query_counts)
         cscores[chosen] += w * credit
     dscores = np.zeros(corpus.n_docs)
     for cid in np.flatnonzero(cscores).tolist():
@@ -309,9 +305,8 @@ def test_sums_bit_equal_to_one_add_per_list():
         m = int(rng.integers(alpha + 1, n + 2))
         beta = int(rng.integers(1, n + 1))  # may exceed the clusters' sizes
         for pq in (PseudoQueryList.initial(), random_pseudo_queries(rng, n)):
-            first = pq.items == [QUERY_ID]
             assert score_mcdoc(pq, alpha, m, corpus, mu, query_p) == \
                 ScoredRanking.from_dense(loop_mcdoc(pq, alpha, m, corpus, mu, query_p))
-            assert score_mccluster(pq, alpha, beta, corpus, index, first, query) == \
+            assert score_mccluster(pq, alpha, beta, corpus, index, query) == \
                 ScoredRanking.from_dense(loop_mccluster(pq, alpha, beta, corpus, index,
-                                                        first, query))
+                                                        query))
