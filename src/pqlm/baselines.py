@@ -1,12 +1,16 @@
 """Reference retrieval systems: the plain language-model ranking,
 pseudo-feedback Rocchio, and the (optionally clipped) relevance model.
 
-Per-query cost, for N documents, depth n and V distinct corpus terms: the LM
-ranking is one rendition pass, O(|q| + sum of the query terms' df + N +
-n log n); Rocchio is two tf.idf inner-product passes, with idf for the query
-and feedback terms only; the relevance model is an LM ranking for its
-feedback, O(k1 * V) vector operations and O(V) list work to estimate the
-model, and one rendition pass over the model's support.
+Per-query cost, for N documents, depth n, V distinct corpus terms and F
+(term, tf) pairs in the k1 feedback documents: the LM ranking is one
+rendition pass, O(|q| + sum of the query terms' df + N + n log n).
+Rocchio is two tf.idf inner-product passes over the postings of the query
+and expansion terms, with idf for the query and feedback terms only, and
+O(F log F) array work for the centroid.  The relevance model is an LM
+ranking for its feedback, 2 * k1 + O(1) V-long vector passes to estimate
+the model, and one rendition pass over the model's support.  Every sum of
+floats adds left to right (:func:`~pqlm.corpus.left_sum`), so the scores
+do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Query
-from .lm import log_rendition_docs, top_k, top_renderers
+from . import lm
+from .corpus import Corpus, Query, left_sum
 from .scoring import ScoredRanking
 
 
@@ -48,20 +52,65 @@ def lm_baseline(query: Query, corpus: Corpus, mu: float, n: int) -> ScoredRankin
     O(|q| + sum of the query terms' df + N + n log n) per query.
     """
     check_args(N=n, mu=mu)
-    return ScoredRanking(*top_renderers(corpus, corpus.query_counts(query), n, mu))
+    return ScoredRanking(*lm.top_renderers(corpus, corpus.query_counts(query), n, mu))
 
 
 # -- Rocchio over pseudo-feedback ----------------------------------------
 
 
-def _tfidf_weight(tf: int, idf: float) -> float:
-    return (1.0 + math.log(tf)) * idf if tf > 0 else 0.0
+def _per_distinct(fn, values: np.ndarray) -> np.ndarray:
+    """fn of each value, called once per distinct value."""
+    distinct, at = np.unique(values, return_inverse=True)
+    return np.array([fn(v) for v in distinct.tolist()], dtype=float)[at]
 
 
-def _idf(corpus: Corpus, term_ids) -> dict[int, float]:
+def _idf(corpus: Corpus, term_ids: np.ndarray) -> np.ndarray:
     # every term id occurs in some document, so df >= 1
-    return {t: math.log(corpus.n_docs / len(corpus.postings(t)[0]))
-            for t in term_ids}
+    n = corpus.n_docs
+    return _per_distinct(lambda df: math.log(n / df), corpus.doc_freqs()[term_ids])
+
+
+def _tfidf_weights(tfs: np.ndarray, idf: np.ndarray) -> np.ndarray:
+    """(1 + ln tf) * idf of positive counts."""
+    return (1.0 + _per_distinct(math.log, tfs)) * idf
+
+
+def _inner_products(corpus: Corpus, terms: np.ndarray, weights: np.ndarray,
+                    idf: np.ndarray) -> np.ndarray:
+    """Every document's inner product with a weighted query: `terms`
+    ascending, their weights and idf; one postings pass per nonzero weight."""
+    scores = np.zeros(corpus.n_docs)
+    for term, wq, term_idf in zip(terms.tolist(), weights.tolist(), idf.tolist()):
+        if wq == 0.0:
+            continue
+        ids, counts = corpus.postings(term)
+        scores[ids] += wq * (1.0 + np.log(counts)) * term_idf
+    return scores
+
+
+def _centroid(corpus: Corpus, feedback: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(term ids ascending, centroid weights, idf) of the feedback documents'
+    terms: O(F log F) for their F (term, tf) pairs, and one accumulate over a
+    (terms, at most k1) grid.
+
+    Each term's weights are summed in ascending tf order, so that terms with
+    identical (tf multiset, df) come out exactly equal and fall to the
+    term-id tie rule.  Row i of the grid holds term i's weights from its
+    first column on, then zeros: accumulating along the row adds them left
+    to right, and adding 0.0 leaves a sum as it is.
+    """
+    rows = [corpus.text(d) for d in feedback.tolist()]
+    terms = np.concatenate([ids for ids, _ in rows])
+    tfs = np.concatenate([counts for _, counts in rows])
+    order = np.lexsort((tfs, terms))
+    terms, tfs = terms[order], tfs[order]
+    ids, first, per_term = np.unique(terms, return_index=True, return_counts=True)
+    idf = _idf(corpus, ids)
+    grid = np.zeros((len(ids), per_term.max()))
+    grid[np.repeat(np.arange(len(ids)), per_term),
+         np.arange(len(terms)) - np.repeat(first, per_term)] = \
+        _tfidf_weights(tfs, np.repeat(idf, per_term))
+    return ids, np.add.accumulate(grid, axis=1)[:, -1] / len(feedback), idf
 
 
 def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,
@@ -71,56 +120,52 @@ def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,
     Weights are (1 + ln tf) * ln(|D| / df); similarity is the inner
     product.  The query is augmented with the top-t centroid terms (of the
     top-k1 feedback documents) that it does not already contain, scaled by
-    gamma; only positive feedback is used.
+    gamma, ties to the lower term id; only positive feedback is used.
 
-    idf is computed only for the query and feedback-document terms, so a
-    query costs O(|q| + feedback terms) postings lookups, two inner-product
-    passes over the postings of the query and expansion terms, and two
-    O(N log N) rankings.  Vectors are keyed by term id.
+    idf is read off :meth:`Corpus.doc_freqs` for the query and feedback
+    terms only.  A query costs two inner-product passes over the postings
+    of its |q| terms and the t expansion terms, O(F log F) array work for
+    the centroid of the F feedback (term, tf) pairs, an O(N + k1 log k1)
+    pick of the feedback documents and one O(N log N) ranking.
     """
     check_args(N=n, k1=k1, t=t, gamma=gamma)
-    k1 = min(k1, corpus.n_docs)
-    q_ids, q_tfs = (a.tolist() for a in corpus.query_counts(query))
-    idf = _idf(corpus, q_ids)
-    q_vec = {w: _tfidf_weight(c, idf[w]) for w, c in zip(q_ids, q_tfs)}
-
-    def inner_products(vec: dict[int, float]) -> np.ndarray:
-        scores = np.zeros(corpus.n_docs)
-        for term, wq in sorted(vec.items()):
-            if wq == 0.0:
-                continue
-            ids, counts = corpus.postings(term)
-            scores[ids] += wq * (1.0 + np.log(counts)) * idf[term]
-        return scores
-
-    initial = ScoredRanking.from_dense(inner_products(q_vec))
-    feedback = initial.doc_ids[:k1].tolist()
-
+    q_ids, q_tfs = corpus.query_counts(query)
+    q_idf = _idf(corpus, q_ids)
+    q_weights = _tfidf_weights(q_tfs, q_idf)
+    initial = _inner_products(corpus, q_ids, q_weights, q_idf)
     if t == 0 or gamma == 0.0:
-        return initial.truncate(n)
+        return ScoredRanking.from_dense(initial).truncate(n)
 
-    # accumulate each term over its sorted tf values so that terms with
-    # identical (tf multiset, df) come out exactly equal and fall to the
-    # term-id tie rule
-    term_tfs: dict[int, list[int]] = {}
-    for d in feedback:
-        for term, tf in zip(*(a.tolist() for a in corpus.text(d))):
-            term_tfs.setdefault(term, []).append(tf)
-    idf.update(_idf(corpus, term_tfs.keys() - idf.keys()))
-    centroid = {
-        term: sum(_tfidf_weight(tf, idf[term]) for tf in sorted(tfs)) / k1
-        for term, tfs in term_tfs.items()
-    }
-
-    candidates = [(term, w) for term, w in centroid.items() if term not in q_vec]
-    candidates.sort(key=lambda e: (-e[1], e[0]))
-    expanded = dict(q_vec)
-    for term, w in candidates[:t]:
-        expanded[term] = gamma * w
-    return ScoredRanking.from_dense(inner_products(expanded)).truncate(n)
+    terms, centroid, idf = _centroid(corpus, lm.top_k(initial, min(k1, corpus.n_docs)))
+    fresh = ~np.isin(terms, q_ids)
+    terms, centroid, idf = terms[fresh], centroid[fresh], idf[fresh]
+    best = np.lexsort((terms, -centroid))[:t]
+    ids = np.concatenate([q_ids, terms[best]])
+    order = np.argsort(ids)
+    weights = np.concatenate([q_weights, gamma * centroid[best]])
+    idf = np.concatenate([q_idf, idf[best]])
+    scores = _inner_products(corpus, ids[order], weights[order], idf[order])
+    return ScoredRanking.from_dense(scores).truncate(n)
 
 
 # -- relevance model ------------------------------------------------------
+
+
+def _model_length(probs) -> float:
+    """The sum of a model's probabilities in its own order, once they are
+    checked to be positive and to sum to 1."""
+    total = left_sum(probs)
+    if not math.isclose(total, 1.0, abs_tol=1e-9):
+        raise ValueError(f"relevance distribution sums to {total}, not 1")
+    if (np.asarray(probs) <= 0.0).any():
+        raise ValueError("relevance distribution has non-positive entries")
+    return total
+
+
+def _entropy(probs: np.ndarray) -> float:
+    """-sum p ln p of probabilities in ascending term-id order."""
+    logs = np.fromiter(map(math.log, probs.tolist()), float, len(probs))
+    return -left_sum(probs * logs)
 
 
 @dataclass
@@ -130,14 +175,85 @@ class RelevanceDistribution:
     probs: dict[int, float]
 
     def __post_init__(self):
-        total = sum(self.probs.values())
-        if not math.isclose(total, 1.0, abs_tol=1e-9):
-            raise ValueError(f"relevance distribution sums to {total}, not 1")
-        if any(p <= 0.0 for p in self.probs.values()):
-            raise ValueError("relevance distribution has non-positive entries")
+        _model_length(list(self.probs.values()))
 
     def entropy(self) -> float:
-        return -sum(p * math.log(p) for _, p in sorted(self.probs.items()))
+        return _entropy(np.array([p for _, p in sorted(self.probs.items())]))
+
+
+def _smoothed(lambda_r: float, tf, length, coll_prob):
+    """Jelinek-Mercer p(w | d) of scalars or arrays alike."""
+    return (1.0 - lambda_r) * tf / length + lambda_r * coll_prob
+
+
+def _posteriors(query_counts: tuple[np.ndarray, np.ndarray], corpus: Corpus,
+                feedback: list[int], lambda_r: float) -> list[float]:
+    """Each feedback document's posterior given the query, uniform prior.
+
+    A document's likelihood is the product, from 1.0 in term-id order, of
+    its smoothed query-term probabilities, each to the power of the term's
+    count.  The posteriors are the likelihoods over their sum.  With
+    lambda_r > 0 every factor is positive, but a long query's product can
+    underflow to 0.0; when any document's does, all of the query's
+    posteriors are exp(l_d - max l) over their sum instead, with l_d the
+    log-likelihood.  Products that stay positive thus keep their arithmetic.
+    A factor of exactly 0 (lambda_r = 0, a query term the document lacks)
+    gives that document posterior 0, and when every document has one the
+    query is a ValueError.  O(k1 * |q|) scalar work.
+    """
+    q_ids, q_cnts = query_counts
+    tf = np.zeros((len(feedback), len(q_ids)), dtype=np.int64)
+    for i, d in enumerate(feedback):
+        ids, counts = corpus.text(d)
+        at = np.minimum(np.searchsorted(ids, q_ids), len(ids) - 1)
+        tf[i] = np.where(ids[at] == q_ids, counts[at], 0)
+    factors = _smoothed(lambda_r, tf, corpus.lengths()[feedback][:, None],
+                        corpus._collection_probs[q_ids])
+    likelihood, cnts = [], q_cnts.tolist()
+    for row in factors.tolist():
+        val = 1.0
+        for x, cnt in zip(row, cnts):
+            val *= x ** cnt
+        likelihood.append(val)
+    positive = (factors > 0.0).all(axis=1)
+    if any(v == 0.0 and p for v, p in zip(likelihood, positive.tolist())):
+        logs = np.full(len(feedback), -math.inf)
+        logs[positive] = np.add.accumulate(q_cnts * np.log(factors[positive]), axis=1)[:, -1]
+        likelihood = np.exp(logs - logs.max()).tolist()
+    total = left_sum(likelihood)
+    if total <= 0.0:
+        raise ValueError("query is unrenderable by every feedback document")
+    return [v / total for v in likelihood]
+
+
+def _relevance_model(query_counts: tuple[np.ndarray, np.ndarray], corpus: Corpus,
+                     feedback: list[int], lambda_r: float,
+                     clip_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`estimate_relevance_model` as (term ids, probabilities) arrays,
+    in ascending id order, or in rank order when clipped."""
+    coll, lengths = corpus._collection_probs, corpus.lengths()
+    # a term the document lacks has _smoothed == 0.0 + lambda_r * coll, the
+    # same float; term ids are lexicographic, so every sum below runs in
+    # sorted-term order, which a freshly built and a reloaded corpus share
+    background = lambda_r * coll
+    mixture, row = np.zeros(len(coll)), np.empty(len(coll))
+    for pi, d in zip(_posteriors(query_counts, corpus, feedback, lambda_r), feedback):
+        ids, counts = corpus.text(d)
+        np.multiply(pi, background, out=row)
+        row[ids] = pi * _smoothed(lambda_r, counts, lengths[d], coll[ids])
+        mixture += row
+    if lambda_r != 0.0:
+        ids, probs = np.arange(len(coll)), mixture
+    else:
+        ids = np.unique(np.concatenate([corpus.text(d)[0] for d in feedback]))
+        probs = mixture[ids]
+    # one renormalization guards against accumulated rounding
+    probs = probs / left_sum(probs)
+    if 0 < clip_k < len(ids):
+        kept = lm.top_k(probs, clip_k)
+        ids, probs = ids[kept], probs[kept]
+        probs = probs / left_sum(probs)
+    return ids, probs
 
 
 def estimate_relevance_model(query_counts: tuple[np.ndarray, np.ndarray], corpus: Corpus,
@@ -149,55 +265,20 @@ def estimate_relevance_model(query_counts: tuple[np.ndarray, np.ndarray], corpus
     Document models are Jelinek-Mercer smoothed,
     p(w | d) = (1 - lambda_r) * mle(w | d) + lambda_r * mle(w | collection),
     and the mixture weights are the (uniform-prior) posteriors of the
-    feedback documents given the query under the same smoothed models.
-    The support is every term id when lambda_r > 0 and exactly the
-    union of the feedback documents' terms when lambda_r == 0.  When
-    clip_k > 0 only the clip_k most probable terms survive (ties to the
-    lower term id) and the distribution is renormalized.
+    feedback documents given the query under the same smoothed models
+    (:func:`_posteriors`).  The support is every term id when lambda_r > 0
+    and exactly the union of the feedback documents' terms when
+    lambda_r == 0.  When clip_k > 0 only the clip_k most probable terms
+    survive (ties to the lower term id) and the distribution is
+    renormalized; its dict then lists them in rank order.
 
-    O(k1 * |q|) scalar work for the posteriors, O(k1 * V) vector operations
-    for the mixture, and O(V) list work (O(V log V) to clip) to normalize.
-    Each term's value is the same chain of float operations, in the same
-    (feedback, then term-id) order, as a per-term loop.
+    Two V-long vector passes per feedback document make the mixture (every
+    term's smoothed background, then the document's own terms set), one
+    left-to-right accumulate normalises it, and O(V) more selects the
+    clipped terms.  Each term's value is the same chain of float operations,
+    in the same (feedback, then term-id) order, as a per-term loop.
     """
-    def smoothed(tf, length, coll_prob):
-        # scalars or term-id vectors alike
-        return (1.0 - lambda_r) * tf / length + lambda_r * coll_prob
-
-    coll, lengths = corpus._collection_probs, corpus.lengths()
-    q_ids, q_cnts = (a.tolist() for a in query_counts)
-    likelihood = []
-    for d in feedback:
-        tf = dict(zip(*(a.tolist() for a in corpus.text(d))))
-        val = 1.0
-        for t, cnt in zip(q_ids, q_cnts):
-            val *= smoothed(tf.get(t, 0), float(lengths[d]), float(coll[t])) ** cnt
-        likelihood.append(val)
-    total = sum(likelihood)
-    if total <= 0.0:
-        raise ValueError("query is unrenderable by every feedback document")
-    posterior = [v / total for v in likelihood]
-
-    # term ids are lexicographic, so every sum below runs in sorted-term
-    # order, which a freshly built and a reloaded corpus share
-    mixture = np.zeros(len(coll))
-    in_feedback = np.zeros(len(coll), dtype=bool)
-    for pi, d in zip(posterior, feedback):
-        ids, counts = corpus.text(d)
-        tf = np.zeros(len(coll))
-        tf[ids] = counts
-        mixture += pi * smoothed(tf, lengths[d], coll)
-        in_feedback[ids] = True
-    ids = np.arange(len(coll)) if lambda_r != 0.0 else np.flatnonzero(in_feedback)
-    # one renormalization guards against accumulated rounding; Python's
-    # sum keeps the sequential order
-    probs = mixture[ids]
-    probs = probs / sum(probs.tolist())
-
-    if 0 < clip_k < len(ids):
-        kept = top_k(probs, clip_k)
-        ids, probs = ids[kept], probs[kept]
-        probs = probs / sum(probs.tolist())
+    ids, probs = _relevance_model(query_counts, corpus, feedback, lambda_r, clip_k)
     return RelevanceDistribution(dict(zip(ids.tolist(), probs.tolist())))
 
 
@@ -207,19 +288,21 @@ def relevance_model_rank(query: Query, corpus: Corpus, k1: int, lambda_r: float,
 
     Feedback documents are the top k1 by query rendition probability.
     Scores are emitted as negative KL(R || Dirichlet(d)) so that higher is
-    better, matching every other system here.
+    better, matching every other system here.  The model stays two arrays:
+    no dict of its support is built, and only a clipped model is sorted.
     """
     check_args(N=n, k1=k1, lambda_r=lambda_r, clip_k=clip_k, mu=mu)
     counts = corpus.query_counts(query)
     # the lm_baseline order of the feedback documents, without normalising
     # the query a second time
-    feedback = top_renderers(corpus, counts, k1, mu)[0].tolist()
-    rel = estimate_relevance_model(counts, corpus, feedback, lambda_r, clip_k)
+    feedback = lm.top_renderers(corpus, counts, k1, mu)[0].tolist()
+    ids, probs = _relevance_model(counts, corpus, feedback, lambda_r, clip_k)
     # -KL(R || d) = H(R) + sum_w p_R(w) log p_dir(w | d): the cross-entropy
     # term is a rendition score of the fractional-count text p_R, whose
     # length is summed in the model's own (rank, when clipped) order
-    ids = np.fromiter(rel.probs, np.int32, len(rel.probs))
-    order = np.argsort(ids)
-    text = ids[order], np.fromiter(rel.probs.values(), float, len(ids))[order]
-    cross = log_rendition_docs(corpus, text, mu, sum(rel.probs.values()))
-    return ScoredRanking.from_dense(rel.entropy() + cross).truncate(n)
+    length = _model_length(probs)
+    if clip_k:
+        order = np.argsort(ids)
+        ids, probs = ids[order], probs[order]
+    cross = lm.log_rendition_docs(corpus, (ids, probs), mu, length)
+    return ScoredRanking.from_dense(_entropy(probs) + cross).truncate(n)

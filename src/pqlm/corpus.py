@@ -112,8 +112,9 @@ class Corpus:
     so ascending ids are sorted terms) and int64 counts, 12 bytes a posting
     plus N + 1 int64 offsets.  The rows' sums are the document lengths, and
     a ``bincount`` of them the collection probability of each term id.  The
-    first :meth:`postings` call builds the rows' stable transpose under a
-    lock: int32 doc ids and float64 counts, another 12 bytes a posting.
+    first :meth:`postings` or :meth:`doc_freqs` call builds the rows' stable
+    transpose under a lock: int32 doc ids and float64 counts, another 12
+    bytes a posting, and each term id's document frequency.
     """
 
     def __init__(self, docnos: list[str], terms: tuple[str, ...],
@@ -172,23 +173,35 @@ class Corpus:
         if hit is None:
             if not 0 <= t < len(self._terms):
                 raise ValueError(f"term id {t} is not in the corpus vocabulary")
-            with self._csr_lock:
-                if self._csr is None:
-                    self._csr = self._build_postings()
-            indptr, ids, counts = self._csr
+            indptr, ids, counts, _ = self._term_index()
             span = slice(indptr[t], indptr[t + 1])
             hit = self._postings[t] = (ids[span], counts[span])
         return hit
 
+    def doc_freqs(self) -> np.ndarray:
+        """Number of documents holding each term id, int64, read-only; built
+        with the postings."""
+        return self._term_index()[3]
+
+    def _term_index(self) -> tuple[np.ndarray, ...]:
+        """:meth:`_build_postings`, built once, by whichever thread asks first."""
+        with self._csr_lock:
+            if self._csr is None:
+                self._csr = self._build_postings()
+        return self._csr
+
     def _build_postings(self) -> tuple[np.ndarray, ...]:
-        """(indptr, ids, counts): term id t has doc ids
-        ``ids[indptr[t]:indptr[t + 1]]``, ascending, and their counts."""
+        """(indptr, ids, counts, df), read-only: term id t has doc ids
+        ``ids[indptr[t]:indptr[t + 1]]``, ascending, their counts, and
+        ``df[t]`` of them."""
         row_ptr, terms, counts = self._rows
         order = np.argsort(terms, kind="stable")
+        # a row holds each of its term ids once
+        df = np.bincount(terms, minlength=len(self._terms))
         indptr = np.zeros(len(self._terms) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(terms, minlength=len(self._terms)), out=indptr[1:])
+        np.cumsum(df, out=indptr[1:])
         ids = np.repeat(np.arange(self.n_docs, dtype=np.int32), np.diff(row_ptr))[order]
-        return indptr, ids, counts[order].astype(float)
+        return _frozen(indptr, ids, counts[order].astype(float), df)
 
     def preprocess_query(self, query_id: str, text: str) -> Query:
         return Query(query_id, tokenize(text, self.options))
@@ -283,6 +296,15 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+def left_sum(values) -> float:
+    """The float sum of `values` added strictly left to right from 0.0, as a
+    loop of ``+=`` adds them, on every Python version: builtin ``sum``
+    compensates float sums from Python 3.12 on, and ``np.sum`` adds
+    pairwise.  ``+ 0.0`` is the 0.0 start: it only turns a -0.0 into 0.0."""
+    values = np.asarray(values, dtype=float)
+    return float(np.add.accumulate(values)[-1]) + 0.0 if len(values) else 0.0
 
 
 def canonical_json(payload) -> bytes:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ParseError, read_text
+from .corpus import ParseError, left_sum, read_text
 
 
 def average_precision(run: Sequence[str], relevant: set[str], n: int) -> float:
@@ -126,7 +126,7 @@ def wilcoxon_two_sided(a: Sequence[float], b: Sequence[float],
     if n < 5:
         return WilcoxonResult(False, None, n, insufficient=True)
     ranks = _midranks([abs(d) for d in diffs])
-    w_plus = sum(r for r, d in zip(ranks, diffs) if d > 0)
+    w_plus = left_sum([r for r, d in zip(ranks, diffs) if d > 0])
     if n <= EXACT_LIMIT:
         p = _exact_p(ranks, w_plus)
     else:
@@ -224,8 +224,8 @@ def evaluate_run(run: dict[str, list[str]], qrels: Qrels, n: int = 1000) -> Eval
         per_recall[qid] = recall_at(run[qid], relevant, n)
         rel_total += len(relevant)
         rel_found += len(set(run[qid][:n]) & relevant)
-    mean_ap = sum(per_ap[q] for q in sorted(per_ap)) / len(per_ap) if per_ap else 0.0
-    macro = (sum(per_recall[q] for q in sorted(per_recall)) / len(per_recall)
+    mean_ap = left_sum([per_ap[q] for q in sorted(per_ap)]) / len(per_ap) if per_ap else 0.0
+    macro = (left_sum([per_recall[q] for q in sorted(per_recall)]) / len(per_recall)
              if per_recall else 0.0)
     micro = rel_found / rel_total if rel_total else 0.0
     return EvalReport(per_ap, per_recall, mean_ap, micro, macro, excluded)

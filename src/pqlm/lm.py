@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .corpus import Corpus, load_doc_id_rows, save_doc_id_rows
+from .corpus import Corpus, left_sum, load_doc_id_rows, save_doc_id_rows
 
 log = logging.getLogger(__name__)
 
@@ -36,8 +36,9 @@ def log_rendition(owner, text: tuple[np.ndarray, np.ndarray], mu: float,
     """Log geometric-mean rendition scores of one text, (term ids ascending,
     counts), against every renderer of `owner` (the corpus or a cluster
     index: its postings, which refuse an unknown id, collection probabilities
-    and lengths); requires a finite mu > 0.  `length` is ``sum(counts)``
-    summed in another order, when the caller's order differs.
+    and lengths); requires a finite mu > 0.  `length` is the counts' sum
+    added in another order, when the caller's order differs; by default
+    :func:`~pqlm.corpus.left_sum` adds them in term-id order.
 
     Only renderers holding a text term deviate from the background
     log(mu * p_coll).  A term's background and its deviations
@@ -51,7 +52,7 @@ def log_rendition(owner, text: tuple[np.ndarray, np.ndarray], mu: float,
     if not 0 < mu < math.inf:
         raise ValueError(f"rendition scoring requires mu > 0 and finite, got mu={mu}")
     term_ids, cnts = (a.tolist() for a in text)
-    xlen = float(sum(cnts) if length is None else length)
+    xlen = left_sum(text[1]) if length is None else float(length)
     if xlen == 0:
         raise ValueError("empty sequence")
     memo = owner._deviations.setdefault(mu, {})

@@ -140,8 +140,10 @@ def run_retrieval(query: Query, config: RunConfig, corpus: Corpus,
 
 def format_run_lines(query_id: str, ranking: ScoredRanking, corpus: Corpus,
                      tag: str) -> list[str]:
-    """TREC run rows: qid Q0 docno rank score tag, fixed 6-decimal scores."""
-    return [
-        f"{query_id} Q0 {corpus.docnos[int(d)]} {rank} {score:.6f} {tag}"
-        for rank, (d, score) in enumerate(ranking.entries, start=1)
-    ]
+    """TREC run rows: qid Q0 docno rank score tag, fixed 6-decimal scores.
+    One %-template, with any "%" of the query id and tag escaped, formats
+    every (docno, rank, score) row."""
+    row = " ".join([query_id.replace("%", "%%"), "Q0 %s %d %.6f", tag.replace("%", "%%")])
+    docnos = map(corpus.docnos.__getitem__, ranking.doc_ids.tolist())
+    return list(map(row.__mod__, zip(docnos, range(1, len(ranking) + 1),
+                                     ranking.scores.tolist())))

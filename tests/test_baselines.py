@@ -242,6 +242,52 @@ class TestRelevanceModel:
             np.testing.assert_allclose(got.scores, [s for _, s in want],
                                        rtol=1e-10, atol=1e-12)
 
+    def test_long_query_posteriors_from_log_likelihoods(self):
+        # every factor is positive, but each document's product of 300 of
+        # them underflows to 0.0: the posteriors are exp(l - max l) over
+        # their sum, for l the log-likelihoods
+        rng = np.random.default_rng(263)
+        vocab = [f"w{i:03d}" for i in range(300)]
+        corpus = build_corpus(
+            [(f"D{i}", " ".join(vocab + list(rng.choice(vocab, size=200)))) for i in range(4)],
+            PreprocessOptions())
+        feedback, lambda_r = [0, 1, 2, 3], 0.5
+        docs = [doc_counts(corpus, d) for d in feedback]
+
+        def smoothed(doc, term):
+            return ((1.0 - lambda_r) * doc[term] / sum(doc.values())
+                    + lambda_r * corpus.collection_prob(term))
+
+        assert all(math.prod(smoothed(doc, t) for t in vocab) == 0.0 for doc in docs)
+        logs = [math.fsum(math.log(smoothed(doc, t)) for t in vocab) for doc in docs]
+        weights = [math.exp(v - max(logs)) for v in logs]
+        posterior = [w / math.fsum(weights) for w in weights]
+        assert min(posterior) > 1e-6
+        rel = estimate_relevance_model(as_text(corpus, dict.fromkeys(vocab, 1)), corpus,
+                                       feedback, lambda_r, 0)
+        for term in vocab:
+            expected = math.fsum(pi * smoothed(doc, term) for pi, doc in zip(posterior, docs))
+            assert rel.probs[corpus.vocabulary[term]] == pytest.approx(expected, rel=1e-9)
+        ranking = relevance_model_rank(Query("q", vocab), corpus, 4, lambda_r, 0, 10.0, 4)
+        assert sorted(ranking.doc_ids.tolist()) == feedback
+
+    def test_zero_factors_at_lambda_zero(self):
+        vocab = [f"w{i:03d}" for i in range(300)]
+        corpus = build_corpus([("A", " ".join(vocab)), ("B", " ".join(vocab[1:] * 2)),
+                               ("C", " ".join(vocab[::-1])), ("D", "w000 extra")],
+                              PreprocessOptions())
+        text = as_text(corpus, dict.fromkeys(vocab, 1))
+        # B lacks w000: its likelihood is 0 whether or not A's and C's
+        # products underflow, and adding B changes nothing
+        assert estimate_relevance_model(text, corpus, [0, 1, 2], 0.0, 0) == \
+            estimate_relevance_model(text, corpus, [0, 2], 0.0, 0)
+        # every feedback document lacks a query term
+        with pytest.raises(ValueError, match="unrenderable by every feedback document"):
+            estimate_relevance_model(text, corpus, [1, 3], 0.0, 0)
+        short = as_text(corpus, {"w000": 1, "w001": 1})
+        with pytest.raises(ValueError, match="unrenderable by every feedback document"):
+            estimate_relevance_model(short, corpus, [1, 3], 0.0, 0)
+
     def test_parameter_validation(self, tiny_corpus):
         q = Query("q", ["a"])
         with pytest.raises(ValueError, match="k1"):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ import pqlm.porter
 
 from conftest import collection_counts, doc_counts
 from pqlm import oracles
+from pqlm.corpus import left_sum
 from pqlm import (
     Corpus,
     NeighborIndex,
@@ -189,6 +191,21 @@ class TestTextRows:
             ids, counts = corpus.postings(t)
             assert list(zip(ids.tolist(), counts.tolist())) == [
                 (doc.doc_id, doc.term_counts[term]) for doc in view if term in doc.term_counts]
+            assert corpus.doc_freqs()[t] == len(ids)
+            assert not ids.flags.writeable and not counts.flags.writeable
+        assert not corpus.doc_freqs().flags.writeable
+
+
+def test_left_sum_adds_left_to_right():
+    values = [0.1] * 10 + [1e16, 1.0, -1e16]
+    loop = 0.0
+    for v in values:
+        loop += v
+    # a compensated sum (Python 3.12's sum) gets 2.0 here, the loop 0.0
+    assert math.fsum(values) != loop
+    assert left_sum(values) == loop and left_sum(np.array(values)) == loop
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    assert left_sum([]) == 0.0 and math.copysign(1.0, left_sum([-0.0, -0.0])) == 1.0
 
 
 def _sha256(data: bytes) -> str:

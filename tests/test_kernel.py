@@ -416,6 +416,41 @@ def test_raw_score_bits():
     assert {case: h.hexdigest() for case, h in digests.items()} == RAW_SHA256
 
 
+# sha256 of doc_ids.tobytes() + scores.tobytes() of every golden query's
+# ranking of all 200 documents, per feedback baseline case
+BASELINE_RAW_SHA256 = {
+    "rocchio": "a93c285733c3084eb810dd4929fb20b9ba0ca0b56d3096449fdd6f179a1bc2e5",
+    "rocchio t 0": "dc71cdd7e10c57459da5603d9d4898cc6f812269a10d576b3d21061c1b913f14",
+    "rocchio gamma 0": "dc71cdd7e10c57459da5603d9d4898cc6f812269a10d576b3d21061c1b913f14",
+    "rocchio k1 clamped": "59c76b9943a3224998ee92665f82a470aee77baddbe5c19e9fab0404cdfb0b9d",
+    "rm full support": "cccb0a2ae43ddce27a9153df78a5234033a4a8dc04212458bd36fa7fcd5b9b71",
+    "rm clip 20": "55274e60f74f054af26da01fb3d20db27b59fdc6677419d6e6a3088af236b5d1",
+}
+
+
+def baseline_raw_cases():
+    """(case, ScoredRanking) of Rocchio (with expansion, without terms,
+    without weight, with k1 beyond the corpus) and of the relevance model
+    (every term id, clipped), per golden query."""
+    corpus, queries, _ = golden_setup()
+    n = corpus.n_docs
+    for q in queries:
+        yield "rocchio", rocchio_rank(q, corpus, k1=5, t=10, gamma=0.5, n=n)
+        yield "rocchio t 0", rocchio_rank(q, corpus, k1=5, t=0, gamma=0.5, n=n)
+        yield "rocchio gamma 0", rocchio_rank(q, corpus, k1=5, t=10, gamma=0.0, n=n)
+        yield "rocchio k1 clamped", rocchio_rank(q, corpus, k1=10 * n, t=10, gamma=0.5, n=n)
+        yield "rm full support", relevance_model_rank(q, corpus, 5, 0.5, 0, MU, n)
+        yield "rm clip 20", relevance_model_rank(q, corpus, 5, 0.5, 20, MU, n)
+
+
+def test_baseline_raw_score_bits():
+    digests: dict = {}
+    for case, r in baseline_raw_cases():
+        digests.setdefault(case, hashlib.sha256()).update(
+            r.doc_ids.tobytes() + r.scores.tobytes())
+    assert {case: h.hexdigest() for case, h in digests.items()} == BASELINE_RAW_SHA256
+
+
 # -- the term index under threads -----------------------------------------
 
 
@@ -440,6 +475,22 @@ def test_term_index_built_once_under_threads(tmp_path, monkeypatch):
         sys.setswitchinterval(interval)
     assert len(builds) == 1
     assert threaded == precompute_neighbors(corpus, 8, MU, threads=1).neighbors
+
+
+def test_doc_freqs_built_once_with_the_postings_under_threads(monkeypatch):
+    corpus, _ = golden_corpus()
+    builds = []
+    build = Corpus._build_postings
+
+    def slow_build(self):
+        builds.append(self)
+        time.sleep(0.05)
+        return build(self)
+
+    monkeypatch.setattr(Corpus, "_build_postings", slow_build)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        dfs = list(pool.map(lambda _: corpus.doc_freqs(), range(4)))
+    assert len(builds) == 1 and all(df is dfs[0] for df in dfs)
 
 
 def test_cluster_postings_match_member_counts():

@@ -21,6 +21,7 @@ from pqlm import oracles
 from pqlm.corpus import Query
 from pqlm.lm import log_rendition_docs
 from pqlm.pipeline import _next_pseudo_queries, format_run_lines
+from pqlm.scoring import ScoredRanking
 
 
 def query_for(corpus, rng, n_terms=2):
@@ -248,3 +249,12 @@ class TestRunLines:
         assert lines[0].split() == ["7", "Q0", "d0", "1",
                                     f"{base.scores[0]:.6f}", "sys1"]
         assert lines[1].split()[3] == "2"
+
+    def test_one_template_for_every_row(self):
+        # "%" in the query id, the tag and a docno is text, not a format
+        corpus = build_corpus([("d%s", "a"), ("e", "a a"), ("%d", "b")], PreprocessOptions())
+        ranking = ScoredRanking([2, 0, 1], [12345.6789125, -0.0, -3.0000005])
+        lines = format_run_lines("q%d", ranking, corpus, "t%%s")
+        assert lines == [f"q%d Q0 {corpus.docnos[d]} {rank} {score:.6f} t%%s"
+                         for rank, (d, score) in enumerate(ranking.entries, start=1)]
+        assert lines[1] == "q%d Q0 d%s 2 -0.000000 t%%s"

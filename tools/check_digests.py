@@ -53,6 +53,10 @@ CHECKS = [
      "7949ab589f0c6bb24407e7676dbc732627f500f4f85019b0caf795ff344bb6c7", ("1", "2")),
     ("mcdoc-2k", 3, None,
      "43e9900c6f255cd67177cca919e20e869a9c5278099f11e9a149e3753e64736f", ("1", "2")),
+    ("feedback-1k", 2, None,
+     "8f0de5702d394f0a5c5f045d674db25cd6ee300f56d2adc19b6c2ea05aee3ee6", ("1", "2")),
+    ("feedback-1k", 3, None,
+     "30e5d75e0997c68b534369b5d1864cb4d610838bbc84f8eb995885c719e31321", ("1", "2")),
 ]
 
 
