@@ -7,8 +7,9 @@ without a second numbering scheme.  A cluster is stored as its member list.
 Its length, the sum of its members' lengths, is summed from the corpus's
 document lengths when the index is made (O(N * delta), without building
 the postings); as a renderer, its term counts are its members' postings
-summed per term on first use, and as a text, its members' rows summed per
-term id.  All are integers below 2**53, exact in float64.
+summed per term, for all of a text's new terms in one pass when the kernel
+stages them, and as a text, its members' rows summed per term id.  All are
+integers below 2**53, exact in float64.
 """
 
 from __future__ import annotations
@@ -17,12 +18,24 @@ import logging
 
 import numpy as np
 
-from .corpus import Corpus, _frozen, load_doc_id_rows, save_doc_id_rows
+from .corpus import Corpus, _frozen, load_doc_id_rows, save_doc_id_rows, split_at
 from .lm import QUERY_ID, NeighborIndex, ranked_order
 
 log = logging.getLogger(__name__)
 
 CLUSTERS_FORMAT = "pqlm-clusters-v1"
+
+#: Most bins one ``bincount`` of :meth:`ClusterIndex._derive` may have.
+_MAX_BINS = 2**20
+
+
+def _spans(starts: np.ndarray, stops: np.ndarray, labels: np.ndarray):
+    """The positions of the ranges ``starts[i]:stops[i]`` concatenated, and
+    the label of the range each position came from."""
+    sizes = stops - starts
+    offsets = np.cumsum(sizes) - sizes
+    return (np.arange(sizes.sum()) + np.repeat(starts - offsets, sizes),
+            np.repeat(labels, sizes))
 
 
 class ClusterIndex:
@@ -44,6 +57,8 @@ class ClusterIndex:
         np.cumsum(np.bincount(docs, minlength=corpus.n_docs), out=self._holder_ptr[1:])
         self._lengths = np.bincount(owners, corpus.lengths()[docs], minlength=len(self.members))
         self._postings: dict[int, tuple] = {}
+        # term id -> postings derived by stage() and not yet requested
+        self._staged: dict[int, tuple] = {}
         # mu -> term id -> (background, deviations), as on the corpus
         self._deviations: dict[float, dict] = {}
         self._member_scores: dict[int, tuple] = {}
@@ -60,22 +75,57 @@ class ClusterIndex:
 
     def postings(self, t: int):
         """(cluster ids ascending, counts) of term id `t`, which the corpus
-        checks: its document postings summed per holding cluster,
-        O(df * clusters per doc + clusters)."""
+        checks: its document postings summed per holding cluster.  Taken
+        from what :meth:`stage` derived, or derived alone."""
         hit = self._postings.get(t)
         if hit is None:
-            doc_ids, counts = self._corpus.postings(t)
-            starts = self._holder_ptr[doc_ids]
-            sizes = self._holder_ptr[doc_ids + 1] - starts
-            offsets = np.cumsum(sizes) - sizes
-            rows = np.arange(sizes.sum()) + np.repeat(starts - offsets, sizes)
-            sums = np.bincount(self._holders[rows], weights=np.repeat(counts, sizes),
-                               minlength=len(self))
-            # int32 ids, as in the document postings
-            ids = np.flatnonzero(sums).astype(np.int32)
-            # bincount makes integer zeros when no cluster holds the term
-            hit = self._postings[t] = (ids, sums[ids].astype(float, copy=False))
+            # threads staging the same term may derive it twice, identically;
+            # a request that finds it gone from the stage derives it alone
+            hit = self._staged.pop(t, None)
+            if hit is None:
+                self._corpus.postings(t)  # the vocabulary check
+                hit = self._derive([t])[t]
+            self._postings[t] = hit
         return hit
+
+    def stage(self, term_ids) -> None:
+        """Derive the cluster postings of every term id in `term_ids` that
+        is in the vocabulary and not yet derived, together, for
+        :meth:`postings` to take."""
+        n_terms = len(self._collection_probs)
+        new = [t for t in term_ids
+               if 0 <= t < n_terms and t not in self._postings and t not in self._staged]
+        if new:
+            self._staged.update(self._derive(new))
+
+    def _derive(self, term_ids: list[int]) -> dict[int, tuple]:
+        """Term id -> (int32 cluster ids ascending, float64 counts), read-only.
+
+        Each term's document postings, read from the corpus's term index,
+        expand to their holding clusters; one ``bincount`` keyed by (term
+        slot, cluster) sums a chunk of terms, at most ``_MAX_BINS`` bins.
+        O(sum of df * clusters per doc + terms * clusters).
+        """
+        indptr, doc_ids, doc_counts, _ = self._corpus._term_index()
+        n = len(self)
+        chunk = max(1, _MAX_BINS // max(n, 1))
+        derived = {}
+        for lo in range(0, len(term_ids), chunk):
+            terms = np.asarray(term_ids[lo:lo + chunk])
+            pos, slot = _spans(indptr[terms], indptr[terms + 1], np.arange(len(terms)))
+            docs = doc_ids[pos]
+            rows, posting = _spans(self._holder_ptr[docs], self._holder_ptr[docs + 1],
+                                   np.arange(len(pos)))
+            sums = np.bincount(slot[posting] * n + self._holders[rows],
+                               weights=doc_counts[pos][posting], minlength=len(terms) * n)
+            keys = np.flatnonzero(sums)
+            # int32 ids, as in the document postings; bincount makes integer
+            # zeros when no cluster holds a term
+            ids, counts = _frozen((keys % n).astype(np.int32), sums[keys].astype(float))
+            bounds = np.searchsorted(keys, np.arange(len(terms) + 1) * n).tolist()
+            derived.update(zip(terms.tolist(),
+                               zip(split_at(ids, bounds), split_at(counts, bounds))))
+        return derived
 
     def member_rendition(self, cluster_id: int, corpus: Corpus):
         """Member docs of one cluster scored as renderers of the cluster text.
@@ -101,10 +151,14 @@ class ClusterIndex:
             # sorting each member's contributions first makes the sum
             # independent of column order, and makes members with
             # permuted-but-equal count profiles come out exactly tied, so the
-            # lower-id rule decides instead of summation rounding
-            logs = np.log((counts + self.mu * coll) / (lengths[:, None] + self.mu))
-            probs = np.exp(np.sort(logs * text_counts, axis=1).sum(axis=1)
-                           / self._lengths[cluster_id])
+            # lower-id rule decides instead of summation rounding; each step
+            # works in place on the one counts buffer
+            counts += self.mu * coll
+            counts /= (lengths + self.mu)[:, None]
+            np.log(counts, out=counts)
+            counts *= text_counts
+            counts.sort(axis=1)
+            probs = np.exp(counts.sum(axis=1) / self._lengths[cluster_id])
             order = ranked_order(probs)
             hit = (*_frozen(np.array(members, dtype=int)[order], probs[order]),
                    float(probs.sum()))

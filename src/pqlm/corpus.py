@@ -178,6 +178,10 @@ class Corpus:
             hit = self._postings[t] = (ids[span], counts[span])
         return hit
 
+    def stage(self, term_ids) -> None:
+        """Nothing to prepare: each term's postings are views of the term
+        index.  (A cluster index derives a text's postings here.)"""
+
     def doc_freqs(self) -> np.ndarray:
         """Number of documents holding each term id, int64, read-only; built
         with the postings."""
@@ -296,6 +300,12 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+def split_at(a: np.ndarray, bounds: list[int]) -> list[np.ndarray]:
+    """Views ``a[bounds[i]:bounds[i + 1]]``: ``np.split`` without its
+    per-piece overhead."""
+    return [a[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def left_sum(values) -> float:

@@ -15,13 +15,14 @@ omission.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .corpus import Corpus, left_sum, load_doc_id_rows, save_doc_id_rows
+from .corpus import Corpus, left_sum, load_doc_id_rows, save_doc_id_rows, split_at
 
 log = logging.getLogger(__name__)
 
@@ -35,19 +36,22 @@ def log_rendition(owner, text: tuple[np.ndarray, np.ndarray], mu: float,
                   length: float | None = None) -> np.ndarray:
     """Log geometric-mean rendition scores of one text, (term ids ascending,
     counts), against every renderer of `owner` (the corpus or a cluster
-    index: its postings, which refuse an unknown id, collection probabilities
-    and lengths); requires a finite mu > 0.  `length` is the counts' sum
-    added in another order, when the caller's order differs; by default
-    :func:`~pqlm.corpus.left_sum` adds them in term-id order.
+    index: its postings, which refuse an unknown id, ``stage``, collection
+    probabilities and lengths); requires a finite mu > 0.  `length` is the
+    counts' sum added in another order, when the caller's order differs; by
+    default :func:`~pqlm.corpus.left_sum` adds them in term-id order.
 
     Only renderers holding a text term deviate from the background
     log(mu * p_coll).  A term's background and its deviations
     ``log(c + mu * p_coll) - log(mu * p_coll)``, one per posting, depend
-    only on the owner, the term and mu: the logarithms are taken on the
-    term's first use and kept read-only in ``owner._deviations[mu][t]``,
-    at most one float64 per posting per mu.  Each call weights the gathered
-    deviations by the text counts and ``bincount`` sums them per renderer in
-    term-id (sorted term) order from 0.0.  O(|x| + sum of the text terms' df).
+    only on the owner, the term and mu: they are kept read-only in
+    ``owner._deviations[mu][t]``, at most one float64 per posting per mu.
+    The text's terms without an entry are staged on the owner together
+    (a cluster index derives their postings in one pass), and their
+    deviations come from one ``np.log`` over their concatenated posting
+    counts.  Each call weights the gathered deviations by the text counts
+    and ``bincount`` sums them per renderer in term-id (sorted term) order
+    from 0.0.  O(|x| + sum of the text terms' df).
     """
     if not 0 < mu < math.inf:
         raise ValueError(f"rendition scoring requires mu > 0 and finite, got mu={mu}")
@@ -56,17 +60,15 @@ def log_rendition(owner, text: tuple[np.ndarray, np.ndarray], mu: float,
     if xlen == 0:
         raise ValueError("empty sequence")
     memo = owner._deviations.setdefault(mu, {})
+    new = [i for i, t in enumerate(term_ids) if t not in memo]
+    new_ids = [term_ids[i] for i in new]
+    owner.stage(new_ids)
+    postings = [owner.postings(t) for t in term_ids]
+    if new:
+        _store_deviations(owner, memo, mu, new_ids, [postings[i][1] for i in new])
     ids, deviations, base = [], [], 0.0
-    for t, cnt in zip(term_ids, cnts):
-        renderers, counts = owner.postings(t)
-        entry = memo.get(t)
-        if entry is None:
-            p_coll = float(owner._collection_probs[t])
-            background = math.log(mu * p_coll)
-            deviation = np.log(counts + mu * p_coll) - background
-            deviation.flags.writeable = False
-            entry = memo[t] = (background, deviation)
-        background, deviation = entry
+    for t, cnt, (renderers, _) in zip(term_ids, cnts, postings):
+        background, deviation = memo[t]
         base += cnt * background
         ids.append(renderers)
         deviations.append(deviation)
@@ -77,6 +79,22 @@ def log_rendition(owner, text: tuple[np.ndarray, np.ndarray], mu: float,
     out -= xlen * np.log(owner.lengths() + mu)
     out /= xlen
     return out
+
+
+def _store_deviations(owner, memo: dict, mu: float, term_ids: list[int],
+                      counts: list[np.ndarray]) -> None:
+    """Store each term's (background, read-only deviations) in `memo`, the
+    deviations of all terms from one ``np.log``; `counts` are the terms'
+    posting counts on `owner`."""
+    sizes = [len(c) for c in counts]
+    scaled = mu * owner._collection_probs[term_ids]
+    backgrounds = [math.log(s) for s in scaled.tolist()]
+    logs = np.log(np.concatenate(counts) + np.repeat(scaled, sizes))
+    logs -= np.repeat(backgrounds, sizes)
+    logs.flags.writeable = False
+    bounds = [0, *itertools.accumulate(sizes)]
+    for t, background, deviation in zip(term_ids, backgrounds, split_at(logs, bounds)):
+        memo[t] = (background, deviation)
 
 
 def log_rendition_docs(corpus: Corpus, text: tuple[np.ndarray, np.ndarray], mu: float,

@@ -1,4 +1,6 @@
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,11 +18,27 @@ from pqlm import (
     score_mccluster,
     singleton_cluster_index,
 )
-from pqlm.lm import log_rendition_docs
+from pqlm import clustering
+from pqlm.lm import log_rendition, log_rendition_docs
 
 
 def neighbors_for(corpus, k, mu):
     return precompute_neighbors(corpus, k, mu)
+
+
+def random_clusters(rng, corpus, n_clusters):
+    """Random overlapping member lists; some documents are in no cluster."""
+    return [rng.choice(corpus.n_docs, size=int(rng.integers(1, 5)), replace=False).tolist()
+            for _ in range(n_clusters)]
+
+
+def merged_counts(corpus, index):
+    """Each cluster's member rows merged into one term -> count Counter."""
+    merged = [Counter() for _ in index.members]
+    for counts, row in zip(merged, index.members):
+        for d in row:
+            counts.update(doc_counts(corpus, d))
+    return merged
 
 
 class TestBuild:
@@ -72,10 +90,7 @@ class TestBuild:
         rng = np.random.default_rng(47)
         corpus = random_corpus(rng, n_docs=8)
         index = build_clusters(corpus, 3, neighbors_for(corpus, 3, 1.0))
-        merged = [Counter() for _ in index.members]
-        for fresh, row in zip(merged, index.members):
-            for d in row:
-                fresh.update(doc_counts(corpus, d))
+        merged = merged_counts(corpus, index)
         assert index.lengths().tolist() == [sum(m.values()) for m in merged]
         for term, t in corpus.vocabulary.items():
             ids, counts = index.postings(t)
@@ -141,6 +156,70 @@ class TestMemberRendition:
             for a in (members, probs):
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = a[1]
+
+
+class TestBatchedPostings:
+    """A text's cluster postings, derived together by ClusterIndex.stage."""
+
+    @pytest.mark.parametrize("max_bins", [None, 1, 40])
+    def test_every_term_equals_a_merge_of_member_rows(self, max_bins, monkeypatch):
+        if max_bins is not None:
+            # 1 bin derives one term per bincount, 40 bins a few terms each
+            monkeypatch.setattr(clustering, "_MAX_BINS", max_bins)
+        rng = np.random.default_rng(71)
+        for _ in range(10):
+            corpus = random_corpus(rng, n_docs=12)
+            index = ClusterIndex(random_clusters(rng, corpus, 15), corpus, 2.0, 4)
+            merged = merged_counts(corpus, index)
+            vocab = sorted(corpus.vocabulary.values())
+            # one term derived alone first, then texts partly derived already
+            index.postings(vocab[len(vocab) // 2])
+            for d in rng.permutation(corpus.n_docs)[:6].tolist():
+                log_rendition(index, corpus.text(d), 2.0)
+            for term, t in corpus.vocabulary.items():
+                ids, counts = index.postings(t)
+                assert ids.dtype == np.int32 and counts.dtype == np.float64
+                assert not ids.flags.writeable and not counts.flags.writeable
+                assert list(zip(ids.tolist(), counts.tolist())) == [
+                    (cid, m[term]) for cid, m in enumerate(merged) if term in m]
+            assert index._staged == {}
+
+    def test_staged_terms_miss_the_memo_on_their_first_request(self, tiny_corpus):
+        index = singleton_cluster_index(tiny_corpus, 1.0)
+        index.stage([0, 1, 2, 3, -1])  # ids outside the vocabulary are skipped
+        assert set(index._staged) == {0, 1, 2} and index._postings == {}
+        index.postings(1)
+        assert set(index._staged) == {0, 2} and set(index._postings) == {1}
+        index.stage([1, 2])
+        assert set(index._staged) == {0, 2}
+
+    def test_overlapping_texts_on_threads_match_serial(self):
+        rng = np.random.default_rng(73)
+        corpus = random_corpus(rng, n_docs=40, max_len=20)
+        members = random_clusters(rng, corpus, 30)
+        texts = [corpus.text(d) for d in range(corpus.n_docs)]
+
+        def scores(index, order):
+            return [(d, log_rendition(index, texts[d], 3.0)) for d in order]
+
+        serial_index = ClusterIndex(members, corpus, 3.0, 4)
+        serial = dict(scores(serial_index, range(corpus.n_docs)))
+        shared = ClusterIndex(members, corpus, 3.0, 4)
+        orders = [rng.permutation(corpus.n_docs).tolist() for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(scores, shared, order) for order in orders]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            for d, got in result:
+                assert np.array_equal(got, serial[d])
+        for t in corpus.vocabulary.values():
+            for got, expected in zip(shared.postings(t), serial_index.postings(t)):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 class TestMembership:

@@ -63,12 +63,14 @@ INDEX_SHA256 = {
 MICRO_STOPLIST = {"the", "and", "in", "from", "into", "about"}
 
 
-def literal_log_rendition(corpus, x_counts, mu):
-    """Per-term reference: postings found by scanning every document."""
-    out = np.zeros(corpus.n_docs)
+def literal_log_rendition(corpus, x_counts, mu, tables=None):
+    """Per-term reference: postings found by scanning every renderer's
+    term -> count table, by default every document's."""
+    if tables is None:
+        tables = [doc_counts(corpus, d) for d in range(corpus.n_docs)]
+    out = np.zeros(len(tables))
     xlen = float(sum(x_counts.values()))
     base = 0.0
-    tables = [doc_counts(corpus, d) for d in range(corpus.n_docs)]
     for term, cnt in sorted(x_counts.items()):
         p_coll = corpus.collection_prob(term)
         background = math.log(mu * p_coll)
@@ -160,11 +162,14 @@ class TestKernel:
             log_rendition_docs(tiny_corpus, as_text(tiny_corpus, text), 1.0)
 
     def test_postings_of_unknown_term_are_empty(self, tiny_corpus):
-        # no cluster holds d1, the only document with "c"
-        clusters = ClusterIndex([(0,), (0,)], tiny_corpus, 1.0, 1)
-        ids, counts = clusters.postings(tiny_corpus.vocabulary["c"])
-        assert len(ids) == len(counts) == 0
-        assert counts.dtype == np.float64
+        # no cluster holds d1, the only document with "c"; its postings are
+        # derived alone, or staged with every other term
+        for staged in ([], sorted(tiny_corpus.vocabulary.values())):
+            clusters = ClusterIndex([(0,), (0,)], tiny_corpus, 1.0, 1)
+            clusters.stage(staged)
+            ids, counts = clusters.postings(tiny_corpus.vocabulary["c"])
+            assert len(ids) == len(counts) == 0
+            assert ids.dtype == np.int32 and counts.dtype == np.float64
 
     def test_postings_list_each_holder_once_in_id_order(self, tiny_corpus):
         ids, counts = tiny_corpus.postings(tiny_corpus.vocabulary["b"])
@@ -247,6 +252,30 @@ class TestDeviationMemo:
             for d in range(corpus.n_docs):
                 assert np.array_equal(log_rendition_docs(corpus, corpus.text(d), mu),
                                       literal_log_rendition(corpus, doc_counts(corpus, d), mu))
+
+    @pytest.mark.parametrize("owner_kind", ["corpus", "clusters"])
+    def test_texts_mixing_memoised_and_new_terms_match_literal_reference(self, owner_kind):
+        rng = np.random.default_rng(47)
+        corpus = random_corpus(rng, n_docs=12)
+        owner = self.owners(corpus)[owner_kind]
+        tables = [doc_counts(corpus, d) for d in range(corpus.n_docs)]
+        if owner_kind == "clusters":
+            tables = [sum((Counter(tables[d]) for d in row), Counter())
+                      for row in owner.members]
+        terms = sorted(corpus.vocabulary)
+        for mu in (0.5, 30.0, 4.0):
+            memo = owner._deviations[mu] = _CountingMemo()
+            mixed = 0
+            for _ in range(6):
+                picked = rng.choice(terms, size=int(rng.integers(1, 5)))
+                text = {str(t): int(rng.integers(1, 4)) for t in picked}
+                new = len(set(text) - {corpus._terms[t] for t in memo})
+                mixed += 0 < new < len(text)
+                stores = memo.stores
+                got = log_rendition(owner, as_text(corpus, text), mu)
+                assert memo.stores == stores + new  # one store per new term
+                assert np.array_equal(got, literal_log_rendition(corpus, text, mu, tables))
+            assert mixed
 
     def test_entries_are_read_only_and_one_float_per_posting(self):
         corpus = random_corpus(np.random.default_rng(43), n_docs=10)

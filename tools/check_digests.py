@@ -57,6 +57,10 @@ CHECKS = [
      "8f0de5702d394f0a5c5f045d674db25cd6ee300f56d2adc19b6c2ea05aee3ee6", ("1", "2")),
     ("feedback-1k", 3, None,
      "30e5d75e0997c68b534369b5d1864cb4d610838bbc84f8eb995885c719e31321", ("1", "2")),
+    ("mccluster-300", 6, None,
+     "80f475c3ca94a462468946a0ee04218fbfd6d52720afc6c3ddf7c019268ce709", ("1", "2")),
+    ("mcdoc-2k", 6, None,
+     "70fa24dbb6b21d32304ccd2cc1759ae794940bf0c25c25393dd65f7c2f2fce84", ("1", "2")),
 ]
 
 
