@@ -16,7 +16,6 @@ do not depend on the Python version.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,9 +155,9 @@ def _model_length(probs) -> float:
     checked to be positive and to sum to 1."""
     total = left_sum(probs)
     if not math.isclose(total, 1.0, abs_tol=1e-9):
-        raise ValueError(f"relevance distribution sums to {total}, not 1")
+        raise ValueError(f"relevance model sums to {total}, not 1")
     if (np.asarray(probs) <= 0.0).any():
-        raise ValueError("relevance distribution has non-positive entries")
+        raise ValueError("relevance model has non-positive entries")
     return total
 
 
@@ -166,19 +165,6 @@ def _entropy(probs: np.ndarray) -> float:
     """-sum p ln p of probabilities in ascending term-id order."""
     logs = np.fromiter(map(math.log, probs.tolist()), float, len(probs))
     return -left_sum(probs * logs)
-
-
-@dataclass
-class RelevanceDistribution:
-    """Sparse term-id distribution estimated from feedback documents."""
-
-    probs: dict[int, float]
-
-    def __post_init__(self):
-        _model_length(list(self.probs.values()))
-
-    def entropy(self) -> float:
-        return _entropy(np.array([p for _, p in sorted(self.probs.items())]))
 
 
 def _smoothed(lambda_r: float, tf, length, coll_prob):
@@ -197,9 +183,7 @@ def _posteriors(query_counts: tuple[np.ndarray, np.ndarray], corpus: Corpus,
     underflow to 0.0; when any document's does, all of the query's
     posteriors are exp(l_d - max l) over their sum instead, with l_d the
     log-likelihood.  Products that stay positive thus keep their arithmetic.
-    A factor of exactly 0 (lambda_r = 0, a query term the document lacks)
-    gives that document posterior 0, and when every document has one the
-    query is a ValueError.  O(k1 * |q|) scalar work.
+    O(k1 * |q|) scalar work.
     """
     q_ids, q_cnts = query_counts
     tf = np.zeros((len(feedback), len(q_ids)), dtype=np.int64)
@@ -215,62 +199,28 @@ def _posteriors(query_counts: tuple[np.ndarray, np.ndarray], corpus: Corpus,
         for x, cnt in zip(row, cnts):
             val *= x ** cnt
         likelihood.append(val)
-    positive = (factors > 0.0).all(axis=1)
-    if any(v == 0.0 and p for v, p in zip(likelihood, positive.tolist())):
-        logs = np.full(len(feedback), -math.inf)
-        logs[positive] = np.add.accumulate(q_cnts * np.log(factors[positive]), axis=1)[:, -1]
+    if 0.0 in likelihood:
+        logs = np.add.accumulate(q_cnts * np.log(factors), axis=1)[:, -1]
         likelihood = np.exp(logs - logs.max()).tolist()
     total = left_sum(likelihood)
-    if total <= 0.0:
-        raise ValueError("query is unrenderable by every feedback document")
     return [v / total for v in likelihood]
-
-
-def _relevance_model(query_counts: tuple[np.ndarray, np.ndarray], corpus: Corpus,
-                     feedback: list[int], lambda_r: float,
-                     clip_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`estimate_relevance_model` as (term ids, probabilities) arrays,
-    in ascending id order, or in rank order when clipped."""
-    coll, lengths = corpus._collection_probs, corpus.lengths()
-    # a term the document lacks has _smoothed == 0.0 + lambda_r * coll, the
-    # same float; term ids are lexicographic, so every sum below runs in
-    # sorted-term order, which a freshly built and a reloaded corpus share
-    background = lambda_r * coll
-    mixture, row = np.zeros(len(coll)), np.empty(len(coll))
-    for pi, d in zip(_posteriors(query_counts, corpus, feedback, lambda_r), feedback):
-        ids, counts = corpus.text(d)
-        np.multiply(pi, background, out=row)
-        row[ids] = pi * _smoothed(lambda_r, counts, lengths[d], coll[ids])
-        mixture += row
-    if lambda_r != 0.0:
-        ids, probs = np.arange(len(coll)), mixture
-    else:
-        ids = np.unique(np.concatenate([corpus.text(d)[0] for d in feedback]))
-        probs = mixture[ids]
-    # one renormalization guards against accumulated rounding
-    probs = probs / left_sum(probs)
-    if 0 < clip_k < len(ids):
-        kept = lm.top_k(probs, clip_k)
-        ids, probs = ids[kept], probs[kept]
-        probs = probs / left_sum(probs)
-    return ids, probs
 
 
 def estimate_relevance_model(query_counts: tuple[np.ndarray, np.ndarray], corpus: Corpus,
                              feedback: list[int], lambda_r: float,
-                             clip_k: int) -> RelevanceDistribution:
-    """Mixture of feedback-document models weighted by query likelihood.
+                             clip_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mixture of feedback-document models weighted by query likelihood, as
+    (term ids, probabilities): every term id in ascending order, or, when
+    clipped, the kept ids in rank order.
 
     `query_counts` is the query as a text, (term ids ascending, counts).
     Document models are Jelinek-Mercer smoothed,
     p(w | d) = (1 - lambda_r) * mle(w | d) + lambda_r * mle(w | collection),
-    and the mixture weights are the (uniform-prior) posteriors of the
-    feedback documents given the query under the same smoothed models
-    (:func:`_posteriors`).  The support is every term id when lambda_r > 0
-    and exactly the union of the feedback documents' terms when
-    lambda_r == 0.  When clip_k > 0 only the clip_k most probable terms
-    survive (ties to the lower term id) and the distribution is
-    renormalized; its dict then lists them in rank order.
+    with 0 < lambda_r < 1, and the mixture weights are the (uniform-prior)
+    posteriors of the feedback documents given the query under the same
+    smoothed models (:func:`_posteriors`).  When clip_k > 0 only the clip_k
+    most probable terms survive (ties to the lower term id) and the model
+    is renormalized.
 
     Two V-long vector passes per feedback document make the mixture (every
     term's smoothed background, then the document's own terms set), one
@@ -278,8 +228,27 @@ def estimate_relevance_model(query_counts: tuple[np.ndarray, np.ndarray], corpus
     clipped terms.  Each term's value is the same chain of float operations,
     in the same (feedback, then term-id) order, as a per-term loop.
     """
-    ids, probs = _relevance_model(query_counts, corpus, feedback, lambda_r, clip_k)
-    return RelevanceDistribution(dict(zip(ids.tolist(), probs.tolist())))
+    check_args(lambda_r=lambda_r, clip_k=clip_k)
+    coll, lengths = corpus._collection_probs, corpus.lengths()
+    # a term the document lacks has _smoothed == 0.0 + lambda_r * coll, the
+    # same float; term ids are lexicographic, so every sum below runs in
+    # sorted-term order, which a freshly built and a reloaded corpus share
+    background = lambda_r * coll
+    if not background.all():  # so that every smoothed probability is positive
+        raise ValueError(f"lambda_r={lambda_r} is too small: "
+                         "lambda_r * p(w | C) is 0.0 for some w")
+    mixture, row = np.zeros(len(coll)), np.empty(len(coll))
+    for pi, d in zip(_posteriors(query_counts, corpus, feedback, lambda_r), feedback):
+        ids, counts = corpus.text(d)
+        np.multiply(pi, background, out=row)
+        row[ids] = pi * _smoothed(lambda_r, counts, lengths[d], coll[ids])
+        mixture += row
+    # one renormalization guards against accumulated rounding
+    ids, probs = np.arange(len(coll)), mixture / left_sum(mixture)
+    if 0 < clip_k < len(ids):
+        ids = lm.top_k(probs, clip_k)
+        probs = probs[ids] / left_sum(probs[ids])
+    return ids, probs
 
 
 def relevance_model_rank(query: Query, corpus: Corpus, k1: int, lambda_r: float,
@@ -296,7 +265,7 @@ def relevance_model_rank(query: Query, corpus: Corpus, k1: int, lambda_r: float,
     # the lm_baseline order of the feedback documents, without normalising
     # the query a second time
     feedback = lm.top_renderers(corpus, counts, k1, mu)[0].tolist()
-    ids, probs = _relevance_model(counts, corpus, feedback, lambda_r, clip_k)
+    ids, probs = estimate_relevance_model(counts, corpus, feedback, lambda_r, clip_k)
     # -KL(R || d) = H(R) + sum_w p_R(w) log p_dir(w | d): the cross-entropy
     # term is a rendition score of the fractional-count text p_R, whose
     # length is summed in the model's own (rank, when clipped) order

@@ -7,6 +7,7 @@ count comes from PQLM_THREADS; outputs are written atomically.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import logging
 import os
@@ -220,17 +221,27 @@ _ITERATIVE_KEYS = {f.name for f in fields(RunConfig)} - {"method"} | {"lambda", 
 _FLOAT_KEYS = ("mu", "gamma", "lambda", "lambda_r")
 
 
-def _typed(system: SystemSpec, params: dict[str, str]) -> dict:
+def _typed(params: dict[str, str]) -> dict:
     """Spec values as numbers: float for _FLOAT_KEYS, int for every other
-    key; a value of neither is a ParseError naming the system and the key."""
+    key; a value of neither is a ParseError naming the key."""
     out = {}
     for key, value in params.items():
         number, noun = (float, "a number") if key in _FLOAT_KEYS else (int, "an integer")
         try:
             out[key] = number(value)
         except ValueError:
-            raise ParseError(f"system {system.name!r}: {key} {value!r} is not {noun}") from None
+            raise ParseError(f"{key} {value!r} is not {noun}") from None
     return out
+
+
+@contextlib.contextmanager
+def _naming(system: SystemSpec):
+    """Turns a ValueError raised in the block into a ParseError naming the
+    system."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ParseError(f"system {system.name!r}: {exc}") from None
 
 
 def _make_run_config(system: SystemSpec, point: dict[str, str]) -> RunConfig:
@@ -239,7 +250,7 @@ def _make_run_config(system: SystemSpec, point: dict[str, str]) -> RunConfig:
     grid_drifts = system.params.get("drift", ["none"])
     raw = dict(point)
     drift_kind = raw.pop("drift", "none")
-    params = _typed(system, raw)
+    params = _typed(raw)
     lambda_ = params.pop("lambda", None)
     drift_n = params.pop("drift_N", None)
     # one key set serves every drift kind in the grid, so a point drops a
@@ -322,11 +333,13 @@ def _configure(spec, spec_path, corpus, system: SystemSpec, point: dict[str, str
                          f"for {method}: {', '.join(sorted(unknown))}")
     if method in _BASELINES:
         function, defaults = _BASELINES[method]
-        params = {**defaults, **_typed(system, point)}
-        baselines.check_args(**params)
+        with _naming(system):
+            params = {**defaults, **_typed(point)}
+            baselines.check_args(**params)
         return (lambda query: getattr(baselines, function)(query, corpus, *params.values()),
                 params["N"])
-    config = _make_run_config(system, point)
+    with _naming(system):
+        config = _make_run_config(system, point)
     cluster_index = None
     if method == "mccluster":
         # one cluster index per (delta, mu), kept in `cluster_indexes` for the
@@ -343,7 +356,8 @@ def _configure(spec, spec_path, corpus, system: SystemSpec, point: dict[str, str
                 index = build_clusters(corpus, delta, neighbors)
             cluster_indexes[key] = index
         cluster_index = cluster_indexes[key]
-        check_cluster_index(cluster_index, config, corpus)
+        with _naming(system):
+            check_cluster_index(cluster_index, config, corpus)
     return lambda query: run_retrieval(query, config, corpus, cluster_index), config.N
 
 
@@ -433,7 +447,10 @@ def cmd_eval(args) -> int:
         run = _parse_file(parse_run, path)
         if not qrels.judges_any(run):
             raise ParseError(f"{path}: no query of the run is in the qrels")
-        reports[name] = evaluate_run(run, qrels, args.depth)
+        try:
+            reports[name] = evaluate_run(run, qrels, args.depth)
+        except ParseError as exc:  # a query of the run lists a docno twice
+            raise ParseError(f"{path}: {exc}") from None
     print(format_report(reports))
     for name, rep in reports.items():
         if rep.excluded:

@@ -202,7 +202,8 @@ def evaluate_run(run: dict[str, list[str]], qrels: Qrels, n: int = 1000) -> Eval
 
     A run query that the qrels hold with no relevant document is excluded.
     A run with no query in the qrels, an empty run among them, has nothing
-    to average: that is a ValueError, not a mean of 0.
+    to average: that is a ValueError, not a mean of 0.  A judged query that
+    lists a docno twice in its top n is a ParseError naming the query.
     """
     if n < 1:
         raise ValueError("depth must be >= 1")
@@ -220,8 +221,11 @@ def evaluate_run(run: dict[str, list[str]], qrels: Qrels, n: int = 1000) -> Eval
         if not relevant:
             excluded.append(qid)
             continue
-        per_ap[qid] = average_precision(run[qid], relevant, n)
-        per_recall[qid] = recall_at(run[qid], relevant, n)
+        try:
+            per_ap[qid] = average_precision(run[qid], relevant, n)
+            per_recall[qid] = recall_at(run[qid], relevant, n)
+        except ValueError as exc:  # the query lists a docno twice
+            raise ParseError(f"query {qid}: {exc}") from None
         rel_total += len(relevant)
         rel_found += len(set(run[qid][:n]) & relevant)
     mean_ap = left_sum([per_ap[q] for q in sorted(per_ap)]) / len(per_ap) if per_ap else 0.0
@@ -231,41 +235,37 @@ def evaluate_run(run: dict[str, list[str]], qrels: Qrels, n: int = 1000) -> Eval
     return EvalReport(per_ap, per_recall, mean_ap, micro, macro, excluded)
 
 
-def _stars(rep: EvalReport, base: EvalReport, level: float) -> tuple[str, str]:
+def _stars(rep: EvalReport, base: EvalReport) -> tuple[str, str]:
     shared = sorted(set(rep.per_query_ap) & set(base.per_query_ap))
     ap_test = wilcoxon_two_sided(
         [rep.per_query_ap[q] for q in shared],
-        [base.per_query_ap[q] for q in shared], level)
+        [base.per_query_ap[q] for q in shared])
     rc_test = wilcoxon_two_sided(
         [rep.per_query_recall[q] for q in shared],
-        [base.per_query_recall[q] for q in shared], level)
+        [base.per_query_recall[q] for q in shared])
     return ("*" if ap_test.significant else "",
             "*" if rc_test.significant else "")
 
 
-def format_report(reports: dict[str, EvalReport], baseline: str | None = None,
-                  level: float = 0.95) -> str:
+def format_report(reports: dict[str, EvalReport]) -> str:
     """Aligned systems-by-measures table with significance markers.
 
     A star after a value means the system's per-query average precisions
-    (or recalls) differ from the baseline system's per the two-sided
-    Wilcoxon test at the given level; the baseline defaults to the first
-    system listed.
+    (or recalls) differ from the first system's per the two-sided Wilcoxon
+    test at level 0.95.
     """
-    return format_multi_report({"": reports}, baseline, level)
+    return format_multi_report({"": reports})
 
 
-def format_multi_report(corpora: dict[str, dict[str, EvalReport]],
-                        baseline: str | None = None,
-                        level: float = 0.95) -> str:
-    """Systems down the rows, (prec, recall) column pair per corpus."""
+def format_multi_report(corpora: dict[str, dict[str, EvalReport]]) -> str:
+    """Systems down the rows, (prec, recall) column pair per corpus; the
+    first system listed is the baseline of the stars."""
     names: list[str] = []
     for reports in corpora.values():
         for name in reports:
             if name not in names:
                 names.append(name)
-    if baseline is None and names:
-        baseline = names[0]
+    baseline = names[0] if names else None
     width = max(len("system"), *(len(n) for n in names)) if names else 8
     header = f"{'system':<{width}}"
     for corpus_name in corpora:
@@ -282,7 +282,7 @@ def format_multi_report(corpora: dict[str, dict[str, EvalReport]],
             base = reports.get(baseline)
             stars = ("", "")
             if base is not None and name != baseline:
-                stars = _stars(rep, base, level)
+                stars = _stars(rep, base)
             row += (f"  {rep.mean_ap * 100:>12.2f}%{stars[0]:1}"
                     f"  {rep.recall_micro * 100:>12.2f}%{stars[1]:1}")
         lines.append(row.rstrip())

@@ -12,7 +12,7 @@ from pqlm import (
     rocchio_rank,
 )
 from pqlm import oracles
-from pqlm.baselines import RelevanceDistribution, estimate_relevance_model
+from pqlm.baselines import _model_length, estimate_relevance_model
 from pqlm.corpus import Corpus, Query
 from pqlm.lm import log_rendition_docs, ranked_order
 
@@ -24,7 +24,8 @@ def query_for(corpus, rng, n_terms=2):
 
 def reference_relevance_model(query_counts, corpus, feedback, lambda_r, clip_k):
     """The per-term dict loop that estimate_relevance_model vectorises,
-    keyed by term id."""
+    keyed by term id, in the model's order: ascending ids, or rank order
+    when clipped."""
     def smoothed(doc, term):
         return ((1.0 - lambda_r) * doc.get(term, 0) / sum(doc.values())
                 + lambda_r * corpus.collection_prob(term))
@@ -40,8 +41,7 @@ def reference_relevance_model(query_counts, corpus, feedback, lambda_r, clip_k):
     probs = {}
     for pi, d in zip(posterior, feedback):
         doc = doc_counts(corpus, d)
-        support = doc if lambda_r == 0.0 else collection_counts(corpus)
-        for term in sorted(support):
+        for term in sorted(collection_counts(corpus)):
             probs[term] = probs.get(term, 0.0) + pi * smoothed(doc, term)
     probs = dict(sorted(probs.items()))
     total = sum(probs.values())
@@ -159,14 +159,16 @@ class TestRocchio:
 
 class TestRelevanceModel:
     def test_k1_one_is_single_smoothed_model(self, tiny_corpus):
-        rel = estimate_relevance_model(as_text(tiny_corpus, {"a": 1}), tiny_corpus, [0], 0.3, 0)
+        ids, probs = estimate_relevance_model(as_text(tiny_corpus, {"a": 1}), tiny_corpus,
+                                              [0], 0.3, 0)
+        assert ids.tolist() == list(range(len(tiny_corpus.vocabulary)))
         doc = doc_counts(tiny_corpus, 0)
         for term in tiny_corpus.vocabulary:
             expected = (0.7 * doc.get(term, 0) / sum(doc.values())
                         + 0.3 * tiny_corpus.collection_prob(term))
-            assert rel.probs[tiny_corpus.vocabulary[term]] == pytest.approx(expected, rel=1e-9)
+            assert probs[tiny_corpus.vocabulary[term]] == pytest.approx(expected, rel=1e-9)
 
-    @pytest.mark.parametrize("lambda_r", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("lambda_r", [0.05, 0.3, 0.5])
     @pytest.mark.parametrize("clip_k", [0, 1, 3, 20, 10_000])
     def test_bit_equal_to_literal_reference(self, lambda_r, clip_k):
         rng = np.random.default_rng(257)
@@ -176,28 +178,24 @@ class TestRelevanceModel:
                 [(f"D{i}", " ".join(rng.choice(vocab, size=int(rng.integers(5, 30)))))
                  for i in range(int(rng.integers(3, 9)))],
                 PreprocessOptions())
-            term = str(rng.choice(sorted(corpus.vocabulary)))
-            # at lambda_r = 0 every feedback document must hold the query
-            # term, or its terms get probability 0
-            holders = corpus.postings(corpus.vocabulary[term])[0].tolist()
-            feedback = holders[:3] if lambda_r == 0.0 else [2, 0, 1]
-            counts = {term: int(rng.integers(1, 3))}
-            got = estimate_relevance_model(as_text(corpus, counts), corpus, feedback,
-                                           lambda_r, clip_k)
-            assert got.probs == reference_relevance_model(
-                counts, corpus, feedback, lambda_r, clip_k)
-            if lambda_r == 0.0 and clip_k == 0:
-                assert set(got.probs) == set().union(
-                    *(corpus.text(d)[0].tolist() for d in feedback))
+            counts = {str(rng.choice(sorted(corpus.vocabulary))): int(rng.integers(1, 3))}
+            ids, probs = estimate_relevance_model(as_text(corpus, counts), corpus, [2, 0, 1],
+                                                  lambda_r, clip_k)
+            want = reference_relevance_model(counts, corpus, [2, 0, 1], lambda_r, clip_k)
+            assert ids.tolist() == list(want) and probs.tolist() == list(want.values())
+            if clip_k == 0:
+                assert ids.tolist() == list(range(len(corpus.vocabulary)))
 
-    @pytest.mark.parametrize("lambda_r", [0.0, 0.5])
+    @pytest.mark.parametrize("lambda_r", [0.05, 0.5])
     def test_clip_tie_keeps_the_lower_term_id(self, lambda_r):
         # b and a tie exactly: equal counts in the feedback document and in
         # the collection
         corpus = build_corpus([("A", "c b a c"), ("B", "d")], PreprocessOptions())
-        rel = estimate_relevance_model(as_text(corpus, {"c": 1}), corpus, [0], lambda_r, 2)
-        assert set(rel.probs) == {corpus.vocabulary[t] for t in "ac"}
-        assert rel.probs == reference_relevance_model({"c": 1}, corpus, [0], lambda_r, 2)
+        ids, probs = estimate_relevance_model(as_text(corpus, {"c": 1}), corpus, [0],
+                                              lambda_r, 2)
+        assert set(ids.tolist()) == {corpus.vocabulary[t] for t in "ac"}
+        want = reference_relevance_model({"c": 1}, corpus, [0], lambda_r, 2)
+        assert ids.tolist() == list(want) and probs.tolist() == list(want.values())
 
     def test_distribution_normalized_before_and_after_clipping(self):
         rng = np.random.default_rng(229)
@@ -205,11 +203,12 @@ class TestRelevanceModel:
             corpus = random_corpus(rng, n_docs=6)
             q = query_for(corpus, rng)
             counts = {t: q.terms.count(t) for t in set(q.terms)}
-            full = estimate_relevance_model(as_text(corpus, counts), corpus, [0, 1, 2], 0.4, 0)
-            assert sum(full.probs.values()) == pytest.approx(1.0, abs=1e-9)
-            clipped = estimate_relevance_model(as_text(corpus, counts), corpus, [0, 1, 2], 0.4, 3)
-            assert sum(clipped.probs.values()) == pytest.approx(1.0, abs=1e-9)
-            assert len(clipped.probs) <= 3
+            _, full = estimate_relevance_model(as_text(corpus, counts), corpus, [0, 1, 2], 0.4, 0)
+            assert sum(full) == pytest.approx(1.0, abs=1e-9)
+            ids, clipped = estimate_relevance_model(as_text(corpus, counts), corpus, [0, 1, 2],
+                                                    0.4, 3)
+            assert sum(clipped) == pytest.approx(1.0, abs=1e-9)
+            assert len(ids) == len(clipped) <= 3
 
     def test_clipping_beyond_vocab_is_noop(self):
         rng = np.random.default_rng(233)
@@ -263,30 +262,14 @@ class TestRelevanceModel:
         weights = [math.exp(v - max(logs)) for v in logs]
         posterior = [w / math.fsum(weights) for w in weights]
         assert min(posterior) > 1e-6
-        rel = estimate_relevance_model(as_text(corpus, dict.fromkeys(vocab, 1)), corpus,
-                                       feedback, lambda_r, 0)
+        ids, probs = estimate_relevance_model(as_text(corpus, dict.fromkeys(vocab, 1)), corpus,
+                                              feedback, lambda_r, 0)
+        assert ids.tolist() == list(range(len(corpus.vocabulary)))
         for term in vocab:
             expected = math.fsum(pi * smoothed(doc, term) for pi, doc in zip(posterior, docs))
-            assert rel.probs[corpus.vocabulary[term]] == pytest.approx(expected, rel=1e-9)
+            assert probs[corpus.vocabulary[term]] == pytest.approx(expected, rel=1e-9)
         ranking = relevance_model_rank(Query("q", vocab), corpus, 4, lambda_r, 0, 10.0, 4)
         assert sorted(ranking.doc_ids.tolist()) == feedback
-
-    def test_zero_factors_at_lambda_zero(self):
-        vocab = [f"w{i:03d}" for i in range(300)]
-        corpus = build_corpus([("A", " ".join(vocab)), ("B", " ".join(vocab[1:] * 2)),
-                               ("C", " ".join(vocab[::-1])), ("D", "w000 extra")],
-                              PreprocessOptions())
-        text = as_text(corpus, dict.fromkeys(vocab, 1))
-        # B lacks w000: its likelihood is 0 whether or not A's and C's
-        # products underflow, and adding B changes nothing
-        assert estimate_relevance_model(text, corpus, [0, 1, 2], 0.0, 0) == \
-            estimate_relevance_model(text, corpus, [0, 2], 0.0, 0)
-        # every feedback document lacks a query term
-        with pytest.raises(ValueError, match="unrenderable by every feedback document"):
-            estimate_relevance_model(text, corpus, [1, 3], 0.0, 0)
-        short = as_text(corpus, {"w000": 1, "w001": 1})
-        with pytest.raises(ValueError, match="unrenderable by every feedback document"):
-            estimate_relevance_model(short, corpus, [1, 3], 0.0, 0)
 
     def test_parameter_validation(self, tiny_corpus):
         q = Query("q", ["a"])
@@ -295,11 +278,22 @@ class TestRelevanceModel:
         with pytest.raises(ValueError, match="lambda_r"):
             relevance_model_rank(q, tiny_corpus, 1, 1.0, 0, 1.0, 2)
 
+    @pytest.mark.parametrize("lambda_r, clip_k, message", [
+        (0.0, 0, "lambda_r must be strictly between 0 and 1, got lambda_r=0.0"),
+        (1.0, 0, "lambda_r must be strictly between 0 and 1, got lambda_r=1.0"),
+        (0.5, -1, "clip_k must be >= 0, got clip_k=-1"),
+        (5e-324, 0, r"lambda_r=5e-324 is too small: lambda_r \* p\(w \| C\) is 0.0 for some")],
+        ids=["lambda_r=0", "lambda_r=1", "clip_k=-1", "lambda_r=5e-324"])
+    def test_estimate_checks_its_arguments(self, tiny_corpus, lambda_r, clip_k, message):
+        with pytest.raises(ValueError, match=message):
+            estimate_relevance_model(as_text(tiny_corpus, {"a": 1}), tiny_corpus, [0],
+                                     lambda_r, clip_k)
+
     def test_invalid_distribution_rejected(self):
         with pytest.raises(ValueError, match="sums to"):
-            RelevanceDistribution({0: 0.5})
+            _model_length(np.array([0.5]))
         with pytest.raises(ValueError, match="non-positive"):
-            RelevanceDistribution({0: 1.5, 1: -0.5})
+            _model_length(np.array([1.5, -0.5]))
 
     def test_feedback_doc_usually_ranked_first_at_low_lambda(self, capsys):
         # informational: KL to a mixture need not be minimized by its source

@@ -342,7 +342,7 @@ method = mccluster
 delta = {delta}
 mu = {mu}
 """)
-        _assert_data_error(main(["run", str(spec)]), capsys, needle)
+        _assert_data_error(main(["run", str(spec)]), capsys, f"system 'clustered': {needle}")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad_id", [99, -1])
@@ -1073,6 +1073,14 @@ class TestEvalCommand:
         code = main(["eval", "--qrels", str(DATA / "micro.qrels"), str(run)])
         _assert_data_error(code, capsys, f"{run}: no query of the run is in the qrels")
 
+    def test_docno_listed_twice_names_file_and_query(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.run", tmp_path / "bad.run"
+        good.write_text("901 Q0 M01 1 0.5 t\n")
+        bad.write_text("901 Q0 M01 1 0.5 t\n902 Q0 M02 1 0.5 t\n902 Q0 M02 2 0.4 t\n")
+        code = main(["eval", "--qrels", str(DATA / "micro.qrels"), str(good), str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err == f"pqlm: {bad}: query 902: duplicate docno 'M02' in run\n"
+
     @pytest.mark.parametrize("target", ["qrels", "run"])
     def test_file_not_utf8_names_the_file(self, tmp_path, capsys, target):
         files = {"qrels": tmp_path / "q.qrels", "run": tmp_path / "r.run"}
@@ -1215,6 +1223,28 @@ method = {method}
 """)
         _assert_data_error(self._command(command, spec, "m"), capsys,
                            f"system 'm': {key} {value!r} is not {noun}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("method, key, value, message", [
+        ("mcdoc", "N", "0", "N must be >= 1"),
+        ("vdoc", "drift", "interpolation", "interpolating techniques need lambda in [0, 1]"),
+        ("rocchio", "t", "-1", "t must be >= 0, got t=-1"),
+        ("relevance_model", "lambda_r", "1",
+         "lambda_r must be strictly between 0 and 1, got lambda_r=1.0"),
+        ("mcdoc", "alpha", "1.5", "alpha '1.5' is not an integer"),
+    ], ids=["run-config", "drift", "check-args", "lambda_r", "typed"])
+    def test_point_error_names_the_system_once(self, tmp_path, capsys, command, method, key,
+                                               value, message):
+        # the good baseline system comes first
+        spec = baseline_spec(tmp_path, f"""
+[system]
+name = m
+method = {method}
+{key} = {value}
+""")
+        assert self._command(command, spec, "m") == 2
+        assert capsys.readouterr().err == f"pqlm: system 'm': {message}\n"
         assert not (tmp_path / "out").exists()
 
 

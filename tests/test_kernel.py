@@ -39,7 +39,7 @@ from pqlm import (
     run_retrieval,
     singleton_cluster_index,
 )
-from pqlm import lm, oracles, pipeline, scoring
+from pqlm import baselines, lm, oracles, pipeline, scoring
 from pqlm.baselines import estimate_relevance_model
 from pqlm.clustering import cluster_membership
 from pqlm.corpus import Query
@@ -130,12 +130,13 @@ class TestKernel:
             counts = corpus.query_counts(query)
             feedback = lm.top_renderers(corpus, counts, 5, MU)[0].tolist()
             for clip_k in (0, 7, 30):
-                rel = estimate_relevance_model(counts, corpus, feedback, 0.5, clip_k)
-                named = {corpus._terms[t]: p for t, p in rel.probs.items()}
-                expected = rel.entropy() + literal_log_rendition(corpus, named, MU)
+                ids, probs = estimate_relevance_model(counts, corpus, feedback, 0.5, clip_k)
+                named = {corpus._terms[t]: p for t, p in zip(ids.tolist(), probs.tolist())}
+                entropy = baselines._entropy(probs[np.argsort(ids)])
+                expected = entropy + literal_log_rendition(corpus, named, MU)
                 ranking = relevance_model_rank(query, corpus, 5, 0.5, clip_k, MU, corpus.n_docs)
                 assert np.array_equal(ranking.scores, expected[ranking.doc_ids])
-                rank_ordered.append(list(rel.probs) != sorted(rel.probs))
+                rank_ordered.append(ids.tolist() != sorted(ids.tolist()))
         assert any(rank_ordered)
 
     def test_out_of_vocabulary_term(self, tiny_corpus):
@@ -446,7 +447,8 @@ def test_raw_score_bits():
 
 
 # sha256 of doc_ids.tobytes() + scores.tobytes() of every golden query's
-# ranking of all 200 documents, per feedback baseline case
+# ranking of all 200 documents, per feedback baseline case, and of the
+# underflowing query's
 BASELINE_RAW_SHA256 = {
     "rocchio": "a93c285733c3084eb810dd4929fb20b9ba0ca0b56d3096449fdd6f179a1bc2e5",
     "rocchio t 0": "dc71cdd7e10c57459da5603d9d4898cc6f812269a10d576b3d21061c1b913f14",
@@ -454,13 +456,19 @@ BASELINE_RAW_SHA256 = {
     "rocchio k1 clamped": "59c76b9943a3224998ee92665f82a470aee77baddbe5c19e9fab0404cdfb0b9d",
     "rm full support": "cccb0a2ae43ddce27a9153df78a5234033a4a8dc04212458bd36fa7fcd5b9b71",
     "rm clip 20": "55274e60f74f054af26da01fb3d20db27b59fdc6677419d6e6a3088af236b5d1",
+    "rm underflow full support":
+        "74f857469578074815e76465571d00927580a41070cbdaed979f5481c021841e",
+    "rm underflow clip 20": "f7239e239da30a5a28dbbb22cc3bc9088c4f4b7c83f8cd8d52fb84a80ded6973",
 }
 
 
 def baseline_raw_cases():
     """(case, ScoredRanking) of Rocchio (with expansion, without terms,
     without weight, with k1 beyond the corpus) and of the relevance model
-    (every term id, clipped), per golden query."""
+    (every term id, clipped), per golden query; then the relevance model of
+    a query of 300 background terms, whose likelihood product underflows to
+    0.0 in every feedback document, so that its posteriors come from the
+    log-likelihoods."""
     corpus, queries, _ = golden_setup()
     n = corpus.n_docs
     for q in queries:
@@ -470,6 +478,9 @@ def baseline_raw_cases():
         yield "rocchio k1 clamped", rocchio_rank(q, corpus, k1=10 * n, t=10, gamma=0.5, n=n)
         yield "rm full support", relevance_model_rank(q, corpus, 5, 0.5, 0, MU, n)
         yield "rm clip 20", relevance_model_rank(q, corpus, 5, 0.5, 20, MU, n)
+    long = Query("long", sorted(t for t in corpus.vocabulary if t.startswith("w"))[:300])
+    yield "rm underflow full support", relevance_model_rank(long, corpus, 5, 0.5, 0, MU, n)
+    yield "rm underflow clip 20", relevance_model_rank(long, corpus, 5, 0.5, 20, MU, n)
 
 
 def test_baseline_raw_score_bits():

@@ -4,8 +4,9 @@
     python tools/check_digests.py
 
 For each row of CHECKS it generates the benchmark collection of a workload
-and seed (bench/gen.py), runs the workload's set-up commands, compares the
-sha256 of index.json when the row records one, and then runs
+and seed (bench/gen.py) and runs the workload's set-up commands.  When the
+row records an index digest, it compares the sha256 of index.json, and of
+``Corpus.load(index.json).serialize()``, with it.  It then runs
 ``pqlm run --threads N`` at each of the row's thread counts and compares
 the sha256 of the run directory (bench/run.py's ``run_digest``).  The
 seed-1 run digests are the ones in bench/recorded.json; bench/run.py
@@ -30,6 +31,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import gen  # noqa: E402
 from pqlm.cli import main  # noqa: E402
+from pqlm.corpus import Corpus  # noqa: E402
 from run import RECORDED, run_digest  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -79,11 +81,15 @@ def check(name: str, seed: int, index_sha256: str | None, run_sha256: str,
     codes = [quiet_main(argv) for argv in w.setup_commands(col, work)]
     set_up = ok = set(codes) == {0}
     if index_sha256 is not None:
-        digest = hashlib.sha256((work / "index.json").read_bytes()).hexdigest()
-        good = set_up and digest == index_sha256
-        print(f"{name} seed {seed}: set-up exit codes {codes}, index sha256 {digest}",
-              "ok" if good else "MISMATCH")
-        ok &= good
+        index = work / "index.json"
+        for what, data in (("index sha256", index.read_bytes()),
+                           ("reloaded index serializes to sha256",
+                            Corpus.load(index).serialize())):
+            digest = hashlib.sha256(data).hexdigest()
+            good = set_up and digest == index_sha256
+            print(f"{name} seed {seed}: set-up exit codes {codes}, {what} {digest}",
+                  "ok" if good else "MISMATCH")
+            ok &= good
     for n in threads:
         shutil.rmtree(work / "runs", ignore_errors=True)
         code = quiet_main(["run", str(work / "experiment.cfg"), "--threads", n])
