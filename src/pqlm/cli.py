@@ -389,12 +389,13 @@ def _run_points(spec_path, spec, corpus, topics, qrels, points, threads: int):
                 return format_run_lines(query.query_id, score(query), corpus, tag)
 
             # a pool of one would only move the work off this thread
-            chunks = list((pool.map if threads > 1 else map)(one, queries))
-            lines = [line for chunk in chunks for line in chunk]
-            atomic_write(run_path, ("\n".join(lines) + "\n").encode())
-            report = (evaluate_run(parse_run("\n".join(lines)), qrels, depth)
+            text = "\n".join(filter(None, (pool.map if threads > 1 else map)(one, queries)))
+            atomic_write(run_path, (text + "\n").encode())
+            report = (evaluate_run(parse_run(text), qrels, depth)
                       if qrels is not None else None)
-            yield run_path, len(lines), report
+            # no field of a row holds a newline: docnos and query ids hold
+            # no whitespace, and a tag's system name is read from one line
+            yield run_path, text.count("\n") + 1 if text else 0, report
 
 
 def _queries(corpus, topics, qrels, topics_path):

@@ -2,9 +2,9 @@
 two-sided Wilcoxon signed-rank test.
 
 trec_eval conventions apply where nothing else is stated: unjudged
-retrieved documents count as nonrelevant, duplicate docnos in a run are an
-error, and queries with no judged relevant documents are excluded from the
-averages rather than scored zero.
+retrieved documents count as nonrelevant, a query that lists a docno twice,
+at any rank and judged or not, is an error, and queries with no judged
+relevant documents are excluded from the averages rather than scored zero.
 """
 
 from __future__ import annotations
@@ -18,31 +18,44 @@ import numpy as np
 from .corpus import ParseError, left_sum, read_text
 
 
-def average_precision(run: Sequence[str], relevant: set[str], n: int) -> float:
-    """Mean precision at the ranks of relevant documents retrieved in the
-    top n, divided by the total number of relevant documents."""
+def _check_unique(run: Sequence[str]) -> None:
+    """ValueError naming the first docno, in rank order, that a higher rank
+    of `run` already lists."""
+    if len(set(run)) != len(run):
+        seen: set[str] = set()
+        for docno in run:
+            if docno in seen:
+                raise ValueError(f"duplicate docno {docno!r} in run")
+            seen.add(docno)
+
+
+def _measures(run: Sequence[str], relevant: set[str], n: int) -> tuple[float, float, int]:
+    """Average precision and recall at n of one query's ranked docnos, and
+    the number of relevant documents in its top n."""
     if not relevant:
         raise ValueError("query has no relevant documents; exclude it")
-    seen: set[str] = set()
-    hits = 0
+    hit_ranks = [rank for rank, docno in enumerate(run[:n], start=1) if docno in relevant]
     total = 0.0
-    for rank, docno in enumerate(run[:n], start=1):
-        if docno in seen:
-            raise ValueError(f"duplicate docno {docno!r} in run")
-        seen.add(docno)
-        if docno in relevant:
-            hits += 1
-            total += hits / rank
-    return total / len(relevant)
+    for hits, rank in enumerate(hit_ranks, start=1):
+        total += hits / rank
+    return total / len(relevant), len(hit_ranks) / len(relevant), len(hit_ranks)
+
+
+def average_precision(run: Sequence[str], relevant: set[str], n: int) -> float:
+    """Mean precision at the ranks of relevant documents retrieved in the
+    top n, divided by the total number of relevant documents.  A docno
+    listed twice anywhere in `run` is a ValueError."""
+    ap, _, _ = _measures(run, relevant, n)
+    _check_unique(run)
+    return ap
 
 
 def recall_at(run: Sequence[str], relevant: set[str], n: int) -> float:
-    if not relevant:
-        raise ValueError("query has no relevant documents; exclude it")
-    top = set(run[:n])
-    if len(top) != min(len(run), n):
-        raise ValueError("duplicate docno in run")
-    return len(top & relevant) / len(relevant)
+    """The share of the relevant documents retrieved in the top n.  A docno
+    listed twice anywhere in `run` is a ValueError."""
+    _, recall, _ = _measures(run, relevant, n)
+    _check_unique(run)
+    return recall
 
 
 # -- Wilcoxon signed-rank -------------------------------------------------
@@ -171,17 +184,28 @@ def _int_field(value: str, where: str) -> int:
 
 
 def parse_run(data) -> dict[str, list[str]]:
-    """TREC 6-column run -> qid -> docnos in rank order."""
+    """TREC 6-column run -> qid -> docnos in rank order (ties by docno)."""
     runs: dict[str, list[tuple[int, str]]] = {}
-    for lineno, line in enumerate(read_text(data, "strict").splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
+    qid = rows = None
+    # unnamed, the list of lines is freed once the loop has read it
+    split_lines = map(str.split, read_text(data, "strict").splitlines())
+    for lineno, parts in enumerate(split_lines, start=1):
         if len(parts) != 6:
+            if not parts:  # a blank line
+                continue
             raise ParseError(f"run line {lineno}: expected 6 fields")
-        qid, _, docno, rank, _score, _tag = parts
-        runs.setdefault(qid, []).append((_int_field(rank, f"run line {lineno}"), docno))
-    return {qid: [d for _, d in sorted(rows)] for qid, rows in runs.items()}
+        row_qid, _, docno, rank, _score, _tag = parts
+        try:
+            rank = int(rank)
+        except ValueError:
+            raise ParseError(f"run line {lineno}: {rank!r} is not an integer") from None
+        if row_qid != qid:
+            qid = row_qid
+            rows = runs.setdefault(qid, [])
+        rows.append((rank, docno))
+    for rows in runs.values():
+        rows.sort()
+    return {qid: [docno for _, docno in rows] for qid, rows in runs.items()}
 
 
 @dataclass
@@ -202,8 +226,9 @@ def evaluate_run(run: dict[str, list[str]], qrels: Qrels, n: int = 1000) -> Eval
 
     A run query that the qrels hold with no relevant document is excluded.
     A run with no query in the qrels, an empty run among them, has nothing
-    to average: that is a ValueError, not a mean of 0.  A judged query that
-    lists a docno twice in its top n is a ParseError naming the query.
+    to average: that is a ValueError, not a mean of 0.  A query, judged or
+    not, that lists a docno twice at any rank is a ParseError naming the
+    query.
     """
     if n < 1:
         raise ValueError("depth must be >= 1")
@@ -215,22 +240,22 @@ def evaluate_run(run: dict[str, list[str]], qrels: Qrels, n: int = 1000) -> Eval
     rel_total = 0
     rel_found = 0
     for qid in sorted(run):
-        if qid not in qrels.relevant:
+        try:
+            _check_unique(run[qid])
+        except ValueError as exc:
+            raise ParseError(f"query {qid}: {exc}") from None
+        relevant = qrels.relevant.get(qid)
+        if relevant is None:
             continue
-        relevant = qrels.relevant[qid]
         if not relevant:
             excluded.append(qid)
             continue
-        try:
-            per_ap[qid] = average_precision(run[qid], relevant, n)
-            per_recall[qid] = recall_at(run[qid], relevant, n)
-        except ValueError as exc:  # the query lists a docno twice
-            raise ParseError(f"query {qid}: {exc}") from None
+        per_ap[qid], per_recall[qid], found = _measures(run[qid], relevant, n)
         rel_total += len(relevant)
-        rel_found += len(set(run[qid][:n]) & relevant)
-    mean_ap = left_sum([per_ap[q] for q in sorted(per_ap)]) / len(per_ap) if per_ap else 0.0
-    macro = (left_sum([per_recall[q] for q in sorted(per_recall)]) / len(per_recall)
-             if per_recall else 0.0)
+        rel_found += found
+    # the per-query dicts are in qid order
+    mean_ap = left_sum(list(per_ap.values())) / len(per_ap) if per_ap else 0.0
+    macro = left_sum(list(per_recall.values())) / len(per_recall) if per_recall else 0.0
     micro = rel_found / rel_total if rel_total else 0.0
     return EvalReport(per_ap, per_recall, mean_ap, micro, macro, excluded)
 

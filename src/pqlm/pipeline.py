@@ -139,11 +139,15 @@ def run_retrieval(query: Query, config: RunConfig, corpus: Corpus,
 
 
 def format_run_lines(query_id: str, ranking: ScoredRanking, corpus: Corpus,
-                     tag: str) -> list[str]:
-    """TREC run rows: qid Q0 docno rank score tag, fixed 6-decimal scores.
-    One %-template, with any "%" of the query id and tag escaped, formats
-    every (docno, rank, score) row."""
+                     tag: str) -> str:
+    """The ranking's TREC run rows, newline-joined without a final newline:
+    qid Q0 docno rank score tag, fixed 6-decimal scores.  The row template,
+    with any "%" of the query id and tag escaped, is repeated once per row
+    and filled by one % over the interleaved (docno, rank, score) values."""
     row = " ".join([query_id.replace("%", "%%"), "Q0 %s %d %.6f", tag.replace("%", "%%")])
-    docnos = map(corpus.docnos.__getitem__, ranking.doc_ids.tolist())
-    return list(map(row.__mod__, zip(docnos, range(1, len(ranking) + 1),
-                                     ranking.scores.tolist())))
+    n = len(ranking)
+    values: list = [None] * (3 * n)
+    values[0::3] = map(corpus.docnos.__getitem__, ranking.doc_ids.tolist())
+    values[1::3] = range(1, n + 1)
+    values[2::3] = ranking.scores.tolist()
+    return "\n".join([row] * n) % tuple(values)

@@ -1039,6 +1039,79 @@ mu = 2000
         assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
 
 
+def literal_eval_output(run_text, qrels_text, depth, name):
+    """What `pqlm eval --depth depth` prints for one run named `name`,
+    recomputed literally from the definitions: AP is the sum of the
+    precisions at the ranks of the relevant documents in the top `depth`,
+    over the number judged relevant; recall is the relevant documents in
+    the top `depth` over those judged, summed over the judged queries.  An
+    error is returned as its "pqlm: " line without the run file's path."""
+    judged = {}
+    for line in qrels_text.splitlines():
+        qid, _, docno, rel = line.split()
+        judged.setdefault(qid, set())
+        if int(rel) > 0:
+            judged[qid].add(docno)
+    rows = {}
+    for line in run_text.splitlines():
+        qid, _, docno, rank, _, _ = line.split()
+        rows.setdefault(qid, []).append((int(rank), docno))
+    if not set(rows) & set(judged):
+        return "pqlm: no query of the run is in the qrels\n"
+    ranked = {qid: [docno for _, docno in sorted(r)] for qid, r in rows.items()}
+    for qid in sorted(ranked):
+        for k, docno in enumerate(ranked[qid]):
+            if docno in ranked[qid][:k]:
+                return f"pqlm: query {qid}: duplicate docno {docno!r} in run\n"
+    aps, excluded, found, total = [], [], 0, 0
+    for qid in sorted(ranked):
+        if qid not in judged:
+            continue
+        relevant, top = judged[qid], ranked[qid][:depth]
+        if not relevant:
+            excluded.append(qid)
+            continue
+        ap = 0.0
+        for k in range(1, len(top) + 1):
+            if top[k - 1] in relevant:
+                ap += sum(docno in relevant for docno in top[:k]) / k
+        aps.append(ap / len(relevant))
+        found += sum(docno in relevant for docno in top)
+        total += len(relevant)
+    mean_ap = 0.0
+    for ap in aps:
+        mean_ap += ap
+    mean_ap = mean_ap / len(aps) if aps else 0.0
+    recall = found / total if total else 0.0
+    width = max(len("system"), len(name))
+    out = (f"{'system':<{width}}  {'prec':>14}  {'recall':>14}\n"
+           f"{name:<{width}}  {mean_ap * 100:>12.2f}%   {recall * 100:>12.2f}%\n")
+    if excluded:
+        out += f"{name}: excluded queries with no relevant docs: {' '.join(excluded)}\n"
+    return out
+
+
+@st.composite
+def _eval_inputs(draw):
+    """(run text, qrels text, depth): queries 1-3 judged over documents a-f,
+    queries 1-4 ranked in shuffled rows with ties of rank, some query now
+    and then listing a docno twice."""
+    docs = "abcdef"
+    qrels = [f"{qid} 0 {docno} {draw(st.sampled_from([0, 0, 1, 2]))}"
+             for qid in draw(st.lists(st.sampled_from("123"), min_size=1, unique=True))
+             for docno in draw(st.lists(st.sampled_from(docs), min_size=1, unique=True))]
+    rows = []
+    for qid in draw(st.lists(st.sampled_from("1234"), min_size=1, unique=True)):
+        ranked = draw(st.permutations(docs))[:draw(st.integers(1, 6))]
+        if draw(st.integers(0, 5)) == 0:
+            ranked.insert(draw(st.integers(0, len(ranked))), draw(st.sampled_from(ranked)))
+        for rank, docno in enumerate(ranked, start=1):
+            rank = draw(st.sampled_from([rank, rank, rank, rank + 1]))
+            rows.append(f"{qid} Q0 {docno} {rank} 0.5 t")
+    rows = draw(st.permutations(rows))
+    return "\n".join(rows) + "\n", "\n".join(qrels) + "\n", draw(st.integers(1, 7))
+
+
 class TestEvalCommand:
     def test_eval_prints_table(self, tmp_path, capsys):
         spec = baseline_spec(tmp_path)
@@ -1080,6 +1153,40 @@ class TestEvalCommand:
         code = main(["eval", "--qrels", str(DATA / "micro.qrels"), str(good), str(bad)])
         assert code == 2
         assert capsys.readouterr().err == f"pqlm: {bad}: query 902: duplicate docno 'M02' in run\n"
+
+    @pytest.mark.parametrize("depth", [[], ["--depth", "2"], ["--depth", "1"]],
+                             ids=["default", "depth-2", "depth-1"])
+    @pytest.mark.parametrize("qid", ["902", "903"], ids=["judged", "unjudged"])
+    def test_docno_listed_twice_refused_at_any_depth(self, tmp_path, capsys, depth, qid):
+        # M02 at ranks 2 and 3: below a depth of 2 or 1, and for a query
+        # the qrels do not hold
+        run = tmp_path / "r.run"
+        run.write_text(f"901 Q0 M01 1 0.5 t\n{qid} Q0 M01 1 0.6 t\n{qid} Q0 M02 2 0.5 t\n"
+                       f"{qid} Q0 M02 3 0.4 t\n{qid} Q0 M01 4 0.3 t\n")
+        code = main(["eval", "--qrels", str(DATA / "micro.qrels"), *depth, str(run)])
+        assert code == 2
+        assert capsys.readouterr().err == f"pqlm: {run}: query {qid}: duplicate docno 'M02' in run\n"
+
+    def test_report_equals_literal_recomputation(self):
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(_eval_inputs())
+        def check(inputs):
+            run_text, qrels_text, depth = inputs
+            with tempfile.TemporaryDirectory() as work:
+                run, qrels = Path(work) / "sys.run", Path(work) / "q.qrels"
+                run.write_text(run_text)
+                qrels.write_text(qrels_text)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["eval", "--qrels", str(qrels), "--depth", str(depth), str(run)])
+                expected = literal_eval_output(run_text, qrels_text, depth, "sys")
+                if expected.startswith("pqlm: "):
+                    assert (code, out.getvalue(), err.getvalue()) == (2, "", f"pqlm: {run}: "
+                                                                        + expected[6:])
+                else:
+                    assert (code, out.getvalue(), err.getvalue()) == (0, expected, "")
+
+        check()
 
     @pytest.mark.parametrize("target", ["qrels", "run"])
     def test_file_not_utf8_names_the_file(self, tmp_path, capsys, target):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pqlm import Qrels, average_precision, evaluate_run, recall_at, wilcoxon_two_sided
 from pqlm import oracles
-from pqlm.corpus import ParseError
+from pqlm.corpus import ParseError, read_text
 from pqlm.evaluation import format_report, parse_run
 
 
@@ -209,3 +211,81 @@ class TestFilesAndReports:
         table = format_multi_report({"a": {"s1": rep, "s2": rep},
                                      "b": {"s1": rep}})
         assert "-" in table.splitlines()[2]
+
+
+# -- parse_run against a literal reference --------------------------------
+
+
+def reference_int_field(value: str, where: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"{where}: {value!r} is not an integer") from None
+
+
+def reference_parse_run(data) -> dict[str, list[str]]:
+    """TREC 6-column run -> qid -> docnos in rank order: the line-by-line
+    parser that the one-loop parse_run replaced, kept as its reference."""
+    runs: dict[str, list[tuple[int, str]]] = {}
+    for lineno, line in enumerate(read_text(data, "strict").splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 6:
+            raise ParseError(f"run line {lineno}: expected 6 fields")
+        qid, _, docno, rank, _score, _tag = parts
+        runs.setdefault(qid, []).append((reference_int_field(rank, f"run line {lineno}"), docno))
+    return {qid: [d for _, d in sorted(rows)] for qid, rows in runs.items()}
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+# every separator str.splitlines breaks at, and field separators that are not
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                "\u2028", "\u2029"]
+_FIELD_GAPS = [" ", "  ", "\t", " \t ", "\xa0", "\u3000"]
+_RANKS = ["1", "2", "3", "10", "+3", "3_0", "x", "-1", "007", "2.0", "\u0663", ""]
+_ROW = st.tuples(st.sampled_from(["1", "2", "10", "%s"]), st.sampled_from(["Q0", "q"]),
+                 st.sampled_from(["a", "b", "c", "D%d", "\u00e9"]), st.sampled_from(_RANKS),
+                 st.sampled_from(["0.5", "-0.000000", "1e3"]), st.sampled_from(["t", "sys.1"]))
+
+
+@st.composite
+def _run_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "short", "long"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", " \t  ", "\xa0"])))
+        else:
+            fields = [f for f in draw(_ROW) if f]  # an empty rank drops a field
+            if kind == "short":
+                fields = fields[:5]
+            elif kind == "long":
+                fields = fields + ["extra"]
+            gaps = [draw(st.sampled_from(_FIELD_GAPS)) for _ in fields]
+            line = "".join(gap + field for gap, field in zip(gaps, fields))
+            lines.append(line[len(gaps[0]):] if draw(st.booleans()) else line)
+    text = "".join(line + draw(st.sampled_from(_LINE_BREAKS)) for line in lines)
+    return text[:-1] if draw(st.booleans()) else text  # no final line break
+
+
+class TestParseRunReference:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_run_texts())
+    @example("1 Q0 a x 0.5 t\n1 Q0 b 2 0.5\n")        # bad rank before a bad field count
+    @example("1 Q0 a 1 0.5 t\n1 Q0 b 2 0.5\n1 Q0 c y 0.5 t\n")
+    @example("2 Q0 b 1 0.5 t\n1 Q0 c 2 0.5 t\n2 Q0 a 1 0.5 t\n1 Q0 a 2 0.5 t\n"
+             "1 Q0 d +1 0.5 t\n")                     # interleaved qids, repeated ranks
+    @example(" \t\r\n1 Q0 a 3_0 0.5 t\r\n\r\n1\tQ0\tb\t2\t0.5\tt")
+    def test_same_dict_or_same_error(self, text):
+        expected = _outcome(reference_parse_run, text)
+        assert _outcome(parse_run, text) == expected
+        assert _outcome(parse_run, text.encode()) == expected

@@ -333,7 +333,7 @@ def golden_run_bytes() -> bytes:
     queries = [corpus.preprocess_query(qid, text) for qid, text in topics]
     neighbors = precompute_neighbors(corpus, 6, MU)
     clusters = build_clusters(corpus, 5, neighbors)
-    lines = [" ".join(map(str, row)) for row in neighbors.neighbors]
+    blocks = [" ".join(map(str, row)) for row in neighbors.neighbors]
     for method in ("vdoc", "mcdoc", "mccluster"):
         for drift in DRIFTS:
             config = RunConfig(method=method, alpha=4, alpha1=6, m=8,
@@ -342,16 +342,16 @@ def golden_run_bytes() -> bytes:
             tag = f"{method}-{drift.kind}"
             for q in queries:
                 ranking = run_retrieval(q, config, corpus, clusters)
-                lines += format_run_lines(q.query_id, ranking, corpus, tag)
+                blocks.append(format_run_lines(q.query_id, ranking, corpus, tag))
     for q in queries:
-        lines += format_run_lines(q.query_id, lm_baseline(q, corpus, MU, DEPTH),
-                                  corpus, "lm")
-        lines += format_run_lines(q.query_id, rocchio_rank(q, corpus, 5, 6, 0.5, DEPTH),
-                                  corpus, "rocchio")
+        blocks.append(format_run_lines(q.query_id, lm_baseline(q, corpus, MU, DEPTH),
+                                       corpus, "lm"))
+        blocks.append(format_run_lines(q.query_id, rocchio_rank(q, corpus, 5, 6, 0.5, DEPTH),
+                                       corpus, "rocchio"))
         for clip_k in (0, 30):
             ranking = relevance_model_rank(q, corpus, 5, 0.5, clip_k, MU, DEPTH)
-            lines += format_run_lines(q.query_id, ranking, corpus, f"rm{clip_k}")
-    return ("\n".join(lines) + "\n").encode()
+            blocks.append(format_run_lines(q.query_id, ranking, corpus, f"rm{clip_k}"))
+    return ("\n".join(blocks) + "\n").encode()
 
 
 def test_golden_run_bytes():
@@ -385,8 +385,15 @@ def test_golden_index_bytes(tmp_path):
 
 # sha256 of doc_ids.tobytes() + scores.tobytes() of score_mcdoc and
 # score_mccluster on golden_corpus(), each case over the four queries in
-# order; the run digests above see six decimals of a score, these every bit
-RAW_SHA256 = {
+# order; the run digests above see six decimals of a score, these every bit.
+# numpy's float64 log and exp give last bits that depend on the SIMD code
+# they dispatch to, so there is one set per (log, exp) dispatch target; the
+# AVX2 and baseline sets were recorded in child processes run with
+# NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" (and X86_V3),
+# which acts only on the process that reads it:
+#   NPY_DISABLE_CPU_FEATURES=... PYTHONPATH=src:tests python -c \
+#     "import test_kernel; print(test_kernel.raw_score_digests())"
+AVX512_RAW_SHA256 = {
     "mcdoc round 1": "dd8f4f351319b0c30b04caa5f0b491ae013ff8de701dcdc78e5f238b1084917f",
     "mcdoc round 2": "d28318c5e0e5561196167245bb746340caedb1fbe601735a7ff0230a7a4b2789",
     "mcdoc wide": "b87846ed600099570c4aa9bfeefbbf8132317a04dbbfb2564b7510658d2199b6",
@@ -400,6 +407,36 @@ RAW_SHA256 = {
     "mccluster no doc 7 round 2": "707e1b55d5e1db13ad361d70b6a57c02d004f03b3da9310b2e4adca6f6ea877a",
     "mccluster no doc 7 wide": "f8e5f976020e910c41a7e350d97ca4d346e867a1706884d29b9cd10548eded55",
 }
+AVX2_RAW_SHA256 = {
+    "mcdoc round 1": "dd8f4f351319b0c30b04caa5f0b491ae013ff8de701dcdc78e5f238b1084917f",
+    "mcdoc round 2": "58d9723b631473ee611e8735f3f4c135180e0c9033cce69c5f2a687b47cf5008",
+    "mcdoc wide": "f24b543557a772bc32a72a30daec09213b278684aa186c9ee3f83878e2823207",
+    "mccluster beta 3 round 1": "adc68e0819f4cb480fffe757a653bc024321b4a6f47ab089cc0e36547e28aead",
+    "mccluster beta 3 round 2": "6ee2a46762b3aaea256caa0f46ff58d67522567b95f03b466f421a1419d7bbbc",
+    "mccluster beta 3 wide": "1a34a7ad9fe22d788a7fd41391cc2a39a5b4dfd9b90b0097a9c9c42733e330ae",
+    "mccluster beta 8 round 1": "83516208489168e8ec6d94e29c74f0284b677e1be8e5989eb7f16aaaa88accff",
+    "mccluster beta 8 round 2": "7a7729514ae777c8837f9cc9ff558382d09e005f1f369db8688f1a4822ebc31c",
+    "mccluster beta 8 wide": "83a19f9c8d6dec909d5e07e7b40b5bb0bc5b0cd4c9e439bdf6256fa7f934abb6",
+    "mccluster no doc 7 round 1": "7b0731ab1eabe88a23a5fc94ec3871f117385cfd889afcaa5ee1df5faa718de5",
+    "mccluster no doc 7 round 2": "ad276f51d72d98469e00febe0000f3d67b95f7206814f4143ccabd69d5711c21",
+    "mccluster no doc 7 wide": "b06b649e1d92e6cd37a8cc0b99d6bdbbcc0255c7ec929322766cd1a2fd180ddc",
+}
+RAW_SHA256 = {
+    ("X86_V4", "X86_V4"): AVX512_RAW_SHA256,
+    ("X86_V3", "X86_V3"): AVX2_RAW_SHA256,
+    ("baseline(X86_V2)", "baseline(X86_V2)"): AVX2_RAW_SHA256,
+}
+
+
+def transcendental_dispatch() -> tuple[str, str]:
+    """The (log, exp) targets numpy dispatches its float64 log and exp to on
+    this host, such as ("X86_V4", "X86_V4") on a CPU with AVX-512."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return (f"unknown: numpy {np.__version__} has no opt_func_info",) * 2
+    info = opt_func_info(func_name="^(log|exp)$", signature="float64")
+    return info["log"]["dd"]["current"], info["exp"]["dd"]["current"]
 
 
 def raw_score_cases():
@@ -438,12 +475,20 @@ def raw_score_cases():
                     pq, 2, beta, corpus, index)
 
 
-def test_raw_score_bits():
+def raw_score_digests() -> dict[str, str]:
     digests: dict = {}
     for case, r in raw_score_cases():
         digests.setdefault(case, hashlib.sha256()).update(
             r.doc_ids.tobytes() + r.scores.tobytes())
-    assert {case: h.hexdigest() for case, h in digests.items()} == RAW_SHA256
+    return {case: h.hexdigest() for case, h in digests.items()}
+
+
+def test_raw_score_bits():
+    level = transcendental_dispatch()
+    if level not in RAW_SHA256:
+        pytest.fail(f"no raw score digests recorded for numpy's float64 (log, exp) "
+                    f"dispatch {level}")
+    assert raw_score_digests() == RAW_SHA256[level]
 
 
 # sha256 of doc_ids.tobytes() + scores.tobytes() of every golden query's
@@ -456,8 +501,7 @@ BASELINE_RAW_SHA256 = {
     "rocchio k1 clamped": "59c76b9943a3224998ee92665f82a470aee77baddbe5c19e9fab0404cdfb0b9d",
     "rm full support": "cccb0a2ae43ddce27a9153df78a5234033a4a8dc04212458bd36fa7fcd5b9b71",
     "rm clip 20": "55274e60f74f054af26da01fb3d20db27b59fdc6677419d6e6a3088af236b5d1",
-    "rm underflow full support":
-        "74f857469578074815e76465571d00927580a41070cbdaed979f5481c021841e",
+    "rm underflow full support": "74f857469578074815e76465571d00927580a41070cbdaed979f5481c021841e",
     "rm underflow clip 20": "f7239e239da30a5a28dbbb22cc3bc9088c4f4b7c83f8cd8d52fb84a80ded6973",
 }
 

@@ -245,16 +245,30 @@ class TestDriftNoneIdentity:
 class TestRunLines:
     def test_trec_format(self, tiny_corpus):
         base = lm_baseline(Query("7", ["a"]), tiny_corpus, 1.0, 2)
-        lines = format_run_lines("7", base, tiny_corpus, "sys1")
+        lines = format_run_lines("7", base, tiny_corpus, "sys1").split("\n")
         assert lines[0].split() == ["7", "Q0", "d0", "1",
                                     f"{base.scores[0]:.6f}", "sys1"]
         assert lines[1].split()[3] == "2"
+        assert len(lines) == 2
 
-    def test_one_template_for_every_row(self):
+    @pytest.mark.parametrize("doc_ids, scores", [
+        ([2, 0, 1], [12345.6789125, -0.0, -3.0000005]),
+        ([1, 2, 0], [1e300, 2.5e-7, -1e-7]),
+        ([2], [-0.0]),
+        ([0], [-7.25]),
+    ], ids=["mixed", "large-and-tiny", "one-row-negative-zero", "one-row-negative"])
+    def test_block_equals_rows_formatted_one_by_one(self, doc_ids, scores):
         # "%" in the query id, the tag and a docno is text, not a format
         corpus = build_corpus([("d%s", "a"), ("e", "a a"), ("%d", "b")], PreprocessOptions())
+        ranking = ScoredRanking(doc_ids, scores)
+        block = format_run_lines("q%d", ranking, corpus, "t%%s")
+        rows = ["%s Q0 %s %d %.6f %s" % ("q%d", corpus.docnos[d], rank, score, "t%%s")
+                for rank, (d, score) in enumerate(zip(doc_ids, scores), start=1)]
+        assert block == "\n".join(rows)
+
+    def test_one_template_for_every_row(self):
+        corpus = build_corpus([("d%s", "a"), ("e", "a a"), ("%d", "b")], PreprocessOptions())
         ranking = ScoredRanking([2, 0, 1], [12345.6789125, -0.0, -3.0000005])
-        lines = format_run_lines("q%d", ranking, corpus, "t%%s")
-        assert lines == [f"q%d Q0 {corpus.docnos[d]} {rank} {score:.6f} t%%s"
-                         for rank, (d, score) in enumerate(ranking.entries, start=1)]
-        assert lines[1] == "q%d Q0 d%s 2 -0.000000 t%%s"
+        lines = format_run_lines("q%d", ranking, corpus, "t%%s").split("\n")
+        assert lines == ["q%d Q0 %d 1 12345.678912 t%%s", "q%d Q0 d%s 2 -0.000000 t%%s",
+                         "q%d Q0 e 3 -3.000001 t%%s"]
