@@ -21,28 +21,8 @@ import numpy as np
 
 from . import lm
 from .corpus import Corpus, Query, left_sum
+from .params import check
 from .scoring import ScoredRanking
-
-
-# spec key -> (test of a value, the range it states); N is the depth n
-_ARG_RANGES = {
-    "N": (lambda v: v >= 1, ">= 1"),
-    "k1": (lambda v: v >= 1, ">= 1"),
-    "t": (lambda v: v >= 0, ">= 0"),
-    "gamma": (lambda v: 0 <= v < math.inf, "a finite number >= 0"),
-    "lambda_r": (lambda v: 0 < v < 1, "strictly between 0 and 1"),
-    "clip_k": (lambda v: v >= 0, ">= 0"),
-    "mu": (lambda v: 0 < v < math.inf, "a positive finite number"),
-}
-
-
-def check_args(**args) -> None:
-    """ValueError for the first argument, keyed by its spec key, that lies
-    outside its range; every system below checks its arguments here."""
-    for key, value in args.items():
-        test, bound = _ARG_RANGES[key]
-        if not test(value):
-            raise ValueError(f"{key} must be {bound}, got {key}={value}")
 
 
 def lm_baseline(query: Query, corpus: Corpus, mu: float, n: int) -> ScoredRanking:
@@ -50,7 +30,7 @@ def lm_baseline(query: Query, corpus: Corpus, mu: float, n: int) -> ScoredRankin
 
     O(|q| + sum of the query terms' df + N + n log n) per query.
     """
-    check_args(N=n, mu=mu)
+    check(N=n, mu=mu)
     return ScoredRanking(*lm.top_renderers(corpus, corpus.query_counts(query), n, mu))
 
 
@@ -127,7 +107,7 @@ def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,
     the centroid of the F feedback (term, tf) pairs, an O(N + k1 log k1)
     pick of the feedback documents and one O(N log N) ranking.
     """
-    check_args(N=n, k1=k1, t=t, gamma=gamma)
+    check(N=n, k1=k1, t=t, gamma=gamma)
     q_ids, q_tfs = corpus.query_counts(query)
     q_idf = _idf(corpus, q_ids)
     q_weights = _tfidf_weights(q_tfs, q_idf)
@@ -138,12 +118,16 @@ def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,
     terms, centroid, idf = _centroid(corpus, lm.top_k(initial, min(k1, corpus.n_docs)))
     fresh = ~np.isin(terms, q_ids)
     terms, centroid, idf = terms[fresh], centroid[fresh], idf[fresh]
-    best = np.lexsort((terms, -centroid))[:t]
+    # terms ascend, so top_k's ties to the lower index go to the lower term id
+    best = lm.top_k(centroid, t)
     ids = np.concatenate([q_ids, terms[best]])
     order = np.argsort(ids)
-    weights = np.concatenate([q_weights, gamma * centroid[best]])
     idf = np.concatenate([q_idf, idf[best]])
-    scores = _inner_products(corpus, ids[order], weights[order], idf[order])
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.concatenate([q_weights, gamma * centroid[best]])
+        scores = _inner_products(corpus, ids[order], weights[order], idf[order])
+    if not np.isfinite(scores).all():
+        raise ValueError(f"gamma={gamma} is too large: an expanded-query score is not finite")
     return ScoredRanking.from_dense(scores).truncate(n)
 
 
@@ -228,7 +212,7 @@ def estimate_relevance_model(query_counts: tuple[np.ndarray, np.ndarray], corpus
     clipped terms.  Each term's value is the same chain of float operations,
     in the same (feedback, then term-id) order, as a per-term loop.
     """
-    check_args(lambda_r=lambda_r, clip_k=clip_k)
+    check(lambda_r=lambda_r, clip_k=clip_k)
     coll, lengths = corpus._collection_probs, corpus.lengths()
     # a term the document lacks has _smoothed == 0.0 + lambda_r * coll, the
     # same float; term ids are lexicographic, so every sum below runs in
@@ -260,7 +244,7 @@ def relevance_model_rank(query: Query, corpus: Corpus, k1: int, lambda_r: float,
     better, matching every other system here.  The model stays two arrays:
     no dict of its support is built, and only a clipped model is sorted.
     """
-    check_args(N=n, k1=k1, lambda_r=lambda_r, clip_k=clip_k, mu=mu)
+    check(N=n, k1=k1, lambda_r=lambda_r, clip_k=clip_k, mu=mu)
     counts = corpus.query_counts(query)
     # the lm_baseline order of the feedback documents, without normalising
     # the query a second time

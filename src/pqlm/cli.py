@@ -31,6 +31,7 @@ from .drift import INTERPOLATING, TRUNCATING, DriftTechnique
 from .evaluation import Qrels, evaluate_run, format_report, parse_run
 from .experiment import SystemSpec, parse_spec
 from .lm import NeighborIndex, precompute_neighbors
+from .params import RANGES, check
 from .pipeline import RunConfig, check_cluster_index, format_run_lines, run_retrieval
 from .storage import atomic_write
 
@@ -218,19 +219,21 @@ def cmd_cluster(args) -> int:
 
 # the drift keys build the DriftTechnique; the rest are RunConfig fields
 _ITERATIVE_KEYS = {f.name for f in fields(RunConfig)} - {"method"} | {"lambda", "drift_N"}
-_FLOAT_KEYS = ("mu", "gamma", "lambda", "lambda_r")
+_NOUNS = {int: "an integer", float: "a number"}
 
 
 def _typed(params: dict[str, str]) -> dict:
-    """Spec values as numbers: float for _FLOAT_KEYS, int for every other
-    key; a value of neither is a ParseError naming the key."""
+    """Spec values as numbers of their keys' types in :data:`pqlm.params.RANGES`,
+    each checked against its key's range; a value of another type is a
+    ParseError naming the key."""
     out = {}
     for key, value in params.items():
-        number, noun = (float, "a number") if key in _FLOAT_KEYS else (int, "an integer")
+        number = RANGES[key][0]
         try:
             out[key] = number(value)
         except ValueError:
-            raise ParseError(f"{key} {value!r} is not {noun}") from None
+            raise ParseError(f"{key} {value!r} is not {_NOUNS[number]}") from None
+    check(**out)
     return out
 
 
@@ -335,7 +338,6 @@ def _configure(spec, spec_path, corpus, system: SystemSpec, point: dict[str, str
         function, defaults = _BASELINES[method]
         with _naming(system):
             params = {**defaults, **_typed(point)}
-            baselines.check_args(**params)
         return (lambda query: getattr(baselines, function)(query, corpus, *params.values()),
                 params["N"])
     with _naming(system):

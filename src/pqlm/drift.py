@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import check
 from .scoring import ScoredRanking
 
 log = logging.getLogger(__name__)
@@ -36,6 +37,9 @@ TRUNCATING = ("truncated_rerank", "iterated_truncation", "iterated_rerank")
 
 @dataclass(frozen=True)
 class DriftTechnique:
+    """A drift kind with its interpolation weight ``lambda_`` (the spec's
+    ``lambda``) or its truncation depth ``N`` (the spec's ``drift_N``)."""
+
     kind: str = "none"
     lambda_: float | None = None
     N: int | None = None
@@ -44,13 +48,11 @@ class DriftTechnique:
         if self.kind not in SCHEDULE:
             raise ValueError(f"unknown drift technique {self.kind!r}")
         if self.kind in INTERPOLATING:
-            if self.lambda_ is None or not 0.0 <= self.lambda_ <= 1.0:
-                raise ValueError("interpolating techniques need lambda in [0, 1]")
+            check(**{"lambda": self.lambda_})
         elif self.lambda_ is not None:
             raise ValueError(f"lambda is meaningless for {self.kind}")
         if self.kind in TRUNCATING:
-            if self.N is None or self.N < 1:
-                raise ValueError("truncating techniques need N >= 1")
+            check(drift_N=self.N)
         elif self.N is not None:
             raise ValueError(f"N is meaningless for {self.kind}")
 
@@ -97,8 +99,7 @@ def truncated_rerank(method_scores: ScoredRanking, query_p: np.ndarray,
 
     The retrieved set is unchanged; only its internal order moves.
     """
-    if n < 1:
-        raise ValueError("N must be >= 1")
+    check(drift_N=n)
     kept = method_scores.doc_ids[:n]
     q = query_p[kept]
     # kept is in rank order, not id order, so ties need the ids as a key
@@ -108,8 +109,7 @@ def truncated_rerank(method_scores: ScoredRanking, query_p: np.ndarray,
 
 def iterated_truncation(scores: ScoredRanking, n: int) -> ScoredRanking:
     """Zero every score below rank N; the top-N order is untouched."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
+    check(drift_N=n)
     tail = np.sort(scores.doc_ids[n:])
     return ScoredRanking(np.concatenate([scores.doc_ids[:n], tail]),
                          np.concatenate([scores.scores[:n], np.zeros(len(tail))]))

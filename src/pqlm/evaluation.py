@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import ParseError, left_sum, read_text
+from .params import check
 
 
 def _check_unique(run: Sequence[str]) -> None:
@@ -230,8 +231,7 @@ def evaluate_run(run: dict[str, list[str]], qrels: Qrels, n: int = 1000) -> Eval
     not, that lists a docno twice at any rank is a ParseError naming the
     query.
     """
-    if n < 1:
-        raise ValueError("depth must be >= 1")
+    check(depth=n)
     if not qrels.judges_any(run):
         raise ValueError("no query of the run is in the qrels")
     per_ap: dict[str, float] = {}
@@ -279,36 +279,11 @@ def format_report(reports: dict[str, EvalReport]) -> str:
     (or recalls) differ from the first system's per the two-sided Wilcoxon
     test at level 0.95.
     """
-    return format_multi_report({"": reports})
-
-
-def format_multi_report(corpora: dict[str, dict[str, EvalReport]]) -> str:
-    """Systems down the rows, (prec, recall) column pair per corpus; the
-    first system listed is the baseline of the stars."""
-    names: list[str] = []
-    for reports in corpora.values():
-        for name in reports:
-            if name not in names:
-                names.append(name)
-    baseline = names[0] if names else None
-    width = max(len("system"), *(len(n) for n in names)) if names else 8
-    header = f"{'system':<{width}}"
-    for corpus_name in corpora:
-        tag = f" {corpus_name}" if corpus_name else ""
-        header += f"  {'prec' + tag:>14}  {'recall' + tag:>14}"
-    lines = [header]
-    for name in names:
-        row = f"{name:<{width}}"
-        for reports in corpora.values():
-            rep = reports.get(name)
-            if rep is None:
-                row += f"  {'-':>14}  {'-':>14}"
-                continue
-            base = reports.get(baseline)
-            stars = ("", "")
-            if base is not None and name != baseline:
-                stars = _stars(rep, base)
-            row += (f"  {rep.mean_ap * 100:>12.2f}%{stars[0]:1}"
-                    f"  {rep.recall_micro * 100:>12.2f}%{stars[1]:1}")
-        lines.append(row.rstrip())
+    width = max(len("system"), *map(len, reports)) if reports else 8
+    lines = [f"{'system':<{width}}  {'prec':>14}  {'recall':>14}"]
+    baseline = next(iter(reports), None)
+    for name, rep in reports.items():
+        stars = _stars(rep, reports[baseline]) if name != baseline else ("", "")
+        lines.append(f"{name:<{width}}  {rep.mean_ap * 100:>12.2f}%{stars[0]:1}"
+                     f"  {rep.recall_micro * 100:>12.2f}%{stars[1]:1}".rstrip())
     return "\n".join(lines)

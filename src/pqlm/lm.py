@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .corpus import Corpus, left_sum, load_doc_id_rows, save_doc_id_rows, split_at
+from .params import check
 
 log = logging.getLogger(__name__)
 
@@ -53,8 +54,7 @@ def log_rendition(owner, text: tuple[np.ndarray, np.ndarray], mu: float,
     and ``bincount`` sums them per renderer in term-id (sorted term) order
     from 0.0.  O(|x| + sum of the text terms' df).
     """
-    if not 0 < mu < math.inf:
-        raise ValueError(f"rendition scoring requires mu > 0 and finite, got mu={mu}")
+    check(mu=mu)
     term_ids, cnts = (a.tolist() for a in text)
     xlen = left_sum(text[1]) if length is None else float(length)
     if xlen == 0:
@@ -85,9 +85,12 @@ def _store_deviations(owner, memo: dict, mu: float, term_ids: list[int],
                       counts: list[np.ndarray]) -> None:
     """Store each term's (background, read-only deviations) in `memo`, the
     deviations of all terms from one ``np.log``; `counts` are the terms'
-    posting counts on `owner`."""
+    posting counts on `owner`.  A mu so small that a term's mu * p(w | C)
+    is 0.0 has no background logarithm: a ValueError."""
     sizes = [len(c) for c in counts]
     scaled = mu * owner._collection_probs[term_ids]
+    if not scaled.all():
+        raise ValueError(f"mu={mu} is too small: mu * p(w | C) is 0.0 for some w")
     backgrounds = [math.log(s) for s in scaled.tolist()]
     logs = np.log(np.concatenate(counts) + np.repeat(scaled, sizes))
     logs -= np.repeat(backgrounds, sizes)
@@ -180,8 +183,7 @@ def precompute_neighbors(corpus: Corpus, k_max: int, mu: float,
     if k_max > n:
         log.warning("k_max=%d exceeds corpus size %d; clamped", k_max, n)
         k_max = n
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    check(k_max=k_max, mu=mu)
 
     def one(doc_id: int) -> list[int]:
         return top_renderers(corpus, corpus.text(doc_id), k_max, mu)[0].tolist()

@@ -5,7 +5,6 @@ round-1 privileged spread, and TREC run emission.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +13,7 @@ from .clustering import ClusterIndex
 from .corpus import Corpus, Query
 from .drift import DriftTechnique
 from .lm import log_rendition_docs
+from .params import check
 from .scoring import PseudoQueryList, ScoredRanking, score_mccluster, score_mcdoc, score_vdoc
 
 log = logging.getLogger(__name__)
@@ -44,15 +44,12 @@ class RunConfig:
             object.__setattr__(self, "alpha1", self.alpha)
         if self.m is None:
             object.__setattr__(self, "m", 2 * self.alpha)
-        for name in ("alpha", "alpha1", "alpha_cluster", "beta", "T", "N"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check(alpha=self.alpha, alpha1=self.alpha1, alpha_cluster=self.alpha_cluster,
+              beta=self.beta, T=self.T, N=self.N, mu=self.mu)
+        if self.delta is not None:
+            check(delta=self.delta)
         if self.method == "mcdoc" and self.m <= self.alpha:
             raise ValueError(f"m={self.m} must exceed alpha={self.alpha}")
-        if self.delta is not None and self.delta < 1:
-            raise ValueError("delta must be >= 1")
-        if not 0 < self.mu < math.inf:
-            raise ValueError(f"mu must be a positive finite number, got mu={self.mu}")
         if self.T > 10:
             log.warning("T=%d rounds; the iteration count is meant to stay small",
                         self.T)

@@ -25,6 +25,7 @@ import numpy as np
 from .clustering import ClusterIndex, cluster_membership
 from .corpus import Corpus, _frozen
 from .lm import QUERY_ID, log_rendition, ranked_order, top_k, top_renderers
+from .params import check
 
 
 @dataclass
@@ -140,8 +141,7 @@ def score_vdoc(pq: PseudoQueryList, alpha: int, corpus: Corpus, mu: float,
     same ``mu``.
     """
     n = corpus.n_docs
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
+    check(alpha=alpha)
     if np.shape(query_p) != (n,):
         raise ValueError(f"query_p needs one value per document ({n})")
     matched_rank = np.full(n, n + 1, dtype=int)

@@ -156,6 +156,13 @@ class TestRocchio:
                            gamma=0.5, n=2)
         assert len(out) == 2
 
+    def test_gamma_whose_scores_overflow(self):
+        corpus = build_corpus([("A", "q" + " w" * 10), ("B", "q"), ("C", "x")],
+                              PreprocessOptions())
+        # w's centroid weight is (1 + ln 10) * ln 3 > 3, so gamma times it overflows
+        with pytest.raises(ValueError, match=r"gamma=1e\+308 is too large"):
+            rocchio_rank(Query("q", ["q"]), corpus, k1=1, t=1, gamma=1e308, n=3)
+
 
 class TestRelevanceModel:
     def test_k1_one_is_single_smoothed_model(self, tiny_corpus):

@@ -752,23 +752,93 @@ method = rocchio
                            f"{tmp_path / 'out' / run_file}: two points of the spec write")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("method, key, value", [
-        ("baseline", "N", "0"), ("baseline", "mu", "0"),
-        ("rocchio", "k1", "0"), ("rocchio", "t", "-1"), ("rocchio", "gamma", "-0.5"),
-        ("relevance_model", "lambda_r", "1"), ("relevance_model", "lambda_r", "0"),
-        ("relevance_model", "clip_k", "-1"), ("relevance_model", "mu", "-inf"),
-        ("rocchio", "gamma", "inf"),
-    ])
-    def test_bad_feedback_value_writes_no_run_file(self, tmp_path, capsys, method, key, value):
-        # the good baseline system comes first: no run file may be written for it
+    # (method, key, value, other keys of the system, the error after "<key> must be ")
+    _OUT_OF_RANGE = [
+        ("baseline", "N", "0", "", ">= 1, got N=0"),
+        ("baseline", "mu", "0", "", "a positive finite number, got mu=0.0"),
+        ("rocchio", "k1", "0", "", ">= 1, got k1=0"),
+        ("rocchio", "t", "-1", "", ">= 0, got t=-1"),
+        ("rocchio", "gamma", "-0.5", "", "a finite number >= 0, got gamma=-0.5"),
+        ("relevance_model", "lambda_r", "1", "", "strictly between 0 and 1, got lambda_r=1.0"),
+        ("relevance_model", "lambda_r", "0", "", "strictly between 0 and 1, got lambda_r=0.0"),
+        ("relevance_model", "clip_k", "-1", "", ">= 0, got clip_k=-1"),
+        ("relevance_model", "mu", "-inf", "", "a positive finite number, got mu=-inf"),
+        ("rocchio", "gamma", "inf", "", "a finite number >= 0, got gamma=inf"),
+        ("mcdoc", "alpha", "0", "", ">= 1, got alpha=0"),
+        ("vdoc", "alpha1", "-2", "", ">= 1, got alpha1=-2"),
+        ("mccluster", "alpha_cluster", "0", "", ">= 1, got alpha_cluster=0"),
+        ("mccluster", "beta", "0", "", ">= 1, got beta=0"),
+        ("mccluster", "delta", "0", "", ">= 1, got delta=0"),
+        ("vdoc", "T", "0", "", ">= 1, got T=0"),
+        ("mcdoc", "mu", "nan", "", "a positive finite number, got mu=nan"),
+        ("mcdoc", "lambda", "1.5", "drift = interpolation", "in [0, 1], got lambda=1.5"),
+        ("mcdoc", "drift_N", "0", "drift = truncated_rerank\nN = 5",
+         ">= 1, got drift_N=0"),
+        # a truncating point without drift_N truncates at N
+        ("mcdoc", "N", "0", "drift = iterated_truncation", ">= 1, got N=0"),
+    ]
+
+    @pytest.mark.parametrize("method, key, value, keys, message", [
+        pytest.param(*case, id="-".join(case[:3])) for case in _OUT_OF_RANGE])
+    def test_bad_feedback_value_writes_no_run_file(self, tmp_path, capsys, method, key, value,
+                                                   keys, message):
+        # every key a spec carries; the good baseline system comes first: no
+        # run file may be written for it
         spec = baseline_spec(tmp_path, f"""
 [system]
 name = bad
 method = {method}
+{keys}
 {key} = {value}
 """)
-        _assert_data_error(main(["run", str(spec)]), capsys, f"{key} must be")
+        assert main(["run", str(spec)]) == 2
+        assert capsys.readouterr().err == f"pqlm: system 'bad': {key} must be {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["baseline", "mcdoc", "relevance_model"])
+    def test_mu_whose_background_underflows_is_data_error(self, tmp_path, capsys, method):
+        # p(y | C) = 1/5001, and 1e-320 / 5001 rounds to 0.0, which has no log
+        doc = tmp_path / "long.trec"
+        doc.write_text(f"<DOC><DOCNO>A</DOCNO><TEXT>{'x ' * 4999}y</TEXT></DOC>"
+                       "<DOC><DOCNO>B</DOCNO><TEXT>x</TEXT></DOC>")
+        index, topics = tmp_path / "index.json", tmp_path / "topics.txt"
+        assert main(["index", str(doc), "-o", str(index)]) == 0
+        topics.write_text("<top><num> 1 <title> y </top>")
+        capsys.readouterr()
+        message = "pqlm: mu=1e-320 is too small: mu * p(w | C) is 0.0 for some w\n"
+        spec = write_spec(tmp_path, f"""\
+index = {index}
+topics = {topics}
+output = out
+
+[system]
+name = tiny
+method = {method}
+mu = 1e-320
+""")
+        assert main(["run", str(spec)]) == 2
+        assert capsys.readouterr().err == message
+        assert main(["neighbors", "--index", str(index), "-o", str(tmp_path / "n.json"),
+                     "--k-max", "1", "--mu", "1e-320"]) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "n.json").exists()
+
+    def test_rocchio_overflowing_gamma_is_one_line(self, tmp_path, capsys):
+        # the expanded query's scores overflow: one line naming gamma, and no
+        # numpy RuntimeWarning, which the test configuration makes an error
+        spec = write_spec(tmp_path, f"""\
+corpus = {DATA / 'micro.trec'}
+topics = {DATA / 'micro_topics.txt'}
+output = out
+
+[system]
+name = loud
+method = rocchio
+gamma = 1e308
+""")
+        assert main(["run", str(spec)]) == 2
+        assert capsys.readouterr().err == (
+            "pqlm: gamma=1e+308 is too large: an expanded-query score is not finite\n")
 
     def test_topics_decode_with_replacement(self, tmp_path, capsys):
         topics = tmp_path / "topics.txt"
@@ -1334,8 +1404,8 @@ method = {method}
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("method, key, value, message", [
-        ("mcdoc", "N", "0", "N must be >= 1"),
-        ("vdoc", "drift", "interpolation", "interpolating techniques need lambda in [0, 1]"),
+        ("mcdoc", "N", "0", "N must be >= 1, got N=0"),
+        ("vdoc", "drift", "interpolation", "lambda must be in [0, 1], got lambda=None"),
         ("rocchio", "t", "-1", "t must be >= 0, got t=-1"),
         ("relevance_model", "lambda_r", "1",
          "lambda_r must be strictly between 0 and 1, got lambda_r=1.0"),

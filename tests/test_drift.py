@@ -52,7 +52,7 @@ class TestTechniqueValidation:
         DriftTechnique("iterated_truncation", N=10)
         with pytest.raises(ValueError, match="N"):
             DriftTechnique("interpolation", lambda_=0.2, N=10)
-        with pytest.raises(ValueError, match="N >= 1"):
+        with pytest.raises(ValueError, match="drift_N must be >= 1, got drift_N=0"):
             DriftTechnique("iterated_rerank", N=0)
 
     def test_none_takes_no_params(self):

@@ -193,25 +193,6 @@ class TestFilesAndReports:
         assert "20.00%" in lines[1]
         assert "70.00%*" in lines[2]
 
-    def test_multi_corpus_report_layout(self):
-        from pqlm.evaluation import EvalReport, format_multi_report
-
-        ap = {str(i): 0.5 for i in range(6)}
-        rep = EvalReport(ap, dict(ap), 0.5, 0.6, 0.6)
-        table = format_multi_report({"apx": {"sys": rep}, "lafr": {"sys": rep}})
-        header, row = table.splitlines()
-        assert "prec apx" in header and "recall lafr" in header
-        assert row.count("50.00%") == 2 and row.count("60.00%") == 2
-
-    def test_missing_system_in_one_corpus(self):
-        from pqlm.evaluation import EvalReport, format_multi_report
-
-        ap = {str(i): 0.5 for i in range(6)}
-        rep = EvalReport(ap, dict(ap), 0.5, 0.6, 0.6)
-        table = format_multi_report({"a": {"s1": rep, "s2": rep},
-                                     "b": {"s1": rep}})
-        assert "-" in table.splitlines()[2]
-
 
 # -- parse_run against a literal reference --------------------------------
 

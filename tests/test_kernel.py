@@ -154,8 +154,14 @@ class TestKernel:
 
     @pytest.mark.parametrize("mu", [0.0, -1.0])
     def test_non_positive_mu(self, tiny_corpus, mu):
-        with pytest.raises(ValueError, match="requires mu > 0"):
+        with pytest.raises(ValueError, match=f"mu must be a positive finite number, got mu={mu}"):
             log_rendition_docs(tiny_corpus, as_text(tiny_corpus, {"a": 1}), mu)
+
+    def test_mu_whose_background_underflows(self, tiny_corpus):
+        # p(a | C) = 0.4, and 5e-324 * 0.4 rounds to 0.0, which has no log
+        with pytest.raises(ValueError, match=r"mu=5e-324 is too small: "
+                                             r"mu \* p\(w \| C\) is 0.0 for some w"):
+            log_rendition_docs(tiny_corpus, as_text(tiny_corpus, {"a": 1}), 5e-324)
 
     @pytest.mark.parametrize("text", [{}, {"a": 0}])
     def test_empty_text(self, tiny_corpus, text):
