@@ -17,7 +17,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import baselines
-from .clustering import ClusterIndex, build_clusters
+from .clustering import ClusterIndex, build_clusters, check_delta
 from .corpus import (
     Corpus,
     ParseError,
@@ -27,7 +27,7 @@ from .corpus import (
     parse_topics,
     parse_trec,
 )
-from .drift import INTERPOLATING, TRUNCATING, DriftTechnique
+from .drift import KINDS, DriftTechnique
 from .evaluation import Qrels, evaluate_run, format_report, parse_run
 from .experiment import SystemSpec, parse_spec
 from .lm import NeighborIndex, precompute_neighbors
@@ -58,8 +58,8 @@ system section keys (RunConfig fields) and defaults:
   m              re-scaling pool (mcdoc only), must exceed alpha (default 2*alpha)
   T              rounds (default 1)
   mu             Dirichlet smoothing parameter (default 2000)
-  drift          none | interpolation | truncated_rerank | iterated_truncation |
-                 iterated_rerank | iterated_interpolation (default none)
+  drift          drift kind and the key it reads (default none):
+""" + "".join(f"{'':19}{kind:24}{row[1] or ''}".rstrip() + "\n" for kind, row in KINDS.items()) + """\
   lambda         interpolation weight in [0,1]
   drift_N        drift cutoff of the truncating techniques (default: N)
                  a system may grid over drift kinds; a point ignores lambda or
@@ -250,22 +250,19 @@ def _naming(system: SystemSpec):
 def _make_run_config(system: SystemSpec, point: dict[str, str]) -> RunConfig:
     """The RunConfig of one grid point of an iterative system; the drift
     kinds its grid takes decide which drift keys a point reads."""
-    grid_drifts = system.params.get("drift", ["none"])
     raw = dict(point)
     drift_kind = raw.pop("drift", "none")
     params = _typed(raw)
-    lambda_ = params.pop("lambda", None)
-    drift_n = params.pop("drift_N", None)
+    values = {key: params.pop(key, None) for key in ("lambda", "drift_N")}
+    own = KINDS[drift_kind][1] if drift_kind in KINDS else None
     # one key set serves every drift kind in the grid, so a point drops a
     # key its kind does not read if another kind in the grid reads it
-    if drift_kind not in INTERPOLATING and set(grid_drifts) & set(INTERPOLATING):
-        lambda_ = None
-    if drift_kind in TRUNCATING:
-        if drift_n is None:
-            drift_n = params.get("N", RunConfig.N)
-    elif set(grid_drifts) & set(TRUNCATING):
-        drift_n = None
-    drift = DriftTechnique(drift_kind, lambda_, drift_n)
+    for kind in system.params.get("drift", ["none"]):
+        if kind in KINDS and KINDS[kind][1] not in (None, own):
+            values[KINDS[kind][1]] = None
+    if own == "drift_N" and values[own] is None:
+        values[own] = params.get("N", RunConfig.N)
+    drift = DriftTechnique(drift_kind, values["lambda"], values["drift_N"])
     return RunConfig(method=system.method, drift=drift, **params)
 
 
@@ -330,35 +327,30 @@ def _configure(spec, spec_path, corpus, system: SystemSpec, point: dict[str, str
     at call time, so a rebound module attribute is used."""
     method = system.method
     keys = _BASELINES[method][1] if method in _BASELINES else _ITERATIVE_KEYS
-    unknown = set(point) - set(keys)
-    if unknown:
-        raise ParseError(f"system {system.name!r}: invalid parameters "
-                         f"for {method}: {', '.join(sorted(unknown))}")
-    if method in _BASELINES:
-        function, defaults = _BASELINES[method]
-        with _naming(system):
-            params = {**defaults, **_typed(point)}
-        return (lambda query: getattr(baselines, function)(query, corpus, *params.values()),
-                params["N"])
-    with _naming(system):
-        config = _make_run_config(system, point)
     cluster_index = None
-    if method == "mccluster":
-        # one cluster index per (delta, mu), kept in `cluster_indexes` for the
-        # other points: it and its memos depend only on the text, delta and mu
-        delta = config.resolved_delta(corpus)
-        key = (delta, config.mu)
-        if key not in cluster_indexes:
-            if spec.clusters:
-                index = ClusterIndex.load(_rel(spec_path, spec.clusters), corpus)
-            else:
-                neighbors = (NeighborIndex.load(_rel(spec_path, spec.neighbors), corpus,
-                                                mu=config.mu)
+    with _naming(system):
+        if unknown := set(point) - set(keys):
+            raise ValueError(f"invalid parameters for {method}: {', '.join(sorted(unknown))}")
+        if method in _BASELINES:
+            function, defaults = _BASELINES[method]
+            params = {**defaults, **_typed(point)}
+            return (lambda query: getattr(baselines, function)(query, corpus, *params.values()),
+                    params["N"])
+        config = _make_run_config(system, point)
+        if method == "mccluster":
+            # one cluster index per (delta, mu), kept in `cluster_indexes` for the
+            # other points: it and its memos depend only on the text, delta and
+            # mu; a delta the corpus cannot fill is refused before any pass
+            delta = config.resolved_delta(corpus)
+            check_delta(delta, corpus)
+            key = (delta, config.mu)
+            if key not in cluster_indexes and spec.clusters:
+                cluster_indexes[key] = ClusterIndex.load(_rel(spec_path, spec.clusters), corpus)
+            elif key not in cluster_indexes:
+                neighbors = (NeighborIndex.load(_rel(spec_path, spec.neighbors), corpus, mu=config.mu)
                              if spec.neighbors else precompute_neighbors(corpus, delta, config.mu))
-                index = build_clusters(corpus, delta, neighbors)
-            cluster_indexes[key] = index
-        cluster_index = cluster_indexes[key]
-        with _naming(system):
+                cluster_indexes[key] = build_clusters(corpus, delta, neighbors)
+            cluster_index = cluster_indexes[key]
             check_cluster_index(cluster_index, config, corpus)
     return lambda query: run_retrieval(query, config, corpus, cluster_index), config.N
 

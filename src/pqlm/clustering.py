@@ -177,10 +177,15 @@ class ClusterIndex:
         return cls(members, corpus, mu, delta)
 
 
-def build_clusters(corpus: Corpus, delta: int, neighbors: NeighborIndex) -> ClusterIndex:
-    """One cluster per document: the seed's top-delta renderers."""
+def check_delta(delta: int, corpus: Corpus) -> None:
+    """A cluster size the corpus can fill: ValueError otherwise."""
     if not 1 <= delta <= corpus.n_docs:
         raise ValueError(f"delta={delta} outside 1..{corpus.n_docs}")
+
+
+def build_clusters(corpus: Corpus, delta: int, neighbors: NeighborIndex) -> ClusterIndex:
+    """One cluster per document: the seed's top-delta renderers."""
+    check_delta(delta, corpus)
     if delta > neighbors.k_max:
         raise ValueError(
             f"delta={delta} exceeds precomputed k_max={neighbors.k_max}; "

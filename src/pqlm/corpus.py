@@ -258,6 +258,8 @@ class Corpus:
             entries = [(e["docno"], e["counts"]) for e in payload["documents"]]
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ParseError(f"{path}: malformed index payload: {exc}") from exc
+        if not entries:  # `pqlm index` writes none: nothing to score against
+            raise ParseError(f"{path}: the index has no documents")
         # the rows trust their input: hold a loaded index to what ingestion
         # guarantees
         seen, collection_length = set(), 0

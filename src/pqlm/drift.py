@@ -1,7 +1,7 @@
 """Query-drift prevention: pure transformations of a round's ranking against
 ``query_p``, the query's rendition probability per doc id (scored once per
-run), and the schedule that says when each technique applies them.  Each
-transform is O(N) array work plus one sort.
+run), and :data:`KINDS`, the one table of when each technique applies them
+and what it reads.  Each transform is O(N) array work plus one sort.
 
 Two techniques touch only the final round (interpolation, truncated
 re-rank); the iterated variants reuse the same transforms at the end of
@@ -20,19 +20,18 @@ from .scoring import ScoredRanking
 
 log = logging.getLogger(__name__)
 
-# kind -> (acts after every round rather than once after the last,
-# transform(ranking, query_p, technique)); the lambdas look the
-# transforms up by name at call time, so a rebound module attribute is used
-SCHEDULE = {
-    "none": (False, None),
-    "interpolation": (False, lambda r, q, t: interpolate(r, q, t.lambda_)),
-    "truncated_rerank": (False, lambda r, q, t: truncated_rerank(r, q, t.N)),
-    "iterated_truncation": (True, lambda r, q, t: iterated_truncation(r, t.N)),
-    "iterated_rerank": (True, lambda r, q, t: truncated_rerank(r, q, t.N)),
-    "iterated_interpolation": (True, lambda r, q, t: interpolate(r, q, t.lambda_)),
+# kind -> (acts after every round rather than once after the last, the spec
+# key of the value it reads or None, whether it reads query_p,
+# transform(ranking, query_p, value)); the lambdas look the transforms up by
+# name at call time, so a rebound module attribute is used
+KINDS = {
+    "none": (False, None, False, None),
+    "interpolation": (False, "lambda", True, lambda r, q, v: interpolate(r, q, v)),
+    "truncated_rerank": (False, "drift_N", True, lambda r, q, v: truncated_rerank(r, q, v)),
+    "iterated_truncation": (True, "drift_N", False, lambda r, q, v: iterated_truncation(r, v)),
+    "iterated_rerank": (True, "drift_N", True, lambda r, q, v: truncated_rerank(r, q, v)),
+    "iterated_interpolation": (True, "lambda", True, lambda r, q, v: interpolate(r, q, v)),
 }
-INTERPOLATING = ("interpolation", "iterated_interpolation")
-TRUNCATING = ("truncated_rerank", "iterated_truncation", "iterated_rerank")
 
 
 @dataclass(frozen=True)
@@ -45,32 +44,33 @@ class DriftTechnique:
     N: int | None = None
 
     def __post_init__(self):
-        if self.kind not in SCHEDULE:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown drift technique {self.kind!r}")
-        if self.kind in INTERPOLATING:
-            check(**{"lambda": self.lambda_})
-        elif self.lambda_ is not None:
-            raise ValueError(f"lambda is meaningless for {self.kind}")
-        if self.kind in TRUNCATING:
-            check(drift_N=self.N)
-        elif self.N is not None:
-            raise ValueError(f"N is meaningless for {self.kind}")
+        for key, value in self._values().items():
+            if key == KINDS[self.kind][1]:
+                check(**{key: value})
+            elif value is not None:
+                raise ValueError(f"{key} is meaningless for {self.kind}")
+
+    def _values(self) -> dict:
+        """The technique's values by spec key."""
+        return {"lambda": self.lambda_, "drift_N": self.N}
 
     @property
     def reads_query(self) -> bool:
         """Whether ``apply`` reads ``query_p``; when it does not, callers
         need not score the query against every document."""
-        return self.kind not in ("none", "iterated_truncation")
+        return KINDS[self.kind][2]
 
     def apply(self, ranking: ScoredRanking, query_p: np.ndarray | None,
               final: bool) -> ScoredRanking:
         """The ranking after this technique's step: called on every round's
         ranking with final=False and once more after the last round with
         final=True."""
-        per_round, transform = SCHEDULE[self.kind]
+        per_round, key, _, transform = KINDS[self.kind]
         if transform is None or per_round == final:
             return ranking
-        return transform(ranking, query_p, self)
+        return transform(ranking, query_p, self._values()[key])
 
 
 def interpolate(method_scores: ScoredRanking, query_p: np.ndarray,

@@ -51,8 +51,8 @@ def log_rendition(owner, text: tuple[np.ndarray, np.ndarray], mu: float,
     (a cluster index derives their postings in one pass), and their
     deviations come from one ``np.log`` over their concatenated posting
     counts.  Each call weights the gathered deviations by the text counts
-    and ``bincount`` sums them per renderer in term-id (sorted term) order
-    from 0.0.  O(|x| + sum of the text terms' df).
+    and :func:`credit_sums` adds them per renderer in term-id (sorted term)
+    order from 0.0.  O(|x| + sum of the text terms' df).
     """
     check(mu=mu)
     term_ids, cnts = (a.tolist() for a in text)
@@ -72,13 +72,31 @@ def log_rendition(owner, text: tuple[np.ndarray, np.ndarray], mu: float,
         base += cnt * background
         ids.append(renderers)
         deviations.append(deviation)
-    weights = np.concatenate(deviations)
-    weights *= np.repeat(np.array(cnts, dtype=float), [len(i) for i in ids])
     # "+ base" also makes floats of bincount's integer zeros when no posting exists
-    out = np.bincount(np.concatenate(ids), weights=weights, minlength=len(owner)) + base
+    out = credit_sums(len(owner), ids, deviations, cnts) + base
     out -= xlen * np.log(owner.lengths() + mu)
     out /= xlen
     return out
+
+
+def credit_sums(n: int, ids: list[np.ndarray], credits: list[np.ndarray],
+                weights, norms=None) -> np.ndarray:
+    """Length-n sums of ``weights[j] * (credits[j] / norms[j])`` at ``ids[j]``.
+
+    One ``np.bincount`` over the concatenated lists, which adds in input
+    order from 0.0 and makes each product with the same IEEE operations, so
+    every sum is bit-equal to one ``out[ids[j]] += ...`` per list j in list
+    order (the ids of one list are distinct).  ``norms=None`` divides by
+    nothing.  The products are made in place in the concatenated credits.
+    """
+    if not ids:
+        return np.zeros(n)
+    sizes = [len(a) for a in ids]
+    credit = np.concatenate(credits)
+    if norms is not None:
+        credit /= np.repeat(norms, sizes)
+    credit *= np.repeat(np.asarray(weights, float), sizes)
+    return np.bincount(np.concatenate(ids), credit, minlength=n)
 
 
 def _store_deviations(owner, memo: dict, mu: float, term_ids: list[int],
@@ -179,11 +197,11 @@ def precompute_neighbors(corpus: Corpus, k_max: int, mu: float,
     Per-document results are independent, so the computation may fan out
     over threads without affecting the (deterministic) output.
     """
+    check(k_max=k_max, mu=mu)
     n = corpus.n_docs
     if k_max > n:
         log.warning("k_max=%d exceeds corpus size %d; clamped", k_max, n)
         k_max = n
-    check(k_max=k_max, mu=mu)
 
     def one(doc_id: int) -> list[int]:
         return top_renderers(corpus, corpus.text(doc_id), k_max, mu)[0].tolist()

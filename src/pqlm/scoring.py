@@ -6,9 +6,10 @@ current round) and produce a deterministic total order over documents.
 Computation is repertoire-driven: each pseudo-query's top-renderer list is
 computed once and inverted into per-document credits, which matches the
 per-document definitions exactly while touching only active pseudo-queries.
-The sums of ``mcdoc`` and of each ``mccluster`` phase are one ``bincount``
-over the concatenated lists (:func:`_credit_sums`): it adds in input order
-from 0.0, so every score is the same float sum as one ``+=`` per list.
+The sums of ``mcdoc`` and of each ``mccluster`` phase are one
+:func:`~pqlm.lm.credit_sums`, a ``bincount`` over the concatenated lists:
+it adds in input order from 0.0, so every score is the same float sum as
+one ``+=`` per list.
 A document pseudo-query is its own text, so its top renderers do not depend
 on the query that surfaced it: each document pseudo-query is scored once per
 run (per mu and list length), memoised on the corpus or cluster index, and
@@ -24,7 +25,7 @@ import numpy as np
 
 from .clustering import ClusterIndex, cluster_membership
 from .corpus import Corpus, _frozen
-from .lm import QUERY_ID, log_rendition, ranked_order, top_k, top_renderers
+from .lm import QUERY_ID, credit_sums, log_rendition, ranked_order, top_k, top_renderers
 from .params import check
 
 
@@ -159,33 +160,13 @@ def score_vdoc(pq: PseudoQueryList, alpha: int, corpus: Corpus, mu: float,
     return ScoredRanking.from_dense(scores)
 
 
-def _credit_sums(n: int, ids: list[np.ndarray], credits: list[np.ndarray],
-                 weights, norms=None) -> np.ndarray:
-    """Length-n sums of ``weights[j] * (credits[j] / norms[j])`` at ``ids[j]``.
-
-    One ``np.bincount`` over the concatenated lists, which adds in input
-    order from 0.0 and makes each product with the same IEEE operations, so
-    every sum is bit-equal to one ``out[ids[j]] += ...`` per list j in list
-    order (the ids of one list are distinct).  ``norms=None`` divides by
-    nothing.
-    """
-    if not ids:
-        return np.zeros(n)
-    sizes = [len(a) for a in ids]
-    credit = np.concatenate(credits)
-    if norms is not None:
-        credit = credit / np.repeat(norms, sizes)
-    return np.bincount(np.concatenate(ids), np.repeat(weights, sizes) * credit,
-                       minlength=n)
-
-
 def score_mcdoc(pq: PseudoQueryList, alpha: int, m: int, corpus: Corpus,
                 mu: float, query_p: np.ndarray | None = None) -> ScoredRanking:
     """Credit each document for every pseudo-query it is a top renderer of.
 
     score(d) = sum over pseudo-queries q in d's repertoire of
     w(q) * p(q | d) / N(q), where N(q) sums the rendition probabilities of
-    q's top-m renderers.  The sums are one :func:`_credit_sums` over the
+    q's top-m renderers.  The sums are one :func:`credit_sums` over the
     active pseudo-queries' top-alpha lists in rank order, so results are
     bit-stable.  Round 1 reads the query's p(q | d) off ``query_p``, which
     holds one value per document and must be smoothed with the same ``mu``.
@@ -196,7 +177,7 @@ def score_mcdoc(pq: PseudoQueryList, alpha: int, m: int, corpus: Corpus,
         raise ValueError(f"query_p needs one value per document ({corpus.n_docs})")
     active = list(pq.active())
     pools = [_top_rendered(item, m, corpus, mu, query_p) for item, _w in active]
-    scores = _credit_sums(corpus.n_docs, [pool[:alpha] for pool, _ in pools],
+    scores = credit_sums(corpus.n_docs, [pool[:alpha] for pool, _ in pools],
                           [probs[:alpha] for _, probs in pools], [w for _, w in active],
                           [float(probs.sum()) for _, probs in pools])
     return ScoredRanking.from_dense(scores)
@@ -247,19 +228,19 @@ def score_mccluster(pq: PseudoQueryList, alpha_cluster: int, beta: int, corpus: 
     normalized over all clusters containing the pseudo-query.  Phase 2
     converts cluster scores into document scores by crediting each document
     for every scored cluster it is a top-beta renderer of, restricted to
-    the clusters it belongs to.  Each phase is one :func:`_credit_sums`,
+    the clusters it belongs to.  Each phase is one :func:`credit_sums`,
     over the pseudo-queries in rank order and then over the scored
     clusters in ascending id order.
     """
     active = list(pq.active())
     credits = [_cluster_credits(item, alpha_cluster, cluster_index, query_counts)
                for item, _w in active]
-    cscores = _credit_sums(len(cluster_index), [ids for ids, _ in credits],
+    cscores = credit_sums(len(cluster_index), [ids for ids, _ in credits],
                            [credit for _, credit in credits], [w for _, w in active])
 
     cids = np.flatnonzero(cscores)
     ranked = [cluster_index.member_rendition(cid, corpus) for cid in cids.tolist()]
-    dscores = _credit_sums(corpus.n_docs, [members[:beta] for members, _, _ in ranked],
+    dscores = credit_sums(corpus.n_docs, [members[:beta] for members, _, _ in ranked],
                            [probs[:beta] for _, probs, _ in ranked],
                            cscores[cids], [norm for _, _, norm in ranked])
     return ScoredRanking.from_dense(dscores)

@@ -22,8 +22,8 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .corpus import Corpus
-from .lm import QUERY_ID
+from pqlm.corpus import Corpus
+from pqlm.lm import QUERY_ID
 
 MAX_DOCS = 64
 MAX_VOCAB = 32

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from conftest import as_text, doc_counts, query_probs, random_corpus, term_probs
 from pqlm import (
     DriftTechnique,
@@ -32,7 +33,6 @@ from pqlm import (
     truncated_rerank,
     wilcoxon_two_sided,
 )
-from pqlm import oracles
 from pqlm.cli import main as cli_main
 from pqlm.corpus import Query, parse_topics, parse_trec
 from pqlm.evaluation import Qrels, evaluate_run, parse_run, _exact_p, _midranks, _normal_p

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import as_text, collection_counts, doc_counts, random_corpus, random_mu
 from pqlm import (
     PreprocessOptions,
@@ -11,7 +12,6 @@ from pqlm import (
     relevance_model_rank,
     rocchio_rank,
 )
-from pqlm import oracles
 from pqlm.baselines import _model_length, estimate_relevance_model
 from pqlm.corpus import Corpus, Query
 from pqlm.lm import log_rendition_docs, ranked_order

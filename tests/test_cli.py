@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqlm.cli import main
+from pqlm.drift import KINDS
 from pqlm.evaluation import Qrels, evaluate_run, parse_run
 
 DATA = Path(__file__).parent / "data"
@@ -238,6 +239,22 @@ class TestArtifactChecks:
         capsys.readouterr()
         _rewrite(paths["index"], lambda p: p["documents"][0].update(counts={}))
         _assert_data_error(self._neighbors(paths), capsys, "needs positive integer counts")
+
+    def test_index_without_documents(self, tmp_path, capsys):
+        # `pqlm index` writes none; its neighbour pass would clamp k_max to 0
+        paths = _artifacts(tmp_path)
+        capsys.readouterr()
+        _rewrite(paths["index"], lambda p: p.update(documents=[]))
+        _assert_data_error(self._neighbors(paths), capsys,
+                           f"{paths['index']}: the index has no documents")
+        assert "clamped" not in capsys.readouterr().err
+
+    def test_k_max_and_mu_checked_before_the_clamp(self, tmp_path, capsys):
+        paths = _artifacts(tmp_path)
+        capsys.readouterr()
+        code = main(["neighbors", "--index", str(paths["index"]), "-o", str(paths["nbrs"]),
+                     "--k-max", "500", "--mu", "nan"])
+        _assert_data_error(code, capsys, "mu must be a positive finite number, got mu=nan")
 
     @pytest.mark.parametrize("key, value, needle", [
         ("stoplist", ["the", 5], "options stoplist is not a list of strings"),
@@ -616,8 +633,26 @@ T = 2
                              for p in (tmp_path / f"{key}-{delta}").glob("*.run")}
         # the spec's neighbour file builds the clusters that `pqlm cluster` writes
         assert len(runs["clusters"]) == 1 and runs["neighbors"] == runs["clusters"]
-        _assert_data_error(code, capsys, "delta=3 exceeds precomputed k_max=2; recompute")
+        _assert_data_error(code, capsys,
+                           "system 'clustered': delta=3 exceeds precomputed k_max=2; recompute")
         assert not (tmp_path / "neighbors-3").exists()
+        spec.write_text(spec.read_text().replace("delta = 3", "delta = 2\nmu = 5"))
+        _assert_data_error(main(["run", str(spec)]), capsys,
+                           f"system 'clustered': {nbrs}: neighbor lists were built with "
+                           "mu=2000.0, not 5.0")
+
+    def test_mccluster_delta_beyond_the_corpus_runs_no_neighbour_pass(
+            self, tmp_path, capsys, monkeypatch):
+        import pqlm.cli
+
+        passes = []
+        precompute = pqlm.cli.precompute_neighbors
+        monkeypatch.setattr(pqlm.cli, "precompute_neighbors",
+                            lambda *args, **kw: passes.append(args[1:]) or precompute(*args, **kw))
+        spec = baseline_spec(tmp_path, "[system]\nname = mc\nmethod = mccluster\ndelta = 9\n")
+        _assert_data_error(main(["run", str(spec)]), capsys, "system 'mc': delta=9 outside 1..8")
+        assert passes == []
+        assert not (tmp_path / "out").exists()
 
     def test_query_without_vocabulary_terms_is_skipped(self, tmp_path, capsys):
         topics = tmp_path / "topics.txt"
@@ -899,13 +934,15 @@ N = {depth}
 """)
         _assert_data_error(main(["run", str(spec)]), capsys, "N must be >= 1")
 
-    @pytest.mark.parametrize("drift,keys,needle", [
-        ("interpolation", "lambda = 0.5\ndrift_N = 3", "N is meaningless for interpolation"),
+    @pytest.mark.parametrize("drift,keys,message", [
+        ("interpolation", "lambda = 0.5\ndrift_N = 3", "drift_N is meaningless for interpolation"),
         ("none", "lambda = 0.5", "lambda is meaningless for none"),
         ("truncated_rerank", "lambda = 0.7", "lambda is meaningless for truncated_rerank"),
+        ("iterated_interpolation", "lambda = 0.5\ndrift_N = 3",
+         "drift_N is meaningless for iterated_interpolation"),
     ])
     def test_drift_key_of_another_technique_is_data_error(self, tmp_path, capsys,
-                                                          drift, keys, needle):
+                                                          drift, keys, message):
         spec = write_spec(tmp_path, f"""\
 corpus = {DATA / 'micro.trec'}
 topics = {DATA / 'micro_topics.txt'}
@@ -920,7 +957,8 @@ T = 2
 drift = {drift}
 {keys}
 """)
-        _assert_data_error(main(["run", str(spec)]), capsys, needle)
+        assert main(["run", str(spec)]) == 2
+        assert capsys.readouterr().err == f"pqlm: system 'drifting': {message}\n"
 
     @staticmethod
     def _drift_spec(tmp_path, systems: str) -> Path:
@@ -963,16 +1001,17 @@ T = 2
             assert self._ranked_rows(tmp_path / "out" / f"grid__drift={kind}.run") \
                 == self._ranked_rows(tmp_path / "out" / f"one_{kind}.run")
 
-    @pytest.mark.parametrize("kinds,keys,needle", [
+    @pytest.mark.parametrize("kinds,keys,message", [
         ("none truncated_rerank", "lambda = 0.5", "lambda is meaningless for none"),
-        ("none interpolation", "lambda = 0.5\ndrift_N = 3", "N is meaningless for none"),
+        ("none interpolation", "lambda = 0.5\ndrift_N = 3", "drift_N is meaningless for none"),
     ], ids=["lambda", "drift_N"])
     def test_drift_key_no_kind_in_grid_reads_is_data_error(self, tmp_path, capsys,
-                                                           kinds, keys, needle):
+                                                           kinds, keys, message):
         # the good system comes first: no run file may be written for it
         spec = self._drift_spec(tmp_path, self._mcdoc_system("good", "")
                                 + self._mcdoc_system("bad", f"drift = {kinds}\n{keys}"))
-        _assert_data_error(main(["run", str(spec)]), capsys, needle)
+        assert main(["run", str(spec)]) == 2
+        assert capsys.readouterr().err == f"pqlm: system 'bad': {message}\n"
         assert not list(tmp_path.glob("out/*.run"))
 
     @pytest.mark.parametrize("mu", ["nan", "inf"])
@@ -1566,3 +1605,9 @@ class TestHelp:
                       "delta", "m", "T", "mu", "drift", "lambda", "N"):
             assert re.search(rf"\b{field}\b", out), field
         assert "2000" in out and "1000" in out
+
+    def test_run_help_lists_every_drift_kind_and_its_key(self, capsys):
+        assert main(["run", "--help"]) == 0
+        out = capsys.readouterr().out
+        for kind, (_, key, _, _) in KINDS.items():
+            assert re.search(rf"^ +{kind} *{key or ''}$", out, re.M), kind

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import pqlm.porter
 
 from conftest import collection_counts, doc_counts
-from pqlm import oracles
 from pqlm.corpus import left_sum
 from pqlm import (
     Corpus,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import random_corpus, random_mu
 from pqlm import (
     DriftTechnique,
@@ -12,7 +13,7 @@ from pqlm import (
     run_retrieval,
     truncated_rerank,
 )
-from pqlm import drift, oracles
+from pqlm import drift
 from pqlm.lm import ranked_order
 
 
@@ -50,7 +51,7 @@ class TestTechniqueValidation:
 
     def test_n_only_for_truncation(self):
         DriftTechnique("iterated_truncation", N=10)
-        with pytest.raises(ValueError, match="N"):
+        with pytest.raises(ValueError, match="^drift_N is meaningless for interpolation$"):
             DriftTechnique("interpolation", lambda_=0.2, N=10)
         with pytest.raises(ValueError, match="drift_N must be >= 1, got drift_N=0"):
             DriftTechnique("iterated_rerank", N=0)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from pqlm import Qrels, average_precision, evaluate_run, recall_at, wilcoxon_two_sided
-from pqlm import oracles
 from pqlm.corpus import ParseError, read_text
 from pqlm.evaluation import format_report, parse_run
 

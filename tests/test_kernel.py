@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from conftest import as_text, doc_counts, random_corpus, random_mu
 from pqlm import (
     ClusterIndex,
@@ -39,7 +40,7 @@ from pqlm import (
     run_retrieval,
     singleton_cluster_index,
 )
-from pqlm import baselines, lm, oracles, pipeline, scoring
+from pqlm import baselines, lm, pipeline, scoring
 from pqlm.baselines import estimate_relevance_model
 from pqlm.clustering import cluster_membership
 from pqlm.corpus import Query

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import as_text, collection_counts, doc_counts, random_corpus, random_mu, term_probs
 from pqlm import (
     NeighborIndex,
@@ -14,7 +15,6 @@ from pqlm import (
     precompute_neighbors,
 )
 from pqlm.lm import log_rendition_docs, ranked_order, top_k
-from pqlm import oracles
 from pqlm.scoring import _top_rendered
 
 

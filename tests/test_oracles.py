@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import random_corpus
 from pqlm import PreprocessOptions, build_corpus
-from pqlm import oracles
 from pqlm.lm import QUERY_ID
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from conftest import query_probs, random_corpus, random_mu
 from pqlm import (
     DriftTechnique,
@@ -17,7 +18,6 @@ from pqlm import (
     score_mcdoc,
     singleton_cluster_index,
 )
-from pqlm import oracles
 from pqlm.corpus import Query
 from pqlm.lm import log_rendition_docs
 from pqlm.pipeline import _next_pseudo_queries, format_run_lines

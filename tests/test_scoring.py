@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import as_text, query_probs, random_corpus, random_mu
 from pqlm import (
     QUERY_ID,
@@ -17,7 +18,7 @@ from pqlm import (
     score_vdoc,
     singleton_cluster_index,
 )
-from pqlm import oracles, scoring
+from pqlm import scoring
 from pqlm.corpus import Query
 from pqlm.lm import log_rendition_docs, ranked_order
 
