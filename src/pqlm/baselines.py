@@ -9,8 +9,8 @@ and expansion terms, with idf for the query and feedback terms only, and
 O(F log F) array work for the centroid.  The relevance model is an LM
 ranking for its feedback, 2 * k1 + O(1) V-long vector passes to estimate
 the model, and one rendition pass over the model's support.  Every sum of
-floats adds left to right (:func:`~pqlm.corpus.left_sum`), so the scores
-do not depend on the Python version.
+floats adds left to right (:func:`~pqlm.corpus.left_sum`, or ``np.bincount``
+in input order), so the scores do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -57,39 +57,35 @@ def _tfidf_weights(tfs: np.ndarray, idf: np.ndarray) -> np.ndarray:
 def _inner_products(corpus: Corpus, terms: np.ndarray, weights: np.ndarray,
                     idf: np.ndarray) -> np.ndarray:
     """Every document's inner product with a weighted query: `terms`
-    ascending, their weights and idf; one postings pass per nonzero weight."""
-    scores = np.zeros(corpus.n_docs)
-    for term, wq, term_idf in zip(terms.tolist(), weights.tolist(), idf.tolist()):
-        if wq == 0.0:
-            continue
-        ids, counts = corpus.postings(term)
-        scores[ids] += wq * (1.0 + np.log(counts)) * term_idf
-    return scores
+    ascending, their weights and idf; one postings pass per nonzero weight,
+    summed in term order by :func:`~pqlm.lm.credit_sums`."""
+    live = np.flatnonzero(weights)
+    postings = [corpus.postings(t) for t in terms[live].tolist()]
+    return lm.credit_sums(corpus.n_docs, [ids for ids, _ in postings],
+                          [wq * (1.0 + np.log(counts))
+                           for wq, (_, counts) in zip(weights[live].tolist(), postings)],
+                          idf[live])
 
 
 def _centroid(corpus: Corpus, feedback: np.ndarray) -> tuple[np.ndarray, ...]:
     """(term ids ascending, centroid weights, idf) of the feedback documents'
-    terms: O(F log F) for their F (term, tf) pairs, and one accumulate over a
-    (terms, at most k1) grid.
+    terms: O(F log F) for their F (term, tf) pairs, and one ``np.bincount``
+    over the pairs' term slots.
 
     Each term's weights are summed in ascending tf order, so that terms with
     identical (tf multiset, df) come out exactly equal and fall to the
-    term-id tie rule.  Row i of the grid holds term i's weights from its
-    first column on, then zeros: accumulating along the row adds them left
-    to right, and adding 0.0 leaves a sum as it is.
+    term-id tie rule.  ``np.bincount`` adds each term's weights in input
+    order from 0.0, and the weights are non-negative, so 0.0 plus the first
+    is the first.
     """
     rows = [corpus.text(d) for d in feedback.tolist()]
     terms = np.concatenate([ids for ids, _ in rows])
     tfs = np.concatenate([counts for _, counts in rows])
     order = np.lexsort((tfs, terms))
-    terms, tfs = terms[order], tfs[order]
-    ids, first, per_term = np.unique(terms, return_index=True, return_counts=True)
+    ids, slot = np.unique(terms[order], return_inverse=True)
     idf = _idf(corpus, ids)
-    grid = np.zeros((len(ids), per_term.max()))
-    grid[np.repeat(np.arange(len(ids)), per_term),
-         np.arange(len(terms)) - np.repeat(first, per_term)] = \
-        _tfidf_weights(tfs, np.repeat(idf, per_term))
-    return ids, np.add.accumulate(grid, axis=1)[:, -1] / len(feedback), idf
+    sums = np.bincount(slot, _tfidf_weights(tfs[order], idf[slot]))
+    return ids, sums / len(feedback), idf
 
 
 def rocchio_rank(query: Query, corpus: Corpus, k1: int, t: int, gamma: float,

@@ -54,7 +54,8 @@ system section keys (RunConfig fields) and defaults:
   alpha1         privileged round-1 spread (default: alpha)
   alpha_cluster  cluster spread for mccluster (default 2)
   beta           documents credited per cluster (default 20)
-  delta          cluster size (default 40 above 1000 docs, else 10)
+  delta          cluster size (default 40 above 1000 docs, else 10, at most
+                 the number of docs)
   m              re-scaling pool (mcdoc only), must exceed alpha (default 2*alpha)
   T              rounds (default 1)
   mu             Dirichlet smoothing parameter (default 2000)

@@ -161,8 +161,11 @@ class Corpus:
         return self._lengths
 
     def text(self, doc_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """Document `doc_id` as a text: read-only views of its row."""
+        """Document `doc_id` as a text: read-only views of its row.  An id
+        outside 0..N-1 is a ValueError naming it, not a wrapped row."""
         indptr, ids, counts = self._rows
+        if not 0 <= doc_id < self.n_docs:
+            raise ValueError(f"document id {doc_id} outside 0..{self.n_docs - 1}")
         row = slice(indptr[doc_id], indptr[doc_id + 1])
         return ids[row], counts[row]
 

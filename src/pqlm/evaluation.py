@@ -72,52 +72,38 @@ class WilcoxonResult:
     insufficient: bool = False
 
 
-def _midranks(values: list[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
+def _midranks(values) -> np.ndarray:
+    """Ranks from 1 of `values` ascending; tied values share their mean rank."""
+    _, at, ties = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(ties)  # each tie group's ranks are last - ties + 1 .. last
+    return ((2 * last - ties + 1) / 2)[at]
 
 
-def _exact_p(ranks: list[float], w_plus: float) -> float:
+def _exact_p(ranks: np.ndarray, w_plus: float) -> float:
     """Exact two-sided p over the 2^n equiprobable sign assignments.
 
     Ranks are doubled to make midranks integral; the distribution of the
-    doubled positive-rank sum is built by convolution.
+    doubled positive-rank sum is built by convolution, one add per rank.
     """
-    doubled = [round(2 * r) for r in ranks]
-    total = sum(doubled)
+    doubled = (2 * ranks).astype(np.int64)
+    total = int(doubled.sum())
     dist = np.zeros(total + 1, dtype=np.float64)
     dist[0] = 1.0
-    for r in doubled:
-        shifted = np.zeros_like(dist)
-        shifted[r:] = dist[: total + 1 - r]
-        dist += shifted
-    count = 2.0 ** len(ranks)
+    for r in doubled.tolist():
+        dist[r:] += dist[: total + 1 - r]  # numpy reads the overlap before writing
+    count = 2.0 ** len(doubled)
     w2 = round(2 * w_plus)
     cdf = dist[: w2 + 1].sum() / count
     sf = dist[w2:].sum() / count
-    return min(1.0, 2.0 * min(cdf, sf))
+    return min(1.0, 2.0 * float(min(cdf, sf)))
 
 
-def _normal_p(ranks: list[float], w_plus: float) -> float:
+def _normal_p(ranks: np.ndarray, w_plus: float) -> float:
     """Normal approximation with tie correction and continuity correction."""
     n = len(ranks)
     mean = n * (n + 1) / 4.0
-    tie_sum = 0.0
-    counts: dict[float, int] = {}
-    for r in ranks:
-        counts[r] = counts.get(r, 0) + 1
-    for t in counts.values():
-        tie_sum += t**3 - t
+    _, ties = np.unique(ranks, return_counts=True)
+    tie_sum = int((ties**3 - ties).sum())
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_sum / 48.0
     d = 0.5 * math.copysign(1.0, w_plus - mean) if w_plus != mean else 0.0
     z = (w_plus - mean - d) / math.sqrt(var)
@@ -135,16 +121,14 @@ def wilcoxon_two_sided(a: Sequence[float], b: Sequence[float],
     """
     if len(a) != len(b):
         raise ValueError("paired samples differ in length")
-    diffs = [x - y for x, y in zip(a, b) if x != y]
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    diffs = (a - b)[a != b]
     n = len(diffs)
     if n < 5:
         return WilcoxonResult(False, None, n, insufficient=True)
-    ranks = _midranks([abs(d) for d in diffs])
-    w_plus = left_sum([r for r, d in zip(ranks, diffs) if d > 0])
-    if n <= EXACT_LIMIT:
-        p = _exact_p(ranks, w_plus)
-    else:
-        p = _normal_p(ranks, w_plus)
+    ranks = _midranks(np.abs(diffs))
+    w_plus = left_sum(ranks[diffs > 0])
+    p = (_exact_p if n <= EXACT_LIMIT else _normal_p)(ranks, w_plus)
     return WilcoxonResult(p < (1.0 - level), p, n)
 
 

@@ -30,7 +30,7 @@ class RunConfig:
     alpha1: int | None = None       # round-1 spread; defaults to alpha
     alpha_cluster: int = 2
     beta: int = 20
-    delta: int | None = None        # cluster size; 40 large corpora, 10 small
+    delta: int | None = None        # cluster size; see resolved_delta
     m: int | None = None            # mcdoc re-scaling pool; defaults to 2 * alpha
     T: int = 1
     mu: float = 2000.0
@@ -55,9 +55,10 @@ class RunConfig:
                         self.T)
 
     def resolved_delta(self, corpus: Corpus) -> int:
+        """`delta`, or 40 above 1000 documents, else 10; never more than N."""
         if self.delta is not None:
             return self.delta
-        return 40 if corpus.n_docs > 1000 else 10
+        return min(40 if corpus.n_docs > 1000 else 10, corpus.n_docs)
 
 
 def _next_pseudo_queries(ranking: ScoredRanking) -> PseudoQueryList:

@@ -12,7 +12,14 @@ from pqlm import (
     relevance_model_rank,
     rocchio_rank,
 )
-from pqlm.baselines import _model_length, estimate_relevance_model
+from pqlm.baselines import (
+    _centroid,
+    _idf,
+    _inner_products,
+    _model_length,
+    _tfidf_weights,
+    estimate_relevance_model,
+)
 from pqlm.corpus import Corpus, Query
 from pqlm.lm import log_rendition_docs, ranked_order
 
@@ -162,6 +169,78 @@ class TestRocchio:
         # w's centroid weight is (1 + ln 10) * ln 3 > 3, so gamma times it overflows
         with pytest.raises(ValueError, match=r"gamma=1e\+308 is too large"):
             rocchio_rank(Query("q", ["q"]), corpus, k1=1, t=1, gamma=1e308, n=3)
+
+
+# -- Rocchio's sums against literal references ----------------------------
+
+
+def reference_inner_products(corpus, terms, weights, idf):
+    """The one-add-per-term loop that _inner_products replaced, kept as its
+    reference."""
+    scores = np.zeros(corpus.n_docs)
+    for term, wq, term_idf in zip(terms.tolist(), weights.tolist(), idf.tolist()):
+        if wq == 0.0:
+            continue
+        ids, counts = corpus.postings(term)
+        scores[ids] += wq * (1.0 + np.log(counts)) * term_idf
+    return scores
+
+
+def reference_centroid(corpus, feedback):
+    """The zero-padded (terms x at most k1) grid that _centroid replaced,
+    kept as its reference."""
+    rows = [corpus.text(d) for d in feedback.tolist()]
+    terms = np.concatenate([ids for ids, _ in rows])
+    tfs = np.concatenate([counts for _, counts in rows])
+    order = np.lexsort((tfs, terms))
+    terms, tfs = terms[order], tfs[order]
+    ids, first, per_term = np.unique(terms, return_index=True, return_counts=True)
+    idf = _idf(corpus, ids)
+    grid = np.zeros((len(ids), per_term.max()))
+    grid[np.repeat(np.arange(len(ids)), per_term),
+         np.arange(len(terms)) - np.repeat(first, per_term)] = \
+        _tfidf_weights(tfs, np.repeat(idf, per_term))
+    return ids, np.add.accumulate(grid, axis=1)[:, -1] / len(feedback), idf
+
+
+def _skewed_corpus(rng):
+    """A random corpus whose documents repeat terms up to ~20 times, so
+    that tfs, and the sums over them, vary."""
+    vocab = [f"w{i:02d}" for i in range(int(rng.integers(3, 40)))]
+    docs = []
+    for i in range(int(rng.integers(1, 25))):
+        words = rng.choice(vocab, size=int(rng.integers(1, 60)),
+                           p=rng.dirichlet(np.full(len(vocab), 0.3)))
+        docs.append((f"D{i}", " ".join(words)))
+    return build_corpus(docs, PreprocessOptions())
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+class TestRocchioSumsMatchReferences:
+    def test_inner_products_bit_equal(self):
+        rng = np.random.default_rng(613)
+        for _ in range(300):
+            corpus = _skewed_corpus(rng)
+            v = len(corpus.vocabulary)
+            terms = np.sort(rng.choice(v, size=int(rng.integers(0, v + 1)), replace=False))
+            weights = rng.exponential(size=len(terms)) * 10.0 ** rng.integers(-3, 4)
+            weights[rng.random(len(terms)) < 0.3] = 0.0
+            idf = _idf(corpus, terms)
+            assert _bits(_inner_products(corpus, terms, weights, idf)) == \
+                _bits(reference_inner_products(corpus, terms, weights, idf))
+
+    def test_centroid_bit_equal(self):
+        rng = np.random.default_rng(617)
+        for _ in range(300):
+            corpus = _skewed_corpus(rng)
+            k1 = int(rng.integers(1, corpus.n_docs + 1))
+            feedback = rng.choice(corpus.n_docs, size=k1, replace=False)
+            got, want = _centroid(corpus, feedback), reference_centroid(corpus, feedback)
+            assert got[0].tolist() == want[0].tolist()
+            assert _bits(got[1]) == _bits(want[1]) and _bits(got[2]) == _bits(want[2])
 
 
 class TestRelevanceModel:

@@ -654,6 +654,25 @@ T = 2
         assert passes == []
         assert not (tmp_path / "out").exists()
 
+    def test_mccluster_default_delta_fits_a_small_corpus(self, tmp_path, capsys):
+        # the default delta, 10 at most 1000 documents, is cut to micro.trec's 8
+        runs = {}
+        for delta in ("", "delta = 8\n"):
+            spec = write_spec(tmp_path, f"""\
+corpus = {DATA / 'micro.trec'}
+topics = {DATA / 'micro_topics.txt'}
+output = out
+
+[system]
+name = mc
+method = mccluster
+{delta}""")
+            assert main(["run", str(spec)]) == 0, capsys.readouterr().err
+            # the rows without their tag, which names the spec's parameters
+            runs[delta] = [row.rsplit(" ", 1)[0]
+                           for row in (tmp_path / "out" / "mc.run").read_text().splitlines()]
+        assert runs[""] == runs["delta = 8\n"]
+
     def test_query_without_vocabulary_terms_is_skipped(self, tmp_path, capsys):
         topics = tmp_path / "topics.txt"
         topics.write_text((DATA / "micro_topics.txt").read_text()

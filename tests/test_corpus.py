@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 import pqlm.porter
+import pqlm.storage
 
 from conftest import collection_counts, doc_counts
 from pqlm.corpus import left_sum
@@ -255,6 +256,23 @@ class TestPersistence:
     def test_reingest_is_deterministic(self, opts):
         docs = [("A", "x y z"), ("B", "y y")]
         assert build_corpus(docs, opts).serialize() == build_corpus(docs, opts).serialize()
+
+    @pytest.mark.parametrize("data, interrupt_replace, error", [
+        ("new", False, TypeError),             # a str: the write itself raises
+        (b"new", True, KeyboardInterrupt),     # not an Exception, still cleaned up
+    ])
+    def test_failed_atomic_write_keeps_the_old_file(self, tmp_path, monkeypatch, data,
+                                                    interrupt_replace, error):
+        path = tmp_path / "index.json"
+        path.write_bytes(b"old")
+        if interrupt_replace:
+            def replace(src, dst):
+                raise KeyboardInterrupt
+            monkeypatch.setattr(pqlm.storage.os, "replace", replace)
+        with pytest.raises(error):
+            pqlm.storage.atomic_write(path, data)
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["index.json"]  # no .tmp-*.part
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "nope.json"

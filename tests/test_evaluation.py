@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 from pqlm import Qrels, average_precision, evaluate_run, recall_at, wilcoxon_two_sided
-from pqlm.corpus import ParseError, read_text
-from pqlm.evaluation import format_report, parse_run
+from pqlm.corpus import ParseError, left_sum, read_text
+from pqlm.evaluation import EXACT_LIMIT, format_report, parse_run
 
 
 class TestAveragePrecision:
@@ -144,6 +146,100 @@ class TestWilcoxon:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             wilcoxon_two_sided([1.0], [1.0, 2.0])
+
+
+# -- the Wilcoxon test against a literal reference -----------------------
+
+
+def reference_midranks(values: list[float]) -> list[float]:
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        avg = (i + j) / 2 + 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = avg
+        i = j + 1
+    return ranks
+
+
+def reference_exact_p(ranks: list[float], w_plus: float) -> float:
+    doubled = [round(2 * r) for r in ranks]
+    total = sum(doubled)
+    dist = np.zeros(total + 1, dtype=np.float64)
+    dist[0] = 1.0
+    for r in doubled:
+        shifted = np.zeros_like(dist)
+        shifted[r:] = dist[: total + 1 - r]
+        dist += shifted
+    count = 2.0 ** len(ranks)
+    w2 = round(2 * w_plus)
+    cdf = dist[: w2 + 1].sum() / count
+    sf = dist[w2:].sum() / count
+    return min(1.0, 2.0 * min(cdf, sf))
+
+
+def reference_normal_p(ranks: list[float], w_plus: float) -> float:
+    n = len(ranks)
+    mean = n * (n + 1) / 4.0
+    tie_sum = 0.0
+    counts: dict[float, int] = {}
+    for r in ranks:
+        counts[r] = counts.get(r, 0) + 1
+    for t in counts.values():
+        tie_sum += t**3 - t
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_sum / 48.0
+    d = 0.5 * math.copysign(1.0, w_plus - mean) if w_plus != mean else 0.0
+    z = (w_plus - mean - d) / math.sqrt(var)
+    return math.erfc(abs(z) / math.sqrt(2.0))
+
+
+def reference_wilcoxon(a, b, level=0.95):
+    """(significant, p, n, insufficient) of the list-based test that the
+    numpy one replaced, kept as its reference."""
+    diffs = [x - y for x, y in zip(a, b) if x != y]
+    n = len(diffs)
+    if n < 5:
+        return False, None, n, True
+    ranks = reference_midranks([abs(d) for d in diffs])
+    w_plus = left_sum([r for r, d in zip(ranks, diffs) if d > 0])
+    if n <= EXACT_LIMIT:
+        p = reference_exact_p(ranks, w_plus)
+    else:
+        p = reference_normal_p(ranks, w_plus)
+    return p < (1.0 - level), p, n, False
+
+
+class TestWilcoxonReference:
+    def test_same_result_as_the_literal_reference(self):
+        rng = np.random.default_rng(619)
+        exact = 0
+        for _ in range(3000):
+            n = int(rng.integers(0, 60))
+            # few distinct values and shared entries: ties and zero differences
+            grain = float(rng.choice([0.5, 0.1, 0.01, 1e-6]))
+            a = np.round(rng.random(n) / grain) * grain
+            b = np.where(rng.random(n) < 0.2, a, np.round(rng.random(n) / grain) * grain)
+            level = float(rng.choice([0.9, 0.95, 0.99]))
+            res = wilcoxon_two_sided(a.tolist(), b.tolist(), level)
+            significant, p, n_pairs, insufficient = reference_wilcoxon(a.tolist(), b.tolist(),
+                                                                       level)
+            assert (res.significant, res.n, res.insufficient) == \
+                (significant, n_pairs, insufficient)
+            assert (res.p_value is None and p is None) or res.p_value.hex() == float(p).hex()
+            exact += 5 <= n_pairs <= EXACT_LIMIT
+        assert exact > 500
+
+    @pytest.mark.parametrize("n", [3, 6, 40])  # insufficient, exact and normal
+    def test_fields_are_python_bool_and_float(self, n):
+        res = wilcoxon_two_sided([float(i + 1) for i in range(n)], [0.0] * n)
+        assert type(res.significant) is bool and type(res.insufficient) is bool
+        assert type(res.n) is int
+        assert res.p_value is None if n < 5 else type(res.p_value) is float
+        json.dumps(dataclasses.asdict(res))
 
 
 class TestFilesAndReports:

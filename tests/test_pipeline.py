@@ -53,7 +53,8 @@ class TestRunConfigValidation:
         assert "meant to stay small" in caplog.text
 
     def test_delta_resolution(self, tiny_corpus):
-        assert RunConfig(method="mcdoc").resolved_delta(tiny_corpus) == 10
+        # the default, 10 at most 1000 documents, is cut to the 2 documents
+        assert RunConfig(method="mcdoc").resolved_delta(tiny_corpus) == 2
         assert RunConfig(method="mcdoc", delta=3).resolved_delta(tiny_corpus) == 3
 
 

@@ -112,6 +112,20 @@ def test_query_p_must_cover_every_document(length, tiny_corpus):
         score_mcdoc(PseudoQueryList.initial(), 1, 2, tiny_corpus, 1.0, q_p)
 
 
+@pytest.mark.parametrize("doc_id", [-2, 3])
+def test_document_id_outside_the_corpus_is_refused(doc_id):
+    # -2 would otherwise read document 2's row, and 3 end in an IndexError
+    corpus = build_corpus([("d0", "a a b"), ("d1", "b c"), ("d2", "c d")],
+                          PreprocessOptions())
+    q_p = query_probs(corpus, {"b": 1}, 10.0)
+    pq = PseudoQueryList([doc_id], [1.0])
+    with pytest.raises(ValueError, match=rf"^document id {doc_id} outside 0\.\.2$"):
+        score_mcdoc(pq, 1, 2, corpus, 10.0)
+    with pytest.raises(ValueError, match=rf"^document id {doc_id} outside 0\.\.2$"):
+        score_vdoc(pq, 1, corpus, 10.0, q_p)
+    assert corpus._rendered == {}
+
+
 class TestMcDoc:
     def test_round_one_only_top_renderers_nonzero(self):
         rng = np.random.default_rng(83)
