@@ -31,7 +31,7 @@ from .drift import KINDS, DriftTechnique
 from .evaluation import Qrels, evaluate_run, format_report, parse_run
 from .experiment import SystemSpec, parse_spec
 from .lm import NeighborIndex, precompute_neighbors
-from .params import RANGES, check
+from .params import NUMBERS, RANGES, check
 from .pipeline import RunConfig, check_cluster_index, format_run_lines, run_retrieval
 from .storage import atomic_write
 
@@ -220,7 +220,6 @@ def cmd_cluster(args) -> int:
 
 # the drift keys build the DriftTechnique; the rest are RunConfig fields
 _ITERATIVE_KEYS = {f.name for f in fields(RunConfig)} - {"method"} | {"lambda", "drift_N"}
-_NOUNS = {int: "an integer", float: "a number"}
 
 
 def _typed(params: dict[str, str]) -> dict:
@@ -233,7 +232,7 @@ def _typed(params: dict[str, str]) -> dict:
         try:
             out[key] = number(value)
         except ValueError:
-            raise ParseError(f"{key} {value!r} is not {_NOUNS[number]}") from None
+            raise ParseError(f"{key} {value!r} is not {NUMBERS[number][1]}") from None
     check(**out)
     return out
 

@@ -7,9 +7,9 @@ without a second numbering scheme.  A cluster is stored as its member list.
 Its length, the sum of its members' lengths, is summed from the corpus's
 document lengths when the index is made (O(N * delta), without building
 the postings); as a renderer, its term counts are its members' postings
-summed per term, for all of a text's new terms in one pass when the kernel
-stages them, and as a text, its members' rows summed per term id.  All are
-integers below 2**53, exact in float64.
+summed per term, for all of a text's new terms in one pass when
+``scoring.log_rendition_clusters`` stages them, and as a text, its members'
+rows summed per term id.  All are integers below 2**53, exact in float64.
 """
 
 from __future__ import annotations

@@ -181,10 +181,6 @@ class Corpus:
             hit = self._postings[t] = (ids[span], counts[span])
         return hit
 
-    def stage(self, term_ids) -> None:
-        """Nothing to prepare: each term's postings are views of the term
-        index.  (A cluster index derives a text's postings here.)"""
-
     def doc_freqs(self) -> np.ndarray:
         """Number of documents holding each term id, int64, read-only; built
         with the postings."""
@@ -227,18 +223,15 @@ class Corpus:
 
     # -- persistence ----------------------------------------------------
 
-    def to_payload(self) -> dict:
+    def serialize(self) -> bytes:
         indptr, ids, counts = (a.tolist() for a in self._rows)
         names = list(map(self._terms.__getitem__, ids))
-        return {
+        return canonical_json({
             "format": INDEX_FORMAT,
             "options": self.options.to_dict(),
             "documents": [{"docno": docno, "counts": dict(zip(names[a:b], counts[a:b]))}
                           for docno, a, b in zip(self.docnos, indptr, indptr[1:])],
-        }
-
-    def serialize(self) -> bytes:
-        return canonical_json(self.to_payload())
+        })
 
     @property
     def content_hash(self) -> str:
@@ -438,8 +431,6 @@ class _FirstSeen(dict):
 
 # -- input file formats -------------------------------------------------
 
-_DOC_OPEN = re.compile(rb"<DOC>")
-_DOC_CLOSE = re.compile(rb"</DOC>")
 _DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.S)
 _TEXT_RE = re.compile(r"<TEXT>(.*?)</TEXT>", re.S)
 
@@ -462,24 +453,18 @@ def parse_trec(data) -> list[tuple[str, str]]:
     if isinstance(data, str):
         data = data.encode("utf-8", "replace")
     out: list[tuple[str, str]] = []
-    pos = 0
-    block_index = 0
-    while True:
-        m = _DOC_OPEN.search(data, pos)
-        if m is None:
-            break
-        end = _DOC_CLOSE.search(data, m.end())
-        if end is None:
-            raise ParseError(f"unclosed <DOC> block at byte offset {m.start()}")
-        block = data[m.end() : end.start()].decode("utf-8", "replace")
+    start = data.find(b"<DOC>")
+    while start >= 0:
+        end = data.find(b"</DOC>", start + 5)
+        if end < 0:
+            raise ParseError(f"unclosed <DOC> block at byte offset {start}")
+        block = data[start + 5 : end].decode("utf-8", "replace")
         docno_m = _DOCNO_RE.search(block)
         if docno_m is None:
-            raise ParseError(f"missing <DOCNO> in DOC block {block_index}")
-        docno = docno_m.group(1).strip()
-        text = " ".join(t.strip() for t in _TEXT_RE.findall(block))
-        out.append((docno, text))
-        pos = end.end()
-        block_index += 1
+            raise ParseError(f"missing <DOCNO> in DOC block {len(out)}")
+        out.append((docno_m.group(1).strip(),
+                    " ".join(t.strip() for t in _TEXT_RE.findall(block))))
+        start = data.find(b"<DOC>", end + 6)
     return out
 
 

@@ -76,6 +76,7 @@ class DriftTechnique:
 def interpolate(method_scores: ScoredRanking, query_p: np.ndarray,
                 lambda_: float) -> ScoredRanking:
     """Convex combination of max-rescaled method and query-rendition scores."""
+    check(**{"lambda": lambda_})
     n = len(query_p)
     ids = method_scores.doc_ids
     if len(ids) != n or not (np.bincount(ids, minlength=n) == 1).all():

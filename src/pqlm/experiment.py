@@ -65,19 +65,22 @@ def parse_bool(value: str) -> bool:
 def parse_spec(text: str) -> ExperimentSpec:
     spec = ExperimentSpec()
     system: SystemSpec | None = None
+    seen: set[str] = set()  # the keys of the current section
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line == "[system]":
-            system = SystemSpec(name="", method="")
+            system, seen = SystemSpec(name="", method=""), set()
             spec.systems.append(system)
             continue
         if "=" not in line:
             raise ParseError(f"spec line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in seen:
+            raise ParseError(f"spec line {lineno}: key {key!r} repeated")
+        if key != "corpus":  # repeated corpus keys accumulate
+            seen.add(key)
         if system is None:
             _set_global(spec, key, value, lineno)
         elif key == "name":

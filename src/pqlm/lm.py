@@ -37,7 +37,7 @@ def log_rendition(owner, text: tuple[np.ndarray, np.ndarray], mu: float,
                   length: float | None = None) -> np.ndarray:
     """Log geometric-mean rendition scores of one text, (term ids ascending,
     counts), against every renderer of `owner` (the corpus or a cluster
-    index: its postings, which refuse an unknown id, ``stage``, collection
+    index: its postings, which refuse an unknown id, collection
     probabilities and lengths); requires a finite mu > 0.  `length` is the
     counts' sum added in another order, when the caller's order differs; by
     default :func:`~pqlm.corpus.left_sum` adds them in term-id order.
@@ -47,12 +47,11 @@ def log_rendition(owner, text: tuple[np.ndarray, np.ndarray], mu: float,
     ``log(c + mu * p_coll) - log(mu * p_coll)``, one per posting, depend
     only on the owner, the term and mu: they are kept read-only in
     ``owner._deviations[mu][t]``, at most one float64 per posting per mu.
-    The text's terms without an entry are staged on the owner together
-    (a cluster index derives their postings in one pass), and their
-    deviations come from one ``np.log`` over their concatenated posting
-    counts.  Each call weights the gathered deviations by the text counts
-    and :func:`credit_sums` adds them per renderer in term-id (sorted term)
-    order from 0.0.  O(|x| + sum of the text terms' df).
+    The deviations of the text's terms without an entry come from one
+    ``np.log`` over their concatenated posting counts.  Each call weights
+    the gathered deviations by the text counts and :func:`credit_sums` adds
+    them per renderer in term-id (sorted term) order from 0.0.
+    O(|x| + sum of the text terms' df).
     """
     check(mu=mu)
     term_ids, cnts = (a.tolist() for a in text)
@@ -61,11 +60,10 @@ def log_rendition(owner, text: tuple[np.ndarray, np.ndarray], mu: float,
         raise ValueError("empty sequence")
     memo = owner._deviations.setdefault(mu, {})
     new = [i for i, t in enumerate(term_ids) if t not in memo]
-    new_ids = [term_ids[i] for i in new]
-    owner.stage(new_ids)
     postings = [owner.postings(t) for t in term_ids]
     if new:
-        _store_deviations(owner, memo, mu, new_ids, [postings[i][1] for i in new])
+        _store_deviations(owner, memo, mu, [term_ids[i] for i in new],
+                          [postings[i][1] for i in new])
     ids, deviations, base = [], [], 0.0
     for t, cnt, (renderers, _) in zip(term_ids, cnts, postings):
         background, deviation = memo[t]
@@ -171,6 +169,8 @@ class NeighborIndex:
         self.neighbors = neighbors
 
     def top(self, doc_id: int, k: int) -> list[int]:
+        if not 0 <= doc_id < len(self.neighbors):
+            raise ValueError(f"document id {doc_id} outside 0..{len(self.neighbors) - 1}")
         if k > self.k_max:
             raise ValueError(
                 f"k={k} exceeds precomputed k_max={self.k_max}; recompute neighbors"

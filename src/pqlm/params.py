@@ -8,6 +8,7 @@ imported here, so that every module can read the table.
 """
 
 import math
+from numbers import Integral, Real
 
 _COUNT = (int, lambda v: v >= 1, ">= 1")
 _SIZE = (int, lambda v: v >= 0, ">= 0")
@@ -25,12 +26,19 @@ RANGES = {
     "lambda_r": (float, lambda v: 0 < v < 1, "strictly between 0 and 1"),
 }
 
+# number type -> (the values it admits, their noun); a bool is neither
+NUMBERS = {int: (Integral, "an integer"), float: (Real, "a number")}
+
 
 def check(**values) -> None:
     """ValueError ``<key> must be <range>, got <key>=<value>`` for the first
     value, in argument order, outside its key's range; None, a missing
-    value, is outside every range."""
+    value, is outside every range, and a value not of its key's number type
+    is ``<key> must be <noun>``."""
     for key, value in values.items():
-        _, test, stated = RANGES[key]
+        number, test, stated = RANGES[key]
+        admitted, noun = NUMBERS[number]
+        if value is not None and (isinstance(value, bool) or not isinstance(value, admitted)):
+            raise ValueError(f"{key} must be {noun}, got {key}={value!r}")
         if value is None or not test(value):
             raise ValueError(f"{key} must be {stated}, got {key}={value}")

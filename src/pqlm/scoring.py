@@ -185,7 +185,9 @@ def score_mcdoc(pq: PseudoQueryList, alpha: int, m: int, corpus: Corpus,
 
 def log_rendition_clusters(cluster_index: ClusterIndex,
                            text: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """:func:`~pqlm.lm.log_rendition` against every cluster model at the index's mu."""
+    """:func:`~pqlm.lm.log_rendition` against every cluster model at the index's
+    mu, once :meth:`ClusterIndex.stage` has derived the text's new postings together."""
+    cluster_index.stage(text[0].tolist())
     return log_rendition(cluster_index, text, cluster_index.mu)
 
 

@@ -62,6 +62,14 @@ def reference_relevance_model(query_counts, corpus, feedback, lambda_r, clip_k):
 
 
 class TestLmBaseline:
+    @pytest.mark.parametrize("mu, n, message", [
+        (10.0, 2.5, "N must be an integer, got N=2.5"),
+        (True, 3, "mu must be a number, got mu=True"),
+    ])
+    def test_values_of_another_type_are_refused(self, tiny_corpus, mu, n, message):
+        with pytest.raises(ValueError, match=message):
+            lm_baseline(Query("q", ["a"]), tiny_corpus, mu, n)
+
     def test_equals_top_renderers(self):
         rng = np.random.default_rng(199)
         corpus = random_corpus(rng, n_docs=7)

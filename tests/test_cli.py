@@ -490,17 +490,89 @@ def _mutate_spec(data, text):
     return "\n".join(lines) + "\n"
 
 
+# commands that read each fuzzed text file; an argument with a dot names a
+# file in the work directory
+_TEXT_FUZZ_COMMANDS = {
+    "docs.trec": (["index", "docs.trec", "-o", "i.json"],
+                  ["index", "docs.trec", "-o", "i.json", "--stemmer", "porter",
+                   "--stoplist", "stop.txt"]),
+    "sys.run": (["eval", "--qrels", "qrels.txt", "sys.run"],),
+    "qrels.txt": (["eval", "--qrels", "qrels.txt", "sys.run"], ["run", "exp.cfg"]),
+    "topics.txt": (["run", "exp.cfg"],),
+}
+
+# fragments of every text format pqlm reads, and invalid UTF-8
+_TEXT_FRAGMENTS = st.sampled_from([
+    b"<DOC>", b"</DOC>", b"<DOCNO>", b"</DOCNO>", b"<TEXT>", b"</TEXT>", b"<top>", b"</top>",
+    b"<num>", b"<title>", b"Number:", b"D1", b"D9", b"Q0", b"1", b"2", b"-1", b"0.5", b"nan",
+    b"1e400", b"x", b"the", b"running", b" ", b"\t", b"\n", b"\r\n", b"\xff", b"\xc3"])
+
+
+def _fuzz_files(tmp_path) -> tuple[dict, list[str]]:
+    """The artifacts, and the names of every file the fuzzed commands read."""
+    intact = _artifacts(tmp_path)
+    (tmp_path / "topics.txt").write_text(
+        "<top><num> 1 <title> x w1 </top><top><num> 2 <title> y w2 </top>")
+    (tmp_path / "qrels.txt").write_text("1 0 D1 1\n2 0 D2 1\n")
+    (tmp_path / "exp.cfg").write_text(_FUZZ_SPEC)
+    (tmp_path / "stop.txt").write_text("the\ny\n")
+    (tmp_path / "sys.run").write_text("1 Q0 D1 1 0.5 t\n1 Q0 D2 2 0.4 t\n2 Q0 D2 1 0.5 t\n")
+    files = [p.name for p in intact.values()] + ["docs.trec", "topics.txt", "qrels.txt",
+                                                  "exp.cfg", "stop.txt", "sys.run"]
+    return intact, files
+
+
+def _mutate_bytes(data, raw: bytes) -> bytes:
+    """One to three insertions of a fragment, dropped spans, repeated lines
+    or truncations of `raw`, chosen by `data`."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(raw)))
+        op = data.draw(st.sampled_from(["insert", "drop", "repeat", "truncate"]))
+        if op == "insert":
+            raw = raw[:i] + data.draw(_TEXT_FRAGMENTS) + raw[i:]
+        elif op == "drop":
+            raw = raw[:i] + raw[i + data.draw(st.integers(1, 12)):]
+        elif op == "repeat":
+            lines = raw.splitlines(keepends=True) or [b""]
+            j = data.draw(st.integers(0, len(lines) - 1))
+            raw = b"".join(lines[:j + 1] + lines[j:])
+        else:
+            raw = raw[:i]
+    return raw
+
+
+def _exits_cleanly(argv) -> None:
+    """Exit 0, or exit 2 with one `pqlm: ` line on stderr and no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2) and "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("pqlm: ") and err.getvalue().count("\n") == 1
+
+
 class TestFuzz:
-    """Mutated index, neighbour, cluster and spec files end in exit 0 or a
-    data error (exit 2), never in a traceback."""
+    """Mutated index, neighbour, cluster, spec and text files end in exit 0
+    or a data error (exit 2), never in a traceback."""
+
+    def test_mutated_text_inputs(self, tmp_path):
+        _, files = _fuzz_files(tmp_path)
+
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @given(st.sampled_from(sorted(_TEXT_FUZZ_COMMANDS)), st.data())
+        def check(target, data):
+            with tempfile.TemporaryDirectory() as work:
+                work = Path(work)
+                for name in files:
+                    shutil.copy(tmp_path / name, work / name)
+                (work / target).write_bytes(_mutate_bytes(data, (work / target).read_bytes()))
+                for argv in _TEXT_FUZZ_COMMANDS[target]:
+                    _exits_cleanly([str(work / a) if "." in a else a for a in argv])
+
+        check()
 
     def test_mutated_inputs(self, tmp_path):
-        intact = _artifacts(tmp_path)
-        (tmp_path / "topics.txt").write_text(
-            "<top><num> 1 <title> x w1 </top><top><num> 2 <title> y w2 </top>")
-        (tmp_path / "qrels.txt").write_text("1 0 D1 1\n2 0 D2 1\n")
-        (tmp_path / "exp.cfg").write_text(_FUZZ_SPEC)
-        files = [p.name for p in intact.values()] + ["topics.txt", "qrels.txt", "exp.cfg"]
+        intact, files = _fuzz_files(tmp_path)
 
         @settings(max_examples=100, deadline=None, derandomize=True, database=None)
         @given(st.sampled_from(sorted(_FUZZ_COMMANDS)), st.data())
@@ -521,14 +593,7 @@ class TestFuzz:
                     raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
                 path.write_text(raw)
                 for argv in _FUZZ_COMMANDS[target]:
-                    argv = [str(work / a) if a.endswith((".json", ".cfg")) else a
-                            for a in argv]
-                    err = io.StringIO()
-                    with contextlib.redirect_stderr(err), \
-                            contextlib.redirect_stdout(io.StringIO()):
-                        code = main(argv)
-                    assert code in (0, 2) and "Traceback" not in err.getvalue()
-                    assert code == 0 or err.getvalue().split("\n")[-2].startswith("pqlm: ")
+                    _exits_cleanly([str(work / a) if "." in a else a for a in argv])
 
         check()
 
@@ -1438,6 +1503,27 @@ method = rocchio
         _assert_data_error(self._command(command, spec, name), capsys,
                            f"spec line {line}: system name {name!r} contains whitespace "
                            "or a path separator")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("system, key", [
+        ("name = m\nmethod = vdoc\nalpha = 10\nalpha = 20", "alpha"),
+        ("name = m\nname = n\nmethod = vdoc", "name"),
+    ], ids=["alpha", "name"])
+    def test_key_repeated_in_a_system_writes_nothing(self, tmp_path, capsys, command,
+                                                      system, key):
+        spec = baseline_spec(tmp_path, f"\n[system]\n{system}\n")
+        # the second line of the key
+        line = max(i for i, x in enumerate(spec.read_text().splitlines(), start=1)
+                   if x.startswith(f"{key} ="))
+        _assert_data_error(self._command(command, spec, "m"), capsys,
+                           f"spec line {line}: key {key!r} repeated")
+        assert not (tmp_path / "out").exists()
+
+    def test_global_key_repeated_writes_nothing(self, tmp_path, capsys):
+        spec = baseline_spec(tmp_path)
+        spec.write_text("output = elsewhere\n" + spec.read_text())
+        _assert_data_error(main(["run", str(spec)]), capsys, "spec line 5: key 'output' repeated")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
     @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -19,7 +19,8 @@ from pqlm import (
     singleton_cluster_index,
 )
 from pqlm import clustering
-from pqlm.lm import log_rendition, log_rendition_docs
+from pqlm.lm import log_rendition_docs
+from pqlm.scoring import log_rendition_clusters
 
 
 def neighbors_for(corpus, k, mu):
@@ -159,7 +160,8 @@ class TestMemberRendition:
 
 
 class TestBatchedPostings:
-    """A text's cluster postings, derived together by ClusterIndex.stage."""
+    """A text's cluster postings, derived together by ClusterIndex.stage
+    when log_rendition_clusters scores the text."""
 
     @pytest.mark.parametrize("max_bins", [None, 1, 40])
     def test_every_term_equals_a_merge_of_member_rows(self, max_bins, monkeypatch):
@@ -175,7 +177,7 @@ class TestBatchedPostings:
             # one term derived alone first, then texts partly derived already
             index.postings(vocab[len(vocab) // 2])
             for d in rng.permutation(corpus.n_docs)[:6].tolist():
-                log_rendition(index, corpus.text(d), 2.0)
+                log_rendition_clusters(index, corpus.text(d))
             for term, t in corpus.vocabulary.items():
                 ids, counts = index.postings(t)
                 assert ids.dtype == np.int32 and counts.dtype == np.float64
@@ -200,7 +202,7 @@ class TestBatchedPostings:
         texts = [corpus.text(d) for d in range(corpus.n_docs)]
 
         def scores(index, order):
-            return [(d, log_rendition(index, texts[d], 3.0)) for d in order]
+            return [(d, log_rendition_clusters(index, texts[d])) for d in order]
 
         serial_index = ClusterIndex(members, corpus, 3.0, 4)
         serial = dict(scores(serial_index, range(corpus.n_docs)))

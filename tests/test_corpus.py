@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -14,7 +15,7 @@ import pqlm.porter
 import pqlm.storage
 
 from conftest import collection_counts, doc_counts
-from pqlm.corpus import left_sum
+from pqlm.corpus import _DOCNO_RE, _TEXT_RE, left_sum
 from pqlm import (
     Corpus,
     NeighborIndex,
@@ -129,6 +130,65 @@ class TestParseTrec:
     def test_file_object(self):
         assert parse_trec(io.BytesIO(b"<DOC><DOCNO>Z</DOCNO><TEXT>x</TEXT></DOC>")) \
             == [("Z", "x")]
+
+
+_REFERENCE_DOC_OPEN = re.compile(rb"<DOC>")
+_REFERENCE_DOC_CLOSE = re.compile(rb"</DOC>")
+
+
+def reference_parse_trec(data) -> list[tuple[str, str]]:
+    """The regex-scan loop that the ``bytes.find`` one of parse_trec
+    replaced, kept as its reference."""
+    if hasattr(data, "read"):
+        data = data.read()
+    if isinstance(data, str):
+        data = data.encode("utf-8", "replace")
+    out: list[tuple[str, str]] = []
+    pos = 0
+    block_index = 0
+    while True:
+        m = _REFERENCE_DOC_OPEN.search(data, pos)
+        if m is None:
+            break
+        end = _REFERENCE_DOC_CLOSE.search(data, m.end())
+        if end is None:
+            raise ParseError(f"unclosed <DOC> block at byte offset {m.start()}")
+        block = data[m.end() : end.start()].decode("utf-8", "replace")
+        docno_m = _DOCNO_RE.search(block)
+        if docno_m is None:
+            raise ParseError(f"missing <DOCNO> in DOC block {block_index}")
+        docno = docno_m.group(1).strip()
+        text = " ".join(t.strip() for t in _TEXT_RE.findall(block))
+        out.append((docno, text))
+        pos = end.end()
+        block_index += 1
+    return out
+
+
+# tag fragments, whole and cut, text, whitespace and invalid UTF-8
+_TREC_FRAGMENTS = [b"<DOC>", b"</DOC>", b"<DOCNO>", b"</DOCNO>", b"<TEXT>", b"</TEXT>",
+                   b"<DOC", b"</DO", b"DOC>", b"<DOC><DOC>", b"</DOC></DOC>", b"<doc>",
+                   b"A1", b"a b", b" ", b"\n", b"\t", b"\xff", b"\xc3", b"\xe2\x82",
+                   b"\xc3\xa9"]
+
+
+def _parse_outcome(parse, data):
+    try:
+        return parse(data)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+class TestParseTrecReference:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from(_TREC_FRAGMENTS), max_size=24))
+    def test_same_documents_or_same_error(self, fragments):
+        data = b"".join(fragments)
+        expected = _parse_outcome(reference_parse_trec, data)
+        assert _parse_outcome(parse_trec, data) == expected
+        assert _parse_outcome(parse_trec, io.BytesIO(data)) == expected
+        text = data.decode("utf-8", "replace")
+        assert _parse_outcome(parse_trec, text) == _parse_outcome(reference_parse_trec, text)
 
 
 class TestBuildCorpus:

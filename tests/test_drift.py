@@ -96,6 +96,13 @@ class TestInterpolate:
         assert out.doc_ids.tolist() == [1, 0]
         assert "falling back" in caplog.text
 
+    @pytest.mark.parametrize("lambda_", [5.0, -0.5, float("nan"), True])
+    def test_lambda_outside_the_unit_interval(self, lambda_):
+        method = ranking([(0, 4.0), (1, 2.0), (2, 1.0)])
+        query = dense([(0, 0.1), (1, 0.5), (2, 0.4)])
+        with pytest.raises(ValueError, match="lambda must be"):
+            interpolate(method, query, lambda_)
+
     def test_mismatched_doc_sets(self):
         with pytest.raises(ValueError, match="different document sets"):
             interpolate(ranking([(0, 1.0)]), dense([(0, 0.5), (1, 1.0)]), 0.5)

@@ -79,6 +79,23 @@ class TestParsing:
         with pytest.raises(ParseError, match="no method"):
             parse_spec("[system]\nname = x\n")
 
+    @pytest.mark.parametrize("text, line, key", [
+        ("index = a.json\nindex = b.json\n", 2, "index"),
+        ("output = o\n[system]\nname = s\nmethod = vdoc\nalpha = 10\n\nalpha = 20\n", 7,
+         "alpha"),
+        ("[system]\nname = a\nmethod = vdoc\nname = b\n", 4, "name"),
+        ("[system]\nname = a\nmethod = vdoc\n# a comment\nmethod = mcdoc\n", 5, "method"),
+    ], ids=["global", "system-param", "name", "method"])
+    def test_key_repeated_in_a_section(self, text, line, key):
+        with pytest.raises(ParseError, match=f"spec line {line}: key '{key}' repeated"):
+            parse_spec(text)
+
+    def test_keys_repeat_across_sections_and_corpus_accumulates(self):
+        spec = parse_spec("corpus = a\ncorpus = b\n[system]\nname = x\nmethod = vdoc\n"
+                          "alpha = 1\n[system]\nname = y\nmethod = vdoc\nalpha = 2\n")
+        assert spec.corpus == ["a", "b"]
+        assert [s.params for s in spec.systems] == [{"alpha": ["1"]}, {"alpha": ["2"]}]
+
     def test_bad_boolean(self):
         with pytest.raises(ParseError, match="boolean"):
             parse_spec("lowercase = maybe\n")

@@ -235,6 +235,12 @@ class TestNeighbors:
         with pytest.raises(ValueError, match="recompute"):
             idx.top(0, 2)
 
+    @pytest.mark.parametrize("doc_id", [-1, 2, 99])
+    def test_document_outside_the_corpus(self, tiny_corpus, doc_id):
+        idx = precompute_neighbors(tiny_corpus, 1, 1.0)
+        with pytest.raises(ValueError, match=f"document id {doc_id} outside 0..1"):
+            idx.top(doc_id, 1)
+
     def test_persistence_and_key_checks(self, tmp_path, tiny_corpus, opts):
         idx = precompute_neighbors(tiny_corpus, 2, 1.5)
         path = tmp_path / "nbrs.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,21 @@ class TestRunConfigValidation:
     @pytest.mark.parametrize("method", ["vdoc", "mccluster"])
     def test_m_checked_for_mcdoc_only(self, method):
         assert RunConfig(method=method, alpha=10, m=5).m == 5
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"alpha": 1.5, "m": 4}, "alpha must be an integer, got alpha=1.5"),
+        ({"alpha": True}, "alpha must be an integer, got alpha=True"),
+        ({"N": 10.0}, "N must be an integer, got N=10.0"),
+        ({"mu": False}, "mu must be a number, got mu=False"),
+        ({"mu": "2000"}, "mu must be a number, got mu='2000'"),
+    ])
+    def test_values_of_another_type_are_refused(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(method="mcdoc", **kwargs)
+
+    def test_numpy_numbers_are_numbers(self):
+        cfg = RunConfig(method="mcdoc", alpha=np.int64(3), mu=np.float64(5.0), T=np.int32(2))
+        assert (cfg.alpha, cfg.m, cfg.mu, cfg.T) == (3, 6, 5.0, 2)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):

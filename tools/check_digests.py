@@ -12,7 +12,12 @@ the sha256 of the run directory (bench/run.py's ``run_digest``), and the
 sha256 of the report that the command prints (its standard output without
 the ``wrote ...`` lines: MAP, recall and the Wilcoxon stars).  The
 seed-1 run digests are the ones in bench/recorded.json; bench/run.py
-checks them only at ``--threads 1``.  Everything is written under
+checks them only at ``--threads 1``.
+
+The 8k rows (CHECK_8K) run their own systems, not a workload's, over one
+8,000-document, 20-topic seed-1 collection set up once: two specs, one
+reading the cluster file and one the neighbour lists, from which
+``pqlm run`` builds its clusters.  Everything is written under
 ``.bench_work/digests/``.  Exits 1 if any command fails or any digest
 differs.
 """
@@ -26,6 +31,7 @@ import json
 import logging
 import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,7 +41,7 @@ import gen  # noqa: E402
 from pqlm.cli import main  # noqa: E402
 from pqlm.corpus import Corpus  # noqa: E402
 from run import RECORDED, run_digest  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import DEPTH, MU, WORKLOADS, Workload  # noqa: E402
 
 SEED_1 = {name: out["run_sha256"]
           for name, out in json.loads(RECORDED.read_text())["outputs"].items()}
@@ -81,6 +87,38 @@ CHECKS = [
      "1e361a08bdb9bad406af773c290d16c3c1fab84e28fd6a4bb40474fe782382e4", ("1", "2")),
 ]
 
+_MCCLUSTER_8K = ("mccluster", "mccluster", {"alpha1": 10, "alpha_cluster": 2, "beta": 20,
+                                            "delta": 40, "T": 2, "mu": MU, "N": DEPTH})
+_DRIFTS_8K = {"none": {}, "interpolation": {"lambda": 0.5},
+              "truncated_rerank": {"drift_N": 50}, "iterated_truncation": {"drift_N": 50},
+              "iterated_rerank": {"drift_N": 50}, "iterated_interpolation": {"lambda": 0.5}}
+# every method, vdoc at T=2, mcdoc under every drift kind and the relevance
+# model unclipped and clipped; the set-up makes neighbour lists and clusters
+WORKLOAD_8K = Workload(
+    "answers-8k", "every method and drift kind over 8k documents",
+    n_docs=8000, n_topics=20, word_forms=False, k_max=40, delta=40,
+    systems=(
+        ("baseline", "baseline", {"mu": MU, "N": DEPTH}),
+        *((f"mcdoc-{kind}", "mcdoc", {"alpha1": 50, "alpha": 10, "m": 40, "T": 2, "mu": MU,
+                                      "N": DEPTH, "drift": kind, **value})
+          for kind, value in _DRIFTS_8K.items()),
+        _MCCLUSTER_8K,
+        ("vdoc", "vdoc", {"alpha": 10, "T": 2, "mu": MU, "N": DEPTH,
+                          "drift": "truncated_rerank", "drift_N": 50}),
+        ("rocchio", "rocchio", {"k1": 10, "t": 10, "N": DEPTH}),
+        ("rm0", "relevance_model", {"k1": 10, "clip_k": 0, "mu": MU, "N": DEPTH}),
+        ("rm50", "relevance_model", {"k1": 10, "clip_k": 50, "mu": MU, "N": DEPTH}),
+    ))
+
+# (seed, index.json sha256, (run directory sha256, report sha256) of the
+#  cluster-file spec and of the neighbour-file spec, `pqlm run` thread counts)
+CHECK_8K = (1, "e2c0be217341d1c5f3906214812154d52cfee1a6ce1da4894acd94f08c3b1070",
+            (("c234d8a6b8968bb1c0d24313fb0af240828d49f009b476818cf4397e8a659cb0",
+              "b3d3b400edfe7194577deca8a4cfa1f539535e3fa090461c67b4edb8bcb52bf7"),
+             ("4f155b10e93aa51ca4ab4fc7670e2daa55b4baeadc7ebc5f60bf1931726805a8",
+              "e59a8d1eff521086c0a98316fba6c8ed000fb16fa08a5736b9205ad80b176f80")),
+            ("1",))
+
 
 def quiet_main(argv: list[str]) -> tuple[int, str]:
     """`pqlm` exit code and standard output."""
@@ -96,38 +134,75 @@ def report_digest(stdout: str) -> str:
                                   if not line.startswith("wrote ")).encode()).hexdigest()
 
 
-def check(name: str, seed: int, index_sha256: str | None, run_sha256: str,
-          report_sha256: str, threads: tuple[str, ...]) -> bool:
-    """Print one line per digest compared; True if all match."""
-    w, work = WORKLOADS[name], ROOT / ".bench_work" / "digests" / f"{name}-{seed}"
+def set_up(w: Workload, seed: int) -> tuple[Path, gen.Collection, list[int]]:
+    """A fresh work directory with the workload's collection and set-up
+    artifacts, and the set-up commands' exit codes."""
+    work = ROOT / ".bench_work" / "digests" / f"{w.name}-{seed}"
     shutil.rmtree(work, ignore_errors=True)
     col = gen.generate(work, seed, w.n_docs, w.n_topics, w.word_forms)
-    (work / "experiment.cfg").write_text(w.spec_text(col))
-    codes = [quiet_main(argv)[0] for argv in w.setup_commands(col, work)]
-    set_up = ok = set(codes) == {0}
-    if index_sha256 is not None:
-        index = work / "index.json"
-        for what, data in (("index sha256", index.read_bytes()),
-                           ("reloaded index serializes to sha256",
-                            Corpus.load(index).serialize())):
-            digest = hashlib.sha256(data).hexdigest()
-            good = set_up and digest == index_sha256
-            print(f"{name} seed {seed}: set-up exit codes {codes}, {what} {digest}",
-                  "ok" if good else "MISMATCH")
-            ok &= good
+    return work, col, [quiet_main(argv)[0] for argv in w.setup_commands(col, work)]
+
+
+def check_index(label: str, work: Path, codes: list[int], index_sha256: str) -> bool:
+    """Compare index.json, and what its reload serializes to, with the digest."""
+    ok = True
+    index = work / "index.json"
+    for what, data in (("index sha256", index.read_bytes()),
+                       ("reloaded index serializes to sha256",
+                        Corpus.load(index).serialize())):
+        digest = hashlib.sha256(data).hexdigest()
+        good = set(codes) == {0} and digest == index_sha256
+        print(f"{label}: set-up exit codes {codes}, {what} {digest}",
+              "ok" if good else "MISMATCH")
+        ok &= good
+    return ok
+
+
+def check_runs(label: str, spec: Path, codes: list[int], run_sha256: str,
+               report_sha256: str, threads: tuple[str, ...]) -> bool:
+    """Run the spec at each thread count and compare its digests."""
+    ok = True
     for n in threads:
-        shutil.rmtree(work / "runs", ignore_errors=True)
-        code, stdout = quiet_main(["run", str(work / "experiment.cfg"), "--threads", n])
-        for what, digest, recorded in (("run", run_digest(work / "runs"), run_sha256),
+        shutil.rmtree(spec.parent / "runs", ignore_errors=True)
+        code, stdout = quiet_main(["run", str(spec), "--threads", n])
+        for what, digest, recorded in (("run", run_digest(spec.parent / "runs"), run_sha256),
                                        ("report", report_digest(stdout), report_sha256)):
-            good = set_up and code == 0 and digest == recorded
-            print(f"{name} seed {seed} --threads {n}: exit codes {codes + [code]}, "
+            good = set(codes) == {0} and code == 0 and digest == recorded
+            print(f"{label} --threads {n}: exit codes {codes + [code]}, "
                   f"{what} sha256 {digest}", "ok" if good else "MISMATCH")
             ok &= good
     return ok
 
 
+def check(name: str, seed: int, index_sha256: str | None, run_sha256: str,
+          report_sha256: str, threads: tuple[str, ...]) -> bool:
+    """Print one line per digest compared; True if all match."""
+    w, label = WORKLOADS[name], f"{name} seed {seed}"
+    work, col, codes = set_up(w, seed)
+    spec = work / "experiment.cfg"
+    spec.write_text(w.spec_text(col))
+    ok = index_sha256 is None or check_index(label, work, codes, index_sha256)
+    return check_runs(label, spec, codes, run_sha256, report_sha256, threads) and ok
+
+
+def check_8k(seed: int, index_sha256: str, runs: tuple[tuple[str, str], ...],
+             threads: tuple[str, ...]) -> bool:
+    """:func:`check` for WORKLOAD_8K: one set-up, then both specs."""
+    w = WORKLOAD_8K
+    work, col, codes = set_up(w, seed)
+    from_neighbors = replace(w, delta=None, systems=(_MCCLUSTER_8K,))
+    specs = {"clusters.cfg": w.spec_text(col),
+             "neighbors.cfg": "neighbors = neighbors.json\n" + from_neighbors.spec_text(col)}
+    ok = check_index(f"{w.name} seed {seed}", work, codes, index_sha256)
+    for (spec_name, text), (run_sha256, report_sha256) in zip(specs.items(), runs):
+        spec = work / spec_name
+        spec.write_text(text)
+        ok &= check_runs(f"{w.name} seed {seed} {spec_name}", spec, codes, run_sha256,
+                         report_sha256, threads)
+    return ok
+
+
 if __name__ == "__main__":
     logging.getLogger("pqlm").setLevel(logging.ERROR)  # the topics' OOV warnings
-    results = [check(*row) for row in CHECKS]
+    results = [check(*row) for row in CHECKS] + [check_8k(*CHECK_8K)]
     sys.exit(int(not all(results)))
