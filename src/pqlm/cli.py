@@ -430,6 +430,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    check(depth=args.depth)
     # a run's report row is named by its file stem
     names = [Path(path).stem for path in args.runs]
     for i, name in enumerate(names):
@@ -439,13 +440,9 @@ def cmd_eval(args) -> int:
     qrels = _parse_file(Qrels.parse, args.qrels)
     reports = {}
     for name, path in zip(names, args.runs):
-        run = _parse_file(parse_run, path)
-        if not qrels.judges_any(run):
-            raise ParseError(f"{path}: no query of the run is in the qrels")
-        try:
-            reports[name] = evaluate_run(run, qrels, args.depth)
-        except ParseError as exc:  # a query of the run lists a docno twice
-            raise ParseError(f"{path}: {exc}") from None
+        # no judged query, or a query listing a docno twice, names the file
+        reports[name] = _parse_file(lambda text: evaluate_run(parse_run(text), qrels, args.depth),
+                                    path)
     print(format_report(reports))
     for name, rep in reports.items():
         if rep.excluded:

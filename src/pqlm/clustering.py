@@ -59,7 +59,7 @@ class ClusterIndex:
         self._postings: dict[int, tuple] = {}
         # term id -> postings derived by stage() and not yet requested
         self._staged: dict[int, tuple] = {}
-        # mu -> term id -> (background, deviations), as on the corpus
+        # mu -> term id -> (renderer ids, background, deviations), as on the corpus
         self._deviations: dict[float, dict] = {}
         self._member_scores: dict[int, tuple] = {}
         # (doc id, alpha_cluster) -> phase-1 cluster credits of that
@@ -168,7 +168,8 @@ class ClusterIndex:
     # -- persistence ----------------------------------------------------
 
     def save(self, path) -> None:
-        save_doc_id_rows(path, CLUSTERS_FORMAT, self, "delta", "members")
+        save_doc_id_rows(path, CLUSTERS_FORMAT, self, "delta", "members", "member list",
+                         self._corpus.n_docs)
 
     @classmethod
     def load(cls, path, corpus: Corpus) -> "ClusterIndex":
@@ -210,7 +211,7 @@ def cluster_membership(cluster_index: ClusterIndex, text_id: int) -> np.ndarray:
     """Clusters a text belongs to, ids ascending; the query is in all."""
     if text_id == QUERY_ID:
         return np.arange(len(cluster_index))
-    if not 0 <= text_id < len(cluster_index):
-        raise ValueError(f"text id {text_id} outside the corpus")
     ptr = cluster_index._holder_ptr
+    if not 0 <= text_id < len(ptr) - 1:
+        raise ValueError(f"text id {text_id} outside the corpus")
     return cluster_index._holders[ptr[text_id]:ptr[text_id + 1]]

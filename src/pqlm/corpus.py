@@ -136,8 +136,8 @@ class Corpus:
         _frozen(self._lengths, self._collection_probs)
         self._csr, self._csr_lock = None, threading.Lock()
         self._postings: dict[int, tuple] = {}
-        # mu -> term id -> (background, read-only per-posting deviations),
-        # filled by lm.log_rendition
+        # mu -> term id -> (renderer ids, background, read-only per-posting
+        # deviations), filled by lm.log_rendition
         self._deviations: dict[float, dict] = {}
         # (doc id, mu, k) -> top-k renderers of that document's text, filled
         # by the scorers; lives as long as the corpus
@@ -331,36 +331,48 @@ def read_payload(path, fmt: str) -> tuple[dict, str]:
     return payload, hashlib.sha256(data).hexdigest()
 
 
-def save_doc_id_rows(path, fmt: str, owner, width_key: str, rows_key: str) -> None:
-    """Write `owner`, a neighbour or cluster index, as a `fmt` file: its
-    corpus hash, mu, row length `width_key` and doc-id rows `rows_key`."""
+def save_doc_id_rows(path, fmt: str, owner, width_key: str, rows_key: str, noun: str,
+                     n_docs: int) -> None:
+    """Write `owner`, a neighbour or cluster index over `n_docs` documents,
+    as a `fmt` file: its corpus hash, mu, row length `width_key` and doc-id
+    rows `rows_key`, once :func:`check_doc_id_rows` has passed them."""
+    width, rows = getattr(owner, width_key), getattr(owner, rows_key)
+    check_doc_id_rows(rows, width, n_docs, noun)
     atomic_write(path, canonical_json({
         "format": fmt, "corpus_hash": owner.corpus_hash, "mu": owner.mu,
-        width_key: getattr(owner, width_key),
-        rows_key: [list(row) for row in getattr(owner, rows_key)]}))
+        width_key: width, rows_key: [list(row) for row in rows]}))
+
+
+def check_doc_id_rows(rows, width, n_docs: int, noun: str) -> None:
+    """Rows a :func:`save_doc_id_rows` file may hold: a positive integer
+    row length, and one row (a `noun`) per document of that many distinct
+    int ids in 0..n_docs-1.  A ValueError names the first fault."""
+    if type(width) is not int or width < 1:
+        raise ValueError(f"{noun} length is not a positive integer")
+    if len(rows) != n_docs:
+        raise ValueError(f"{len(rows)} {noun}s for {n_docs} documents")
+    for i, row in enumerate(rows):
+        if len(row) != width or len(set(row)) != width or not all(
+                type(d) is int and 0 <= d < n_docs for d in row):
+            raise ValueError(f"{noun} {i} is not {width} distinct ids in 0..{n_docs - 1}")
 
 
 def load_doc_id_rows(path, fmt: str, corpus: Corpus, width_key: str, rows_key: str,
                      noun: str) -> tuple:
     """(mu, row length, rows) of a :func:`save_doc_id_rows` file, held to
-    what it writes for `corpus`: a positive finite mu and one row (a `noun`)
-    per document of row length distinct doc ids.  Errors name the file."""
+    what it writes for `corpus`: a positive finite mu and rows that pass
+    :func:`check_doc_id_rows`.  Errors name the file."""
     payload = read_payload(path, fmt)[0]
-    n = corpus.n_docs
     try:
         mu, width, rows = payload["mu"], payload[width_key], payload[rows_key]
         if payload["corpus_hash"] != corpus.content_hash:
             raise ValueError(f"{path}: {noun}s were built for a different corpus")
         if type(mu) not in (int, float) or not 0 < mu <= sys.float_info.max:
             raise ParseError(f"{path}: mu is not a positive finite number")
-        if type(width) is not int or width < 1:
-            raise ParseError(f"{path}: {noun} length is not a positive integer")
-        if len(rows) != n:
-            raise ParseError(f"{path}: {len(rows)} {noun}s for {n} documents")
-        for i, row in enumerate(rows):
-            if len(row) != width or len(set(row)) != width or not all(
-                    type(d) is int and 0 <= d < n for d in row):
-                raise ParseError(f"{path}: {noun} {i} is not {width} distinct ids in 0..{n - 1}")
+        try:
+            check_doc_id_rows(rows, width, corpus.n_docs, noun)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: malformed {fmt} payload: {exc}") from exc
     return mu, width, rows

@@ -77,6 +77,8 @@ def parse_spec(text: str) -> ExperimentSpec:
         if "=" not in line:
             raise ParseError(f"spec line {lineno}: expected key = value")
         key, _, value = (part.strip() for part in line.partition("="))
+        if not value:
+            raise ParseError(f"spec line {lineno}: key {key!r} has no value")
         if key in seen:
             raise ParseError(f"spec line {lineno}: key {key!r} repeated")
         if key != "corpus":  # repeated corpus keys accumulate

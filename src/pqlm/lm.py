@@ -43,15 +43,16 @@ def log_rendition(owner, text: tuple[np.ndarray, np.ndarray], mu: float,
     default :func:`~pqlm.corpus.left_sum` adds them in term-id order.
 
     Only renderers holding a text term deviate from the background
-    log(mu * p_coll).  A term's background and its deviations
+    log(mu * p_coll).  A term's renderers, background and deviations
     ``log(c + mu * p_coll) - log(mu * p_coll)``, one per posting, depend
-    only on the owner, the term and mu: they are kept read-only in
+    only on the owner, the term and mu: they are its one read-only entry
     ``owner._deviations[mu][t]``, at most one float64 per posting per mu.
-    The deviations of the text's terms without an entry come from one
-    ``np.log`` over their concatenated posting counts.  Each call weights
-    the gathered deviations by the text counts and :func:`credit_sums` adds
-    them per renderer in term-id (sorted term) order from 0.0.
-    O(|x| + sum of the text terms' df).
+    Only a term without an entry has its postings read, once per term and
+    mu; the new terms' deviations come from one ``np.log`` over their
+    concatenated posting counts.  Each call weights the gathered
+    deviations by the text counts and :func:`credit_sums` adds them per
+    renderer in term-id (sorted term) order from 0.0.  O(|x| + sum of the
+    text terms' df).
     """
     check(mu=mu)
     term_ids, cnts = (a.tolist() for a in text)
@@ -59,14 +60,12 @@ def log_rendition(owner, text: tuple[np.ndarray, np.ndarray], mu: float,
     if xlen == 0:
         raise ValueError("empty sequence")
     memo = owner._deviations.setdefault(mu, {})
-    new = [i for i, t in enumerate(term_ids) if t not in memo]
-    postings = [owner.postings(t) for t in term_ids]
+    new = [t for t in term_ids if t not in memo]
     if new:
-        _store_deviations(owner, memo, mu, [term_ids[i] for i in new],
-                          [postings[i][1] for i in new])
+        _store_deviations(owner, memo, mu, new)
     ids, deviations, base = [], [], 0.0
-    for t, cnt, (renderers, _) in zip(term_ids, cnts, postings):
-        background, deviation = memo[t]
+    for t, cnt in zip(term_ids, cnts):
+        renderers, background, deviation = memo[t]
         base += cnt * background
         ids.append(renderers)
         deviations.append(deviation)
@@ -97,12 +96,11 @@ def credit_sums(n: int, ids: list[np.ndarray], credits: list[np.ndarray],
     return np.bincount(np.concatenate(ids), credit, minlength=n)
 
 
-def _store_deviations(owner, memo: dict, mu: float, term_ids: list[int],
-                      counts: list[np.ndarray]) -> None:
-    """Store each term's (background, read-only deviations) in `memo`, the
-    deviations of all terms from one ``np.log``; `counts` are the terms'
-    posting counts on `owner`.  A mu so small that a term's mu * p(w | C)
-    is 0.0 has no background logarithm: a ValueError."""
+def _store_deviations(owner, memo: dict, mu: float, term_ids: list[int]) -> None:
+    """Store each term's (renderer ids, background, read-only deviations) in
+    `memo`: its postings on `owner`, all terms' deviations from one np.log.
+    A mu so small that a term's mu * p(w | C) is 0.0 is a ValueError."""
+    renderers, counts = zip(*map(owner.postings, term_ids))
     sizes = [len(c) for c in counts]
     scaled = mu * owner._collection_probs[term_ids]
     if not scaled.all():
@@ -112,8 +110,8 @@ def _store_deviations(owner, memo: dict, mu: float, term_ids: list[int],
     logs -= np.repeat(backgrounds, sizes)
     logs.flags.writeable = False
     bounds = [0, *itertools.accumulate(sizes)]
-    for t, background, deviation in zip(term_ids, backgrounds, split_at(logs, bounds)):
-        memo[t] = (background, deviation)
+    for t, entry in zip(term_ids, zip(renderers, backgrounds, split_at(logs, bounds))):
+        memo[t] = entry
 
 
 def log_rendition_docs(corpus: Corpus, text: tuple[np.ndarray, np.ndarray], mu: float,
@@ -171,6 +169,8 @@ class NeighborIndex:
     def top(self, doc_id: int, k: int) -> list[int]:
         if not 0 <= doc_id < len(self.neighbors):
             raise ValueError(f"document id {doc_id} outside 0..{len(self.neighbors) - 1}")
+        if k < 1:
+            raise ValueError(f"k={k} is not a positive number of neighbors")
         if k > self.k_max:
             raise ValueError(
                 f"k={k} exceeds precomputed k_max={self.k_max}; recompute neighbors"
@@ -178,7 +178,8 @@ class NeighborIndex:
         return self.neighbors[doc_id][:k]
 
     def save(self, path) -> None:
-        save_doc_id_rows(path, NEIGHBORS_FORMAT, self, "k_max", "neighbors")
+        save_doc_id_rows(path, NEIGHBORS_FORMAT, self, "k_max", "neighbors", "neighbor list",
+                         len(self.neighbors))
 
     @classmethod
     def load(cls, path, corpus: Corpus, mu: float | None = None) -> "NeighborIndex":

@@ -116,6 +116,18 @@ class TestIndex:
         else:
             assert proc.stderr == ""
 
+    def test_empty_documents_listed_in_process(self, tmp_path, capsys):
+        doc = tmp_path / "d.trec"
+        doc.write_text("<DOC><DOCNO>D0</DOCNO><TEXT>the</TEXT></DOC>"
+                       "<DOC><DOCNO>D1</DOCNO><TEXT>solar</TEXT></DOC>"
+                       "<DOC><DOCNO>D2</DOCNO><TEXT>and</TEXT></DOC>")
+        (tmp_path / "stop.txt").write_text("the\nand\n")
+        out = tmp_path / "i.json"
+        assert main(["index", str(doc), "-o", str(out), "--stoplist",
+                     str(tmp_path / "stop.txt")]) == 0
+        assert capsys.readouterr().out == (f"1 documents, 1 terms, 1 tokens -> {out}\n"
+                                           "excluded 2 empty documents: D0 D2\n")
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["index"]) == 1
         assert main(["frobnicate"]) == 1
@@ -1125,6 +1137,34 @@ bogus = 3
 """)
         assert main(["run", str(spec)]) == 2
 
+    def test_spec_without_topics_is_data_error(self, tmp_path, capsys):
+        spec = baseline_spec(tmp_path)
+        spec.write_text(re.sub(r"topics = .*\n", "", spec.read_text()))
+        _assert_data_error(main(["run", str(spec)]), capsys, "pqlm: spec has no topics path\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_drift_technique_is_data_error(self, tmp_path, capsys):
+        spec = baseline_spec(tmp_path, "\n[system]\nname = x\nmethod = mcdoc\ndrift = bogus\n")
+        _assert_data_error(main(["run", str(spec)]), capsys,
+                           "pqlm: system 'x': unknown drift technique 'bogus'\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace(f"qrels = {DATA / 'micro.qrels'}", "qrels ="),
+        lambda text: text + "\n[system]\nname = empty\nmethod = mcdoc\nalpha =\n",
+    ], ids=["global", "system"])
+    def test_key_without_a_value_writes_nothing(self, tmp_path, capsys, edit):
+        # an empty `qrels =` would read as a spec without qrels, and an
+        # empty `alpha =` as a grid with no points
+        spec = baseline_spec(tmp_path)
+        spec.write_text(edit(spec.read_text()))
+        lines = spec.read_text().splitlines()
+        line = next(i for i, x in enumerate(lines, start=1) if x.endswith("="))
+        key = lines[line - 1].split()[0]
+        _assert_data_error(main(["run", str(spec)]), capsys,
+                           f"spec line {line}: key '{key}' has no value")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_corpus_format_is_data_error(self, tmp_path, capsys):
         spec = baseline_spec(tmp_path)
         spec.write_text("format = trce\n" + spec.read_text())
@@ -1324,6 +1364,11 @@ class TestEvalCommand:
                      str(tmp_path / "out" / "baseline.run")])
         _assert_data_error(code, capsys, "depth must be >= 1")
 
+    def test_depth_checked_before_any_run_is_read(self, tmp_path, capsys):
+        code = main(["eval", "--qrels", str(DATA / "micro.qrels"), "--depth", "0",
+                     str(tmp_path / "missing.run")])
+        _assert_data_error(code, capsys, "pqlm: depth must be >= 1, got depth=0\n")
+
     def test_non_integer_relevance_names_its_line(self, tmp_path, capsys):
         qrels = tmp_path / "bad.qrels"
         qrels.write_text("1 0 D1 1\n1 0 D2 x\n")
@@ -1454,6 +1499,19 @@ method = rocchio
         _assert_data_error(code, capsys, "k1 must be >= 1, got k1=0")
         assert not (tmp_path / "out").exists()
 
+    def test_sweep_without_qrels_is_data_error(self, tmp_path, capsys):
+        spec = baseline_spec(tmp_path, "\n[system]\nname = m\nmethod = mcdoc\n")
+        spec.write_text(re.sub(r"qrels = .*\n", "", spec.read_text()))
+        code = main(["sweep", str(spec), "--system", "m", "--alpha1", "2"])
+        _assert_data_error(code, capsys, "pqlm: sweep needs qrels in the spec\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_of_a_grid_system_is_data_error(self, tmp_path, capsys):
+        spec = baseline_spec(tmp_path, "\n[system]\nname = m\nmethod = mcdoc\nT = 1 2\n")
+        code = main(["sweep", str(spec), "--system", "m", "--alpha1", "2"])
+        _assert_data_error(code, capsys, "sweep expects a single-point system")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_system(self, tmp_path):
         spec = baseline_spec(tmp_path)
         assert main(["sweep", str(spec), "--system", "nope",
@@ -1578,6 +1636,14 @@ class TestThreadsEnvVar:
                 "run": [spec], "sweep": [spec, "--system", "baseline", "--alpha1", "2"]}
         assert main([command, *argv[command], "--threads", threads]) == 1
         assert f"argument --threads: must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_threads_not_an_int_is_usage_error(self, tmp_path, capsys):
+        assert main(["run", str(baseline_spec(tmp_path)), "--threads", "x"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pqlm run ")
+        assert [line for line in err.splitlines() if "error" in line] == [
+            "pqlm run: error: argument --threads: invalid int value: 'x'"]
         assert not (tmp_path / "out").exists()
 
     def test_default_worker_count_from_environment(self, monkeypatch):

@@ -61,6 +61,11 @@ class TestBuild:
         assert index.members[0] == (0, 1)
         assert index.members[1] == (0, 1)
 
+    def test_neighbor_lists_of_another_corpus(self, tiny_corpus):
+        other = build_corpus([("d0", "a a b"), ("d1", "b d")], PreprocessOptions())
+        with pytest.raises(ValueError, match="^neighbor lists were built for a different corpus$"):
+            build_clusters(tiny_corpus, 1, neighbors_for(other, 1, 1.0))
+
     def test_document_in_no_cluster(self):
         # B ties A everywhere, so every top-1 list picks the lower id A
         corpus = build_corpus(
@@ -244,6 +249,17 @@ class TestMembership:
         with pytest.raises(ValueError, match="outside the corpus"):
             cluster_membership(index, 7)
 
+    def test_ids_bounded_by_the_documents_not_the_clusters(self):
+        # two clusters over three documents: document 2 is in none of them
+        corpus = build_corpus([("d0", "a a b"), ("d1", "b c"), ("d2", "c d")],
+                              PreprocessOptions())
+        index = ClusterIndex([(0,), (0,)], corpus, 1.0, 1)
+        assert cluster_membership(index, 2).tolist() == []
+        with pytest.raises(ValueError, match="^text id 3 outside the corpus$"):
+            cluster_membership(index, 3)
+        ranking = score_mccluster(PseudoQueryList([2, 0], [1.0, 0.5]), 1, 1, corpus, index)
+        assert ranking.entries[0][0] == 0 and len(ranking) == 3
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
@@ -259,6 +275,19 @@ class TestPersistence:
         first = path.read_bytes()
         loaded.save(path)
         assert path.read_bytes() == first
+
+    @pytest.mark.parametrize("members, delta, message", [
+        ([(0, 1), (1,), (2, 0)], 2, "member list 1 is not 2 distinct ids in 0..2"),
+        ([(0, 1), (1, 2), (2, 0)], 5, "member list 0 is not 5 distinct ids in 0..2"),
+        ([(0,), (0,)], 1, "2 member lists for 3 documents"),
+    ], ids=["short-row", "delta", "row-count"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, members, delta, message):
+        corpus = build_corpus([("d0", "a a b"), ("d1", "b c"), ("d2", "c d")],
+                              PreprocessOptions())
+        path = tmp_path / "clusters.json"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ClusterIndex(members, corpus, 1.0, delta).save(path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_wrong_corpus_rejected(self, tmp_path, tiny_corpus):
         index = singleton_cluster_index(tiny_corpus, 1.0)

@@ -334,6 +334,20 @@ class TestPersistence:
         assert path.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["index.json"]  # no .tmp-*.part
 
+    def test_failed_cleanup_keeps_the_write_error(self, tmp_path, monkeypatch):
+        # the temporary file cannot be removed either: the error raised is
+        # still the one that stopped the write
+        def replace(src, dst):
+            raise RuntimeError("replace failed")
+
+        def unlink(path):
+            raise OSError("unlink failed")
+
+        monkeypatch.setattr(pqlm.storage.os, "replace", replace)
+        monkeypatch.setattr(pqlm.storage.os, "unlink", unlink)
+        with pytest.raises(RuntimeError, match="replace failed"):
+            pqlm.storage.atomic_write(tmp_path / "index.json", b"new")
+
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "nope.json"
         path.write_text('{"format": "other"}')

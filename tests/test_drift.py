@@ -96,6 +96,11 @@ class TestInterpolate:
         assert out.doc_ids.tolist() == [1, 0]
         assert "falling back" in caplog.text
 
+    def test_query_scores_without_a_positive_maximum(self):
+        method = ranking([(0, 0.4), (1, 0.2)])
+        with pytest.raises(ValueError, match="^query scores have no positive maximum$"):
+            interpolate(method, dense([(0, 0.0), (1, 0.0)]), 0.5)
+
     @pytest.mark.parametrize("lambda_", [5.0, -0.5, float("nan"), True])
     def test_lambda_outside_the_unit_interval(self, lambda_):
         method = ranking([(0, 4.0), (1, 2.0), (2, 1.0)])

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 
@@ -246,6 +247,15 @@ class TestFilesAndReports:
     def test_qrels_parsing(self):
         q = Qrels.parse("1 0 docA 1\n1 0 docB 0\n2 0 docC 2\n")
         assert q.relevant == {"1": {"docA"}, "2": {"docC"}}
+
+    def test_qrels_blank_lines_are_skipped(self):
+        q = Qrels.parse("1 0 docA 1\n\n   \n2 0 docC 0\n")
+        assert q.relevant == {"1": {"docA"}, "2": set()}
+
+    def test_qrels_from_a_file_object(self):
+        assert read_text(io.BytesIO(b"1 0 docA 1\n")) == "1 0 docA 1\n"
+        assert read_text(io.StringIO("x")) == "x"
+        assert Qrels.parse(io.BytesIO(b"1 0 docA 1\n")).relevant == {"1": {"docA"}}
 
     def test_qrels_bad_line(self):
         with pytest.raises(ParseError, match="line 1"):

@@ -90,6 +90,20 @@ class TestParsing:
         with pytest.raises(ParseError, match=f"spec line {line}: key '{key}' repeated"):
             parse_spec(text)
 
+    @pytest.mark.parametrize("text, line, key", [
+        ("output = o\nqrels =\n", 2, "qrels"),
+        ("[system]\nname = s\nmethod = mcdoc\n\nalpha =   \n", 5, "alpha"),
+    ], ids=["global", "system"])
+    def test_key_without_a_value(self, text, line, key):
+        # an empty grid would give the system no points, and an empty
+        # global path would read as the key left out
+        with pytest.raises(ParseError, match=f"^spec line {line}: key '{key}' has no value$"):
+            parse_spec(text)
+
+    def test_line_without_an_equals_sign(self):
+        with pytest.raises(ParseError, match="^spec line 3: expected key = value$"):
+            parse_spec("output = o\n\nalpha 10\n")
+
     def test_keys_repeat_across_sections_and_corpus_accumulates(self):
         spec = parse_spec("corpus = a\ncorpus = b\n[system]\nname = x\nmethod = vdoc\n"
                           "alpha = 1\n[system]\nname = y\nmethod = vdoc\nalpha = 2\n")

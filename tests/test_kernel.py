@@ -285,13 +285,36 @@ class TestDeviationMemo:
                 assert np.array_equal(got, literal_log_rendition(corpus, text, mu, tables))
             assert mixed
 
+    @pytest.mark.parametrize("owner_kind", ["corpus", "clusters"])
+    def test_postings_are_read_once_per_term_and_mu(self, owner_kind, monkeypatch):
+        corpus = random_corpus(np.random.default_rng(53), n_docs=10)
+        owner = self.owners(corpus)[owner_kind]
+        calls = []
+        postings = type(owner).postings
+
+        def counted(self, t):
+            calls.append(t)
+            return postings(self, t)
+
+        monkeypatch.setattr(type(owner), "postings", counted)
+        text = corpus.text(0)
+        first = log_rendition(owner, text, 3.0)
+        assert calls == text[0].tolist()
+        assert np.array_equal(log_rendition(owner, text, 3.0), first)
+        assert calls == text[0].tolist()  # the second rendition reads none
+        log_rendition(owner, text, 6.0)
+        assert calls == 2 * text[0].tolist()  # another mu reads them again
+        for t in text[0].tolist():
+            assert owner._deviations[3.0][t][0] is postings(owner, t)[0]
+
     def test_entries_are_read_only_and_one_float_per_posting(self):
         corpus = random_corpus(np.random.default_rng(43), n_docs=10)
         for owner in self.owners(corpus).values():
             for d in range(corpus.n_docs):
                 log_rendition(owner, corpus.text(d), 2.0)
             assert list(owner._deviations) == [2.0]
-            for t, (background, deviations) in owner._deviations[2.0].items():
+            for t, (renderers, background, deviations) in owner._deviations[2.0].items():
+                assert renderers is owner.postings(t)[0]
                 assert background == math.log(2.0 * corpus.collection_prob(corpus._terms[t]))
                 assert deviations.dtype == np.float64
                 assert len(deviations) == len(owner.postings(t)[0])

@@ -235,11 +235,30 @@ class TestNeighbors:
         with pytest.raises(ValueError, match="recompute"):
             idx.top(0, 2)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, tiny_corpus, k):
+        # a slice would give [] at 0, and every id but the last at -1
+        idx = precompute_neighbors(tiny_corpus, 2, 1.0)
+        with pytest.raises(ValueError, match=f"^k={k} is not a positive number of neighbors$"):
+            idx.top(0, k)
+
     @pytest.mark.parametrize("doc_id", [-1, 2, 99])
     def test_document_outside_the_corpus(self, tiny_corpus, doc_id):
         idx = precompute_neighbors(tiny_corpus, 1, 1.0)
         with pytest.raises(ValueError, match=f"document id {doc_id} outside 0..1"):
             idx.top(doc_id, 1)
+
+    @pytest.mark.parametrize("k_max, neighbors, message", [
+        (2, [[0, 1], [1, 1], [2, 0]], "neighbor list 1 is not 2 distinct ids in 0..2"),
+        (2, [[0, 1], [1, 3], [2, 0]], "neighbor list 1 is not 2 distinct ids in 0..2"),
+        (3, [[0, 1], [1, 2], [2, 0]], "neighbor list 0 is not 3 distinct ids in 0..2"),
+        (0, [[], [], []], "neighbor list length is not a positive integer"),
+    ], ids=["repeated-id", "id-range", "k_max", "empty"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, k_max, neighbors, message):
+        path = tmp_path / "nbrs.json"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NeighborIndex("0" * 64, 1.0, k_max, neighbors).save(path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_persistence_and_key_checks(self, tmp_path, tiny_corpus, opts):
         idx = precompute_neighbors(tiny_corpus, 2, 1.5)

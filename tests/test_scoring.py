@@ -42,6 +42,30 @@ class TestPseudoQueryList:
         pq = PseudoQueryList.initial()
         assert pq.items == [QUERY_ID] and pq.weights == [1.0]
 
+    def test_items_and_weights_differ_in_length(self):
+        with pytest.raises(ValueError, match="^items and weights differ in length$"):
+            PseudoQueryList([1, 2], [1.0])
+
+
+class TestScoredRanking:
+    def test_ids_and_scores_differ_in_length(self):
+        with pytest.raises(ValueError, match="^ids and scores differ in length$"):
+            ScoredRanking([0, 1], [1.0])
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf")])
+    def test_non_finite_score(self, score):
+        with pytest.raises(ValueError, match="^non-finite score in ranking$"):
+            ScoredRanking([0, 1], [1.0, score])
+
+
+def test_query_item_without_the_query_is_refused(tiny_corpus):
+    # round 1 ranks the query, which the caller must hand in
+    pq = PseudoQueryList.initial()
+    with pytest.raises(ValueError, match="no query probabilities were provided"):
+        score_mcdoc(pq, 1, 2, tiny_corpus, 1.0)
+    with pytest.raises(ValueError, match="no query counts were provided"):
+        score_mccluster(pq, 1, 1, tiny_corpus, singleton_cluster_index(tiny_corpus, 1.0))
+
 
 class TestVDoc:
     def test_degenerate_alpha_full_is_baseline_order(self):
